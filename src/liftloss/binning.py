@@ -193,19 +193,15 @@ def assign_segments(
     middle and `inner` may be None.
     """
     p = _check_predictions(predictions)
-    seg = np.full(p.shape, Segment.MIDDLE, dtype=np.int8)
-    n_bins = cuts.n_bins
-    if n_bins == 1:
-        return seg
+    if cuts.n_bins == 1:
+        return np.full(p.shape, Segment.MIDDLE, dtype=np.int8)
     if inner is None:
         raise BinningError("inner cuts are required when n_bins >= 2")
     if bins is None:
         bins = assign_bins(p, cuts)
-    k = n_bins - 1
-    upper = np.minimum(bins - 1, k - 1)  # 0-based index of the bin's upper boundary
-    lower = np.maximum(bins - 2, 0)  # 0-based index of the bin's lower boundary
-    top = (bins < n_bins) & (p > inner.minus[upper])
-    bottom = (bins > 1) & (p < inner.plus[lower]) & ~top
-    seg[top] = Segment.TOP
-    seg[bottom] = Segment.BOTTOM
+    b0 = bins - 1
+    # per-bin thresholds; the edge bins' outward sides can never be crossed
+    top = p > np.append(inner.minus, np.inf)[b0]
+    seg = top.view(np.int8) + np.int8(Segment.MIDDLE)  # MIDDLE + 1 == TOP
+    seg -= (p < np.insert(inner.plus, 0, -np.inf)[b0]) & ~top  # MIDDLE - 1 == BOTTOM
     return seg

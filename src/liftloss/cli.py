@@ -207,7 +207,7 @@ def cmd_eval(args) -> int:
     n_bins = args.bins
     note = None
     try:
-        cuts = compute_cuts(predictions, n_bins, max_sort=args.max_sort)
+        cuts = compute_cuts(predictions, n_bins, max_sort=args.max_sort, seed=args.seed)
     except DegeneratePredictionsError:
         distinct = int(np.unique(predictions).size)
         if distinct >= n_bins:
@@ -215,16 +215,15 @@ def cmd_eval(args) -> int:
         note = f"predictions have only {distinct} distinct values; evaluated with {distinct} bins"
         print(f"warning: {note}", file=sys.stderr)
         n_bins = distinct
-        cuts = compute_cuts(predictions, n_bins, max_sort=args.max_sort)
+        cuts = compute_cuts(predictions, n_bins, max_sort=args.max_sort, seed=args.seed)
     bins = assign_bins(predictions, cuts)
     report = true_lift_loss(subset_stats(dataset, predictions, bins, n_bins))
     out = Path(args.output)
     write_loss_report(report, out)
-    manifest_args = args
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         "eval",
-        manifest_args,
+        args,
         [args.data, args.params],
         [out],
     )

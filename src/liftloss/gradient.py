@@ -7,6 +7,15 @@ row's prediction just far enough to cross, apply the resulting changes to
 the two affected bins (one row leaves, one bin gains it, both lifts move),
 and divide the exact loss change by the prediction shift. Rows deep inside a
 bin keep only the smooth bias-channel derivative.
+
+The loss is linear in each bin's lift and size, and a one-row move shifts
+both lifts by amounts affine in the row's outcome `y` (the pre-move arm
+counts are the denominators). So every row's gradient is
+
+    A[bin, segment, arm] + B[bin, segment, arm] * y
+
+a table of `6 * n_bins` coefficients built once per call from the per-bin
+statistics; the per-row work is one gather from each table.
 """
 
 from __future__ import annotations
@@ -106,41 +115,41 @@ def loss_partials(stats: SubsetStats) -> tuple[np.ndarray, np.ndarray]:
     return d_lift, d_size
 
 
-def _lift_deltas(stats: SubsetStats, y, treated, from0, to0):
-    """Lift changes in the source and destination bins when a row moves.
+def _migration_tables(
+    stats: SubsetStats, cuts: CutPoints, inner: InnerCuts, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Migration slope coefficients, indexed [bin - 1, segment, arm].
 
-    Uses the pre-move arm counts as denominators. For a treated row the
-    source lift moves toward the remaining treated mean and the destination
-    lift absorbs the new outcome; control rows mirror with flipped signs
-    because lift subtracts the control mean.
+    A row's migration slope is `a + b * y`. Moving one row changes the
+    source and destination lifts by amounts affine in its outcome `y`
+    (pre-move arm counts as denominators; joining a bin is the negation of
+    leaving it), and the loss is linear in each bin's lift and size, so the
+    exact loss change over the probe shift is affine in `y` too. Middle
+    segments and the edge bins' outward segments stay zero.
     """
-    d_from_t = (stats.mean_y_t[from0] - y) / stats.size_t[from0]
-    d_to_t = (y - stats.mean_y_t[to0]) / stats.size_t[to0]
-    d_from_c = (y - stats.mean_y_c[from0]) / stats.size_c[from0]
-    d_to_c = (stats.mean_y_c[to0] - y) / stats.size_c[to0]
-    d_from = np.where(treated, d_from_t, d_from_c)
-    d_to = np.where(treated, d_to_t, d_to_c)
-    return d_from, d_to
-
-
-def _delta_loss(stats: SubsetStats, d_lift, d_size, y, treated, from0, to0):
-    """Exact loss change when one row moves from bin `from0` to `to0` (0-based).
-
-    The per-bin loss contribution is linear in the bin's lift, so the change
-    splits into lift terms, size terms, and one size-lift cross term per bin;
-    summing them reproduces a full loss re-evaluation to machine precision.
-    """
-    dl_from, dl_to = _lift_deltas(stats, y, treated, from0, to0)
-    slope_from = -2.0 * (stats.mean_pred[from0] - stats.global_lift) / stats.total_size
-    slope_to = -2.0 * (stats.mean_pred[to0] - stats.global_lift) / stats.total_size
-    return (
-        d_lift[from0] * dl_from
-        - d_size[from0]
-        + d_lift[to0] * dl_to
-        + d_size[to0]
-        - dl_from * slope_from  # size drops by one in the source bin
-        + dl_to * slope_to  # and grows by one in the destination
-    )
+    n = stats.n_bins
+    d_lift, d_size = loss_partials(stats)
+    # the size partial moves with the lift, d(d_size)/d(lift) = -size_slope, so
+    # a bin that loses a row weighs its lift change by d_lift + size_slope and
+    # one that gains a row by d_lift - size_slope
+    size_slope = 2.0 * (stats.mean_pred - stats.global_lift) / stats.total_size
+    w_from = (d_lift + size_slope)[:, None]
+    w_to = (d_lift - size_slope)[:, None]
+    # lift change of a bin when one row of arm (control, treatment) leaves it
+    leave_a = np.stack([-stats.mean_y_c / stats.size_c, stats.mean_y_t / stats.size_t], axis=1)
+    leave_b = np.stack([1.0 / stats.size_c, -1.0 / stats.size_t], axis=1)
+    a = np.zeros((n, 3, 2))
+    b = np.zeros((n, 3, 2))
+    dp_up = (scale * (cuts.cuts - inner.minus))[:, None]
+    dp_down = (scale * (cuts.cuts - inner.plus))[:, None]
+    for src, dst, seg, dp in (
+        (slice(None, -1), slice(1, None), Segment.TOP, dp_up),
+        (slice(1, None), slice(None, -1), Segment.BOTTOM, dp_down),
+    ):
+        gain = (d_size[dst] - d_size[src])[:, None]
+        a[src, seg] = (w_from[src] * leave_a[src] - w_to[dst] * leave_a[dst] + gain) / dp
+        b[src, seg] = (w_from[src] * leave_b[src] - w_to[dst] * leave_b[dst]) / dp
+    return a, b
 
 
 def migration_terms(
@@ -159,7 +168,8 @@ def migration_terms(
     `direction` is "up" (top-segment row probing the boundary above) or
     "down" (bottom-segment row probing the boundary below). The prediction
     shift is `scale` times the segment width, signed by direction, and the
-    returned value is the exact loss change divided by that shift.
+    returned value is the exact loss change divided by that shift: one entry
+    of the coefficient table that `effective_gradient` gathers from.
     """
     n_bins = stats.n_bins
     if direction not in ("up", "down"):
@@ -171,57 +181,14 @@ def migration_terms(
                 f"migration {direction} applies to {expected.name.lower()}-segment rows, "
                 f"got segment {Segment(segment).name.lower()}"
             )
-    if direction == "up":
-        if bin_index >= n_bins:
-            raise ValueError(f"bin {bin_index} has no upper neighbor to migrate into")
-        from0, to0 = bin_index - 1, bin_index
-        boundary = bin_index - 1
-        dp = scale * (cuts.cuts[boundary] - inner.minus[boundary])
-    else:
-        if bin_index <= 1:
-            raise ValueError(f"bin {bin_index} has no lower neighbor to migrate into")
-        from0, to0 = bin_index - 1, bin_index - 2
-        boundary = bin_index - 2
-        dp = scale * (cuts.cuts[boundary] - inner.plus[boundary])
-    d_lift, d_size = loss_partials(stats)
-    delta = _delta_loss(
-        stats,
-        d_lift,
-        d_size,
-        float(y),
-        bool(treated),
-        np.asarray(from0),
-        np.asarray(to0),
-    )
-    return float(delta / dp)
-
-
-def _migration_gradient(
-    stats: SubsetStats,
-    cuts: CutPoints,
-    inner: InnerCuts,
-    outcome: np.ndarray,
-    treated: np.ndarray,
-    bins: np.ndarray,
-    segments: np.ndarray,
-    scale: float,
-) -> np.ndarray:
-    """Vectorized migration contributions; zero for middle-segment rows."""
-    d_lift, d_size = loss_partials(stats)
-    out = np.zeros(outcome.shape)
-    for seg, step in ((Segment.TOP, 1), (Segment.BOTTOM, -1)):
-        mask = segments == seg
-        if not mask.any():
-            continue
-        b = bins[mask]
-        from0 = b - 1
-        to0 = b - 1 + step
-        boundary = b - 1 if step == 1 else b - 2
-        edge = cuts.cuts[boundary]
-        dp = scale * (edge - (inner.minus[boundary] if step == 1 else inner.plus[boundary]))
-        delta = _delta_loss(stats, d_lift, d_size, outcome[mask], treated[mask], from0, to0)
-        out[mask] = delta / dp
-    return out
+    if direction == "up" and bin_index >= n_bins:
+        raise ValueError(f"bin {bin_index} has no upper neighbor to migrate into")
+    if direction == "down" and bin_index <= 1:
+        raise ValueError(f"bin {bin_index} has no lower neighbor to migrate into")
+    a, b = _migration_tables(stats, cuts, inner, scale)
+    seg = Segment.TOP if direction == "up" else Segment.BOTTOM
+    cell = (bin_index - 1, seg, int(bool(treated)))
+    return float(a[cell] + b[cell] * float(y))
 
 
 def effective_gradient(
@@ -247,17 +214,11 @@ def effective_gradient(
     stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
     inner = inner_cuts(cuts, p)
     segments = assign_segments(p, cuts, inner, bins=bins)
-    grad = bias_gradient(stats, bins)
-    grad += _migration_gradient(
-        stats,
-        cuts,
-        inner,
-        dataset.outcome,
-        dataset.is_treatment,
-        bins,
-        segments,
-        config.migration_step_scale,
-    )
+    a, b = _migration_tables(stats, cuts, inner, config.migration_step_scale)
+    a += bias_gradient(stats, np.arange(1, cuts.n_bins + 1))[:, None, None]
+    idx = (bins - 1) * 6 + (segments * 2 + dataset.arm)
+    grad = a.take(idx)
+    grad += b.take(idx) * dataset.outcome
     if not np.isfinite(grad).all():
         raise FloatingPointError("effective gradient produced non-finite values")
     return EffectiveGradient(grad, stats, cuts, inner, bins, segments)

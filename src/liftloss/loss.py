@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "LossReport",
     "global_lift",
     "subset_stats",
-    "subset_stats_from_chunks",
     "true_lift_loss",
     "pointwise_mse",
     "variance_decomposition",
@@ -85,68 +83,6 @@ class SubsetStats:
         return self.size.shape[0]
 
 
-class _BinSums:
-    """Running per-bin sums; supports chunked accumulation and merging."""
-
-    def __init__(self, n_bins: int):
-        self.n_bins = n_bins
-        self.count = np.zeros(n_bins, dtype=np.int64)
-        self.count_t = np.zeros(n_bins, dtype=np.int64)
-        self.sum_pred = np.zeros(n_bins)
-        self.sum_y_t = np.zeros(n_bins)
-        self.sum_y_c = np.zeros(n_bins)
-
-    def add(self, bins, predictions, outcome, arm) -> None:
-        bins0 = np.asarray(bins) - 1
-        if bins0.min() < 0 or bins0.max() >= self.n_bins:
-            raise ValueError("bin index out of range")
-        treated = np.asarray(arm) == 1
-        self.count += np.bincount(bins0, minlength=self.n_bins)
-        self.count_t += np.bincount(bins0[treated], minlength=self.n_bins)
-        self.sum_pred += np.bincount(bins0, weights=predictions, minlength=self.n_bins)
-        self.sum_y_t += np.bincount(
-            bins0[treated], weights=np.asarray(outcome)[treated], minlength=self.n_bins
-        )
-        self.sum_y_c += np.bincount(
-            bins0[~treated], weights=np.asarray(outcome)[~treated], minlength=self.n_bins
-        )
-
-    def merge(self, other: "_BinSums") -> None:
-        self.count += other.count
-        self.count_t += other.count_t
-        self.sum_pred += other.sum_pred
-        self.sum_y_t += other.sum_y_t
-        self.sum_y_c += other.sum_y_c
-
-    def finalize(self, cached_global_lift: float | None = None) -> SubsetStats:
-        count_c = self.count - self.count_t
-        for arm_count, arm_name in ((self.count_t, "treatment"), (count_c, "control")):
-            empty = np.flatnonzero(arm_count == 0)
-            if empty.size:
-                raise EmptyArmInBinError(int(empty[0]) + 1, self.n_bins, arm_name)
-        total = int(self.count.sum())
-        total_t = int(self.count_t.sum())
-        if cached_global_lift is None:
-            gl = float(self.sum_y_t.sum() / total_t - self.sum_y_c.sum() / (total - total_t))
-        else:
-            gl = float(cached_global_lift)
-        mean_y_t = self.sum_y_t / self.count_t
-        mean_y_c = self.sum_y_c / count_c
-        imbalance = float(np.abs(self.count_t / self.count - total_t / total).max())
-        return SubsetStats(
-            size=self.count.copy(),
-            size_t=self.count_t.copy(),
-            size_c=count_c,
-            mean_pred=self.sum_pred / self.count,
-            mean_y_t=mean_y_t,
-            mean_y_c=mean_y_c,
-            lift=mean_y_t - mean_y_c,
-            total_size=total,
-            global_lift=gl,
-            max_arm_imbalance=imbalance,
-        )
-
-
 def global_lift(dataset: ABDataset) -> float:
     """Mean treated outcome minus mean control outcome over the whole dataset."""
     treated = dataset.is_treatment
@@ -155,22 +91,6 @@ def global_lift(dataset: ABDataset) -> float:
         raise ValueError("global lift needs rows in both arms")
     y = dataset.outcome
     return float(y[treated].mean() - y[~treated].mean())
-
-
-def subset_stats_from_chunks(
-    chunks: Iterable[tuple],
-    n_bins: int,
-    cached_global_lift: float | None = None,
-) -> SubsetStats:
-    """Accumulate stats from (bins, predictions, outcome, arm) chunks.
-
-    The iterable is consumed exactly once, so chunks may come from a stream;
-    merging across chunks is order-independent up to float reassociation.
-    """
-    sums = _BinSums(n_bins)
-    for bins, predictions, outcome, arm in chunks:
-        sums.add(bins, predictions, outcome, arm)
-    return sums.finalize(cached_global_lift)
 
 
 def subset_stats(
@@ -189,8 +109,42 @@ def subset_stats(
     p = np.asarray(predictions, dtype=np.float64)
     if p.shape != (len(dataset),) or np.asarray(bins).shape != (len(dataset),):
         raise ValueError("predictions and bins must align with the dataset rows")
-    return subset_stats_from_chunks(
-        [(bins, p, dataset.outcome, dataset.arm)], n_bins, cached_global_lift
+    bins0 = np.asarray(bins) - 1
+    if bins0.min() < 0 or bins0.max() >= n_bins:
+        raise ValueError("bin index out of range")
+    # one bucket per (bin, arm): column 0 is control, column 1 treatment; each
+    # bucket sums its rows in row order, as a per-arm masked bincount would
+    key = bins0 * 2 + dataset.arm
+    count_c, count_t = np.bincount(key, minlength=2 * n_bins).reshape(n_bins, 2).T
+    sum_y_c, sum_y_t = (
+        np.bincount(key, weights=dataset.outcome, minlength=2 * n_bins).reshape(n_bins, 2).T
+    )
+    sum_pred = np.bincount(bins0, weights=p, minlength=n_bins)
+    for arm_count, arm_name in ((count_t, "treatment"), (count_c, "control")):
+        empty = np.flatnonzero(arm_count == 0)
+        if empty.size:
+            raise EmptyArmInBinError(int(empty[0]) + 1, n_bins, arm_name)
+    count = count_c + count_t
+    total = int(count.sum())
+    total_t = int(count_t.sum())
+    if cached_global_lift is None:
+        gl = float(sum_y_t.sum() / total_t - sum_y_c.sum() / (total - total_t))
+    else:
+        gl = float(cached_global_lift)
+    mean_y_t = sum_y_t / count_t
+    mean_y_c = sum_y_c / count_c
+    imbalance = float(np.abs(count_t / count - total_t / total).max())
+    return SubsetStats(
+        size=count,
+        size_t=count_t,
+        size_c=count_c,
+        mean_pred=sum_pred / count,
+        mean_y_t=mean_y_t,
+        mean_y_c=mean_y_c,
+        lift=mean_y_t - mean_y_c,
+        total_size=total,
+        global_lift=gl,
+        max_arm_imbalance=imbalance,
     )
 
 

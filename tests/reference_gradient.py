@@ -1,0 +1,167 @@
+"""Row-by-row reference implementations of the gradient pipeline.
+
+These are the per-row forms that the coefficient-table gradient in
+`liftloss.gradient` and the fused statistics in `liftloss.loss` replace,
+kept verbatim so property tests can compare the two on random instances:
+
+- `reference_subset_stats`: five masked `bincount`s per call;
+- `reference_assign_segments`: per-row boundary indices and masks;
+- `bias_gradient`, `loss_partials`, `_lift_deltas`, `_delta_loss` and
+  `_migration_gradient`: the bias channel plus the per-row migration slope
+  with its 4-way `np.where`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from liftloss.binning import CutPoints, InnerCuts, Segment, assign_bins, inner_cuts
+from liftloss.loss import EmptyArmInBinError, SubsetStats
+
+
+def reference_subset_stats(bins, predictions, outcome, arm, n_bins, cached_global_lift=None):
+    """Per-bin stats from one masked `bincount` per summed quantity."""
+    bins0 = np.asarray(bins) - 1
+    if bins0.min() < 0 or bins0.max() >= n_bins:
+        raise ValueError("bin index out of range")
+    treated = np.asarray(arm) == 1
+    count = np.zeros(n_bins, dtype=np.int64)
+    count_t = np.zeros(n_bins, dtype=np.int64)
+    sum_pred = np.zeros(n_bins)
+    sum_y_t = np.zeros(n_bins)
+    sum_y_c = np.zeros(n_bins)
+    count += np.bincount(bins0, minlength=n_bins)
+    count_t += np.bincount(bins0[treated], minlength=n_bins)
+    sum_pred += np.bincount(bins0, weights=predictions, minlength=n_bins)
+    sum_y_t += np.bincount(bins0[treated], weights=np.asarray(outcome)[treated], minlength=n_bins)
+    sum_y_c += np.bincount(bins0[~treated], weights=np.asarray(outcome)[~treated], minlength=n_bins)
+
+    count_c = count - count_t
+    for arm_count, arm_name in ((count_t, "treatment"), (count_c, "control")):
+        empty = np.flatnonzero(arm_count == 0)
+        if empty.size:
+            raise EmptyArmInBinError(int(empty[0]) + 1, n_bins, arm_name)
+    total = int(count.sum())
+    total_t = int(count_t.sum())
+    if cached_global_lift is None:
+        gl = float(sum_y_t.sum() / total_t - sum_y_c.sum() / (total - total_t))
+    else:
+        gl = float(cached_global_lift)
+    mean_y_t = sum_y_t / count_t
+    mean_y_c = sum_y_c / count_c
+    imbalance = float(np.abs(count_t / count - total_t / total).max())
+    return SubsetStats(
+        size=count.copy(),
+        size_t=count_t.copy(),
+        size_c=count_c,
+        mean_pred=sum_pred / count,
+        mean_y_t=mean_y_t,
+        mean_y_c=mean_y_c,
+        lift=mean_y_t - mean_y_c,
+        total_size=total,
+        global_lift=gl,
+        max_arm_imbalance=imbalance,
+    )
+
+
+def reference_assign_segments(p, cuts: CutPoints, inner: InnerCuts, bins) -> np.ndarray:
+    """Bottom / middle / top labels from per-row boundary indices."""
+    seg = np.full(p.shape, Segment.MIDDLE, dtype=np.int8)
+    n_bins = cuts.n_bins
+    if n_bins == 1:
+        return seg
+    k = n_bins - 1
+    upper = np.minimum(bins - 1, k - 1)  # 0-based index of the bin's upper boundary
+    lower = np.maximum(bins - 2, 0)  # 0-based index of the bin's lower boundary
+    top = (bins < n_bins) & (p > inner.minus[upper])
+    bottom = (bins > 1) & (p < inner.plus[lower]) & ~top
+    seg[top] = Segment.TOP
+    seg[bottom] = Segment.BOTTOM
+    return seg
+
+
+def bias_gradient(stats: SubsetStats, bin_index):
+    idx = np.asarray(bin_index) - 1
+    g = 2.0 * (stats.mean_pred[idx] - stats.lift[idx]) / stats.total_size
+    if np.isscalar(bin_index) or np.ndim(bin_index) == 0:
+        return float(g)
+    return g
+
+
+def loss_partials(stats: SubsetStats) -> tuple[np.ndarray, np.ndarray]:
+    weight = stats.size / stats.total_size
+    pred_gap = stats.mean_pred - stats.lift
+    sep_gap = stats.lift - stats.global_lift
+    d_lift = weight * (-2.0 * pred_gap - 2.0 * sep_gap)
+    d_size = (pred_gap**2 - sep_gap**2) / stats.total_size
+    return d_lift, d_size
+
+
+def _lift_deltas(stats: SubsetStats, y, treated, from0, to0):
+    d_from_t = (stats.mean_y_t[from0] - y) / stats.size_t[from0]
+    d_to_t = (y - stats.mean_y_t[to0]) / stats.size_t[to0]
+    d_from_c = (y - stats.mean_y_c[from0]) / stats.size_c[from0]
+    d_to_c = (stats.mean_y_c[to0] - y) / stats.size_c[to0]
+    d_from = np.where(treated, d_from_t, d_from_c)
+    d_to = np.where(treated, d_to_t, d_to_c)
+    return d_from, d_to
+
+
+def _delta_loss(stats: SubsetStats, d_lift, d_size, y, treated, from0, to0):
+    dl_from, dl_to = _lift_deltas(stats, y, treated, from0, to0)
+    slope_from = -2.0 * (stats.mean_pred[from0] - stats.global_lift) / stats.total_size
+    slope_to = -2.0 * (stats.mean_pred[to0] - stats.global_lift) / stats.total_size
+    return (
+        d_lift[from0] * dl_from
+        - d_size[from0]
+        + d_lift[to0] * dl_to
+        + d_size[to0]
+        - dl_from * slope_from  # size drops by one in the source bin
+        + dl_to * slope_to  # and grows by one in the destination
+    )
+
+
+def _migration_gradient(
+    stats: SubsetStats,
+    cuts: CutPoints,
+    inner: InnerCuts,
+    outcome: np.ndarray,
+    treated: np.ndarray,
+    bins: np.ndarray,
+    segments: np.ndarray,
+    scale: float,
+) -> np.ndarray:
+    d_lift, d_size = loss_partials(stats)
+    out = np.zeros(outcome.shape)
+    for seg, step in ((Segment.TOP, 1), (Segment.BOTTOM, -1)):
+        mask = segments == seg
+        if not mask.any():
+            continue
+        b = bins[mask]
+        from0 = b - 1
+        to0 = b - 1 + step
+        boundary = b - 1 if step == 1 else b - 2
+        edge = cuts.cuts[boundary]
+        dp = scale * (edge - (inner.minus[boundary] if step == 1 else inner.plus[boundary]))
+        delta = _delta_loss(stats, d_lift, d_size, outcome[mask], treated[mask], from0, to0)
+        out[mask] = delta / dp
+    return out
+
+
+def reference_effective_gradient(dataset, predictions, cuts, cached_global_lift, scale):
+    """Per-row gradient built only from the reference helpers above.
+
+    Returns (point_grad, segments).
+    """
+    p = np.asarray(predictions, dtype=np.float64)
+    bins = assign_bins(p, cuts)
+    stats = reference_subset_stats(
+        bins, p, dataset.outcome, dataset.arm, cuts.n_bins, cached_global_lift
+    )
+    inner = inner_cuts(cuts, p)
+    segments = reference_assign_segments(p, cuts, inner, bins)
+    grad = bias_gradient(stats, bins)
+    grad += _migration_gradient(
+        stats, cuts, inner, dataset.outcome, dataset.is_treatment, bins, segments, scale
+    )
+    return grad, segments

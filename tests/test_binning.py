@@ -7,12 +7,15 @@ from liftloss import (
     BinningError,
     CutPoints,
     DegeneratePredictionsError,
+    InnerCuts,
     Segment,
     assign_bins,
     assign_segments,
     compute_cuts,
     inner_cuts,
 )
+
+from reference_gradient import reference_assign_segments
 
 
 class TestComputeCuts:
@@ -196,3 +199,32 @@ class TestAssignSegments:
         top = seg == Segment.TOP
         assert (preds[top] > inner.minus[bins[top] - 1]).all()
         assert (preds[top] <= cuts.cuts[bins[top] - 1]).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_threshold_gathers_match_mask_reference(self, data):
+        # cuts reused from shifted predictions, segment widths that may overlap
+        # a neighbor's (top must win), rows placed exactly on every cut, minus
+        # and plus, and rows far outside the first and last bins
+        n_bins = data.draw(st.integers(1, 12), label="n_bins")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        preds = rng.normal(size=data.draw(st.integers(50, 3000), label="rows"))
+        cuts = compute_cuts(preds + data.draw(st.floats(-0.5, 0.5), label="cut shift"), n_bins)
+        inner = None
+        if n_bins > 1:
+            if data.draw(st.booleans(), label="random widths"):
+                spread = np.ptp(preds)
+                inner = InnerCuts(
+                    cuts.cuts - rng.uniform(0.01, 0.5, n_bins - 1) * spread,
+                    cuts.cuts + rng.uniform(0.01, 0.5, n_bins - 1) * spread,
+                )
+            else:
+                inner = inner_cuts(cuts, preds)
+            ties = np.concatenate([cuts.cuts, inner.minus, inner.plus, [-1e9, 1e9]])
+            preds[rng.choice(preds.size, ties.size, replace=False)] = ties
+        bins = assign_bins(preds, cuts)
+        expected = reference_assign_segments(preds, cuts, inner, bins)
+        np.testing.assert_array_equal(assign_segments(preds, cuts, inner, bins=bins), expected)
+        seg = assign_segments(preds, cuts, inner)
+        np.testing.assert_array_equal(seg, expected)
+        assert seg.dtype == expected.dtype

@@ -151,6 +151,26 @@ class TestEval:
         assert len(rows) == 8
 
 
+    def test_seed_reaches_subsampled_cuts(self, tmp_path):
+        # 3000 rows above --max-sort 500: cuts come from a seeded subsample
+        from liftloss import ModelKind, ModelSpec, save_params
+
+        data = tmp_path / "big.csv"
+        assert main(["gen", "--rows", "3000", "--seed", "4", "-o", str(data)]) == 0
+        pfile = tmp_path / "m.json"
+        save_params(pfile, ModelSpec(ModelKind.LINEAR, 2), np.array([0.2, 0.5, 0.1]))
+        reports = {}
+        for name, seed_args in {"omitted": [], "0": ["--seed", "0"], "7": ["--seed", "7"]}.items():
+            out = tmp_path / f"seed_{name}.csv"
+            assert main(["eval", "--data", str(data), "--params", str(pfile), "--bins", "5",
+                         "--max-sort", "500", *seed_args, "-o", str(out)]) == 0
+            reports[name] = out.read_bytes()
+        assert reports["0"] == reports["omitted"]
+        assert reports["7"] != reports["0"]
+        manifest = json.loads((tmp_path / "seed_7.csv.manifest.json").read_text())
+        assert manifest["seed"] == 7
+
+
 class TestGradcheck:
     def test_default_passes(self, capsys):
         assert main(["gradcheck", "--rows", "200", "--seed", "3"]) == 0

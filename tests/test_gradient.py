@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftloss import (
+    EmptyArmInBinError,
     GradConfig,
     Segment,
     assign_bins,
@@ -24,6 +27,7 @@ from liftloss.dataset import DataGenConfig
 from liftloss.models import ModelKind, ModelSpec
 
 from conftest import make_dataset
+from reference_gradient import reference_effective_gradient
 
 
 def recompute_loss_slope(stats, dp, y, treated, from0, to0):
@@ -321,3 +325,64 @@ class TestEffectiveGradient:
             GradConfig(n_bins=5, migration_step_scale=0.0)
         with pytest.raises(ValueError):
             GradConfig(n_bins=5, rebin_every=0)
+
+
+def place_ties(preds, cuts, rng):
+    """Put a few rows exactly on each cut, minus and plus of `cuts`.
+
+    With a single cut the segment width comes from the interquartile range,
+    so only rows strictly inside the order statistics that the quartiles
+    read are moved, onto targets inside the same range: the quartiles, and
+    with them the inner cuts, stay as they were.
+    """
+    inner = inner_cuts(cuts, preds)
+    targets = np.concatenate([cuts.cuts, inner.minus, inner.plus])
+    movable = np.ones(preds.size, dtype=bool)
+    if cuts.n_bins == 2:
+        s = np.sort(preds)
+        lo = s[int(np.floor((s.size - 1) * 0.25)) + 1]
+        hi = s[int(np.floor((s.size - 1) * 0.75))]
+        movable = (preds > lo) & (preds < hi)
+        targets = targets[(targets > lo) & (targets < hi)]
+    rows = rng.permutation(np.flatnonzero(movable))[: 3 * targets.size]
+    out = preds.copy()
+    out[rows] = np.resize(targets, rows.size)
+    after = inner_cuts(cuts, out)
+    np.testing.assert_array_equal(after.minus, inner.minus)
+    np.testing.assert_array_equal(after.plus, inner.plus)
+    return out
+
+
+class TestTableMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_point_grad_matches_per_row_reference(self, data):
+        n_bins = data.draw(st.integers(2, 12), label="n_bins")
+        n = data.draw(st.integers(max(50, 25 * n_bins), 3000), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        frac = data.draw(st.floats(0.2, 0.8), label="treated share")
+        shift = data.draw(st.one_of(st.none(), st.floats(-0.3, 0.3)), label="cut shift")
+        scale = data.draw(st.sampled_from([0.25, 0.5, 1.0]), label="scale")
+        preds = rng.normal(size=n)
+        arm = (rng.random(n) < frac).astype(np.int8)
+        arm[:2] = (0, 1)
+        y = rng.normal(0.5 * arm + 0.3 * preds, 1.0)
+        cuts = compute_cuts(preds if shift is None else preds + shift, n_bins)
+        preds = place_ties(preds, cuts, rng)
+        ds = make_dataset(preds, y, arm)
+        gl = global_lift(ds) if data.draw(st.booleans(), label="cached lift") else None
+        config = GradConfig(n_bins=n_bins, migration_step_scale=scale)
+        try:
+            ref, ref_segments = reference_effective_gradient(ds, preds, cuts, gl, scale)
+        except EmptyArmInBinError as err:
+            with pytest.raises(EmptyArmInBinError) as got:
+                effective_gradient(ds, preds, config, gl, cuts)
+            assert str(got.value) == str(err)
+            return
+        result = effective_gradient(ds, preds, config, gl, cuts)
+        np.testing.assert_array_equal(result.segments, ref_segments)
+        assert np.abs(result.point_grad - ref).max() <= 1e-12 * np.abs(ref).max()
+        middle = result.segments == Segment.MIDDLE
+        np.testing.assert_array_equal(
+            result.point_grad[middle], bias_gradient(result.stats, result.bins[middle])
+        )

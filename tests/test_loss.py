@@ -18,9 +18,10 @@ from liftloss import (
     variance_decomposition,
 )
 from liftloss.dataset import DataGenConfig
-from liftloss.loss import subset_stats_from_chunks, write_loss_report
+from liftloss.loss import write_loss_report
 
 from conftest import make_dataset
+from reference_gradient import reference_subset_stats
 
 
 def two_bin_stats(mean_pred, lift, gl, size=(10, 10)):
@@ -100,40 +101,34 @@ class TestSubsetStats:
         stats = subset_stats(ds, np.linspace(0, 1, 8), bins, 2)
         assert stats.max_arm_imbalance == pytest.approx(1 / 8)
 
-    def test_parallel_style_merge_matches_single_pass(self):
-        from liftloss.loss import _BinSums
 
-        ds = generate(DataGenConfig(n_rows=600, seed=12))
-        preds = ds.features[:, 0]
-        bins = assign_bins(preds, compute_cuts(preds, 3))
-        left, right = _BinSums(3), _BinSums(3)
-        left.add(bins[:250], preds[:250], ds.outcome[:250], ds.arm[:250])
-        right.add(bins[250:], preds[250:], ds.outcome[250:], ds.arm[250:])
-        left.merge(right)
-        merged = left.finalize()
-        whole = subset_stats(ds, preds, bins, 3)
-        np.testing.assert_array_equal(merged.size, whole.size)
-        np.testing.assert_allclose(merged.lift, whole.lift)
-
-    def test_chunked_accumulation_consumes_stream_once(self):
-        ds = generate(DataGenConfig(n_rows=900, seed=7))
-        preds = ds.features[:, 0]
-        bins = assign_bins(preds, compute_cuts(preds, 3))
-        visits = []
-
-        def chunks():
-            for lo, hi in ((0, 300), (300, 650), (650, 900)):
-                visits.append((lo, hi))
-                yield bins[lo:hi], preds[lo:hi], ds.outcome[lo:hi], ds.arm[lo:hi]
-
-        stream = chunks()
-        chunked = subset_stats_from_chunks(stream, 3)
-        assert visits == [(0, 300), (300, 650), (650, 900)]
-        assert next(stream, None) is None  # fully consumed, exactly one pass
-        whole = subset_stats(ds, preds, bins, 3)
-        np.testing.assert_array_equal(chunked.size, whole.size)
-        np.testing.assert_allclose(chunked.lift, whole.lift)
-        np.testing.assert_allclose(chunked.mean_pred, whole.mean_pred)
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fused_bincounts_match_masked_reference(self, data):
+        # outcomes spread over six decades, so any change in the order the
+        # rows are summed would show in the last bits
+        n_bins = data.draw(st.integers(1, 12), label="n_bins")
+        n = data.draw(st.integers(2, 3000), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        arm = (rng.random(n) < data.draw(st.floats(0.2, 0.8), label="treated share")).astype(np.int8)
+        arm[:2] = (0, 1)
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+        preds = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+        bins = rng.integers(1, n_bins + 1, n)
+        gl = data.draw(st.one_of(st.none(), st.floats(-1, 1)), label="cached lift")
+        ds = make_dataset(np.zeros(n), y, arm)
+        try:
+            expected = reference_subset_stats(bins, preds, y, arm, n_bins, gl)
+        except EmptyArmInBinError as err:
+            with pytest.raises(EmptyArmInBinError) as got:
+                subset_stats(ds, preds, bins, n_bins, gl)
+            assert str(got.value) == str(err)
+            return
+        stats = subset_stats(ds, preds, bins, n_bins, gl)
+        for field in dataclasses.fields(SubsetStats):
+            np.testing.assert_array_equal(
+                getattr(stats, field.name), getattr(expected, field.name), err_msg=field.name
+            )
 
 
 class TestTrueLiftLoss:

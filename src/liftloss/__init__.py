@@ -19,7 +19,6 @@ from .binning import (
 )
 from .dataset import (
     ABDataset,
-    ABRow,
     Arm,
     CsvFormatError,
     DataGenConfig,

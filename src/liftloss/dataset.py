@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "Arm",
     "NoiseDistribution",
-    "ABRow",
     "ABDataset",
     "DataGenConfig",
     "CsvFormatError",
@@ -36,16 +35,6 @@ class NoiseDistribution(enum.Enum):
 
 class CsvFormatError(ValueError):
     """Raised when an input CSV does not follow the expected schema."""
-
-
-@dataclass(frozen=True)
-class ABRow:
-    """Single experiment record; `true_lift` is known only for synthetic data."""
-
-    features: np.ndarray
-    outcome: float
-    arm: Arm
-    true_lift: float | None = None
 
 
 @dataclass(frozen=True)
@@ -118,10 +107,6 @@ class ABDataset:
     @property
     def is_treatment(self) -> np.ndarray:
         return self.arm == Arm.TREATMENT
-
-    def row(self, i: int) -> ABRow:
-        lift = None if self.true_lift is None else float(self.true_lift[i])
-        return ABRow(self.features[i], float(self.outcome[i]), Arm(int(self.arm[i])), lift)
 
     def take(self, indices: np.ndarray) -> "ABDataset":
         """Subset by row indices (used for minibatching)."""

@@ -85,10 +85,12 @@ def _check_params(spec: ModelSpec, params) -> np.ndarray:
     return p
 
 
-def _features(data) -> np.ndarray:
+def _features(data, spec: ModelSpec) -> np.ndarray:
     x = data.features if isinstance(data, ABDataset) else np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be a 2-d array")
+    if x.shape[1] != spec.d:
+        raise ValueError(f"model expects {spec.d} features, data has {x.shape[1]}")
     return x
 
 
@@ -101,6 +103,18 @@ def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
     return w1, b1, w2, b2
 
 
+def _hidden(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """MLP hidden activations, built in place in one fresh (n, hidden) buffer."""
+    w1, b1, _, _ = _unpack_mlp(spec, params)
+    h = x @ w1.T
+    h += b1
+    if spec.activation is Activation.TANH:
+        np.tanh(h, out=h)
+    else:
+        np.maximum(h, 0.0, out=h)
+    return h
+
+
 def predict(spec: ModelSpec, params, data) -> np.ndarray:
     """Model predictions for a dataset or a raw (n, d) feature array.
 
@@ -108,44 +122,39 @@ def predict(spec: ModelSpec, params, data) -> np.ndarray:
     layout is [W1 row-major, b1, w2, b2].
     """
     p = _check_params(spec, params)
-    x = _features(data)
-    if x.shape[1] != spec.d:
-        raise ValueError(f"model expects {spec.d} features, data has {x.shape[1]}")
+    x = _features(data, spec)
     if spec.kind is ModelKind.LINEAR:
         return x @ p[:-1] + p[-1]
-    w1, b1, w2, b2 = _unpack_mlp(spec, p)
-    z = x @ w1.T + b1
-    h = np.tanh(z) if spec.activation is Activation.TANH else np.maximum(z, 0.0)
-    return h @ w2 + b2
+    _, _, w2, b2 = _unpack_mlp(spec, p)
+    return _hidden(spec, p, x) @ w2 + b2
 
 
 def backprop(spec: ModelSpec, params, data, point_grad) -> np.ndarray:
     """Contract a per-row loss gradient into a parameter gradient.
 
     Returns sum_i g_i * d(prediction_i)/d(params). ReLU uses derivative 0 at
-    exactly zero.
+    exactly zero. The MLP's first layer is one (hidden, d+1) product with w2
+    factored out of the row sums, `[dW1 | db1] = (act'.T @ [g*x, g]) * w2`,
+    within 1e-12 of max|grad| of the unfactored `(g*w2*act').T @ [x, 1]`.
     """
     p = _check_params(spec, params)
-    x = _features(data)
+    x = _features(data, spec)
     g = np.asarray(point_grad, dtype=np.float64)
     if g.shape != (x.shape[0],):
         raise ValueError("point gradient must align with the rows")
     if spec.kind is ModelKind.LINEAR:
         return np.concatenate([x.T @ g, [g.sum()]])
-    w1, b1, w2, _ = _unpack_mlp(spec, p)
-    z = x @ w1.T + b1
-    if spec.activation is Activation.TANH:
-        h = np.tanh(z)
-        dact = 1.0 - h**2
-    else:
-        h = np.maximum(z, 0.0)
-        dact = (z > 0).astype(np.float64)
+    _, _, w2, _ = _unpack_mlp(spec, p)
+    h = _hidden(spec, p, x)
     dw2 = h.T @ g
-    db2 = g.sum()
-    u = (g[:, None] * w2[None, :]) * dact
-    dw1 = u.T @ x
-    db1 = u.sum(axis=0)
-    return np.concatenate([dw1.ravel(), db1, dw2, [db2]])
+    # overwrite the activations with their derivative: 1 - h^2, or [h > 0]
+    if spec.activation is Activation.TANH:
+        np.square(h, out=h)
+        np.subtract(1.0, h, out=h)
+    else:
+        np.greater(h, 0.0, out=h)
+    m = (h.T @ np.column_stack((x * g[:, None], g))) * w2[:, None]
+    return np.concatenate([m[:, :-1].ravel(), m[:, -1], dw2, [g.sum()]])
 
 
 @dataclass(frozen=True)

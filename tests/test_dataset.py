@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from liftloss import (
     ABDataset,
-    Arm,
     CsvFormatError,
     DataGenConfig,
     NoiseDistribution,
@@ -34,11 +33,9 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="arm values"):
             make_dataset([1.0, 2.0], [0.1, 0.2], [1, 2])
 
-    def test_counts_and_row_access(self):
+    def test_counts(self):
         ds = make_dataset([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], [1, 0, 1], [0.5, 0.0, 0.5])
         assert len(ds) == ds.n_treatment + ds.n_control == 3
-        row = ds.row(1)
-        assert row.arm is Arm.CONTROL and row.outcome == 0.2 and row.true_lift == 0.0
 
     def test_immutable_after_construction(self):
         ds = make_dataset([1.0, 2.0], [0.1, 0.2], [1, 0])

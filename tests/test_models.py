@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftloss import (
     Activation,
@@ -18,6 +20,9 @@ from liftloss import (
     train,
 )
 from liftloss.dataset import DataGenConfig
+from liftloss.models import _unpack_mlp
+
+from reference_models import reference_backprop, reference_predict
 
 
 LINEAR2 = ModelSpec(ModelKind.LINEAR, 2)
@@ -110,6 +115,67 @@ class TestBackprop:
             lo[j] -= eps
             fd = (g @ predict(LINEAR2, hi, x) - g @ predict(LINEAR2, lo, x)) / (2 * eps)
             assert fd == pytest.approx(grad[j], rel=1e-4)
+
+    @pytest.mark.parametrize("spec", [LINEAR2, small_mlp()], ids=["linear", "mlp"])
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_feature_dimension_checked(self, spec, cols):
+        params = np.zeros(n_params(spec))
+        x = np.ones((4, cols))
+        message = f"model expects 2 features, data has {cols}"
+        with pytest.raises(ValueError, match=message):
+            predict(spec, params, x)
+        with pytest.raises(ValueError, match=message):
+            backprop(spec, params, x, np.ones(4))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LINEAR2, small_mlp(), ModelSpec(ModelKind.MLP, 2, hidden=5, activation=Activation.RELU)],
+        ids=["linear", "tanh", "relu"],
+    )
+    def test_inputs_untouched_and_results_fresh(self, spec):
+        rng = np.random.default_rng(12)
+        params = rng.normal(size=n_params(spec))
+        x = rng.normal(size=(50, 2))
+        g = rng.normal(size=50)
+        inputs = (params, x, g)
+        before = [a.copy() for a in inputs]
+        preds = predict(spec, params, x)
+        grad = backprop(spec, params, x, g)
+        for arr, copy in zip(inputs, before):
+            np.testing.assert_array_equal(arr, copy)
+            assert not np.shares_memory(preds, arr)
+            assert not np.shares_memory(grad, arr)
+        np.testing.assert_array_equal(predict(spec, params, x), preds)
+        np.testing.assert_array_equal(backprop(spec, params, x, g), grad)
+
+
+class TestMatchesUnfactoredReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mlp_matches_reference(self, data):
+        activation = data.draw(st.sampled_from(list(Activation)), label="activation")
+        d = data.draw(st.integers(1, 4), label="d")
+        hidden = data.draw(st.integers(1, 40), label="hidden")
+        n = data.draw(st.integers(1, 2000), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        spec = ModelSpec(ModelKind.MLP, d, hidden=hidden, activation=activation)
+        grid = activation is Activation.RELU and data.draw(st.booleans(), label="integer grid")
+        if grid:
+            # small integers make many pre-activations exactly 0, where the
+            # ReLU derivative must be 0; row 0 of unit 0 is pinned to 0
+            params = rng.integers(-2, 3, n_params(spec)).astype(np.float64)
+            params[hidden * d] = 0.0
+            x = rng.integers(-2, 3, (n, d)).astype(np.float64)
+            x[0] = 0.0
+            w1, b1, _, _ = _unpack_mlp(spec, params)
+            assert ((x @ w1.T + b1) == 0).any()
+        else:
+            params = rng.normal(0.0, 0.7, n_params(spec))
+            x = rng.normal(size=(n, d))
+        g = rng.normal(size=n)
+        np.testing.assert_array_equal(predict(spec, params, x), reference_predict(spec, params, x))
+        ref = reference_backprop(spec, params, x, g)
+        assert np.abs(backprop(spec, params, x, g) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestTrain:

@@ -33,7 +33,6 @@ from .gradient import (
     bias_gradient,
     effective_gradient,
     loss_partials,
-    migration_terms,
 )
 from .loss import (
     EmptyArmInBinError,

@@ -1,9 +1,12 @@
 """Independent numerical checks of the effective gradient.
 
-Both checks here deliberately avoid the gradient module's own arithmetic:
-the bias channel is compared against central finite differences of the loss
-with the bin structure frozen, and the migration channel against a literal
-re-evaluation of the loss after moving one row between bins.
+`run_gradcheck` evaluates `effective_gradient` once and checks that output,
+the same per-row gradient the trainer descends. Neither check reuses the
+gradient module's coefficient arithmetic: the bias channel is compared
+against central finite differences of the loss with the bin structure
+frozen, and each boundary row's migration part (its point gradient minus the
+bias channel) against a re-evaluation of the loss after moving that row
+between bins, with the lifts updated from the pre-move arm counts.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .binning import DEFAULT_MAX_SORT, Segment, assign_bins, assign_segments, compute_cuts, inner_cuts
+from .binning import Segment
 from .dataset import ABDataset
-from .gradient import bias_gradient, migration_terms
-from .loss import SubsetStats, subset_stats, true_lift_loss
+from .gradient import EffectiveGradient, GradConfig, bias_gradient, effective_gradient
+from .loss import SubsetStats, true_lift_loss
 
 __all__ = [
     "GradCheckResult",
@@ -37,12 +40,7 @@ def _rel_err(a: float, b: float) -> float:
 
 
 def bias_fd_check(
-    dataset: ABDataset,
-    predictions: np.ndarray,
-    n_bins: int,
-    sample_rows: int = 100,
-    seed: int = 0,
-    max_sort: int = DEFAULT_MAX_SORT,
+    eg: EffectiveGradient, predictions: np.ndarray, sample_rows: int = 100, seed: int = 0
 ) -> float:
     """Max relative error of the bias gradient vs frozen-structure central FD.
 
@@ -50,11 +48,11 @@ def bias_fd_check(
     mean prediction, then differences the loss around +/- eps shifts of a
     single row's prediction.
     """
-    cuts = compute_cuts(predictions, n_bins, max_sort=max_sort)
-    bins = assign_bins(predictions, cuts)
-    stats = subset_stats(dataset, predictions, bins, n_bins)
+    if sample_rows < 1:
+        raise ValueError(f"sample_rows must be at least 1, got {sample_rows}")
+    stats, bins = eg.stats, eg.bins
     rng = np.random.default_rng(seed)
-    rows = rng.choice(len(dataset), size=min(sample_rows, len(dataset)), replace=False)
+    rows = rng.choice(bins.size, size=min(sample_rows, bins.size), replace=False)
     worst = 0.0
     for i in rows:
         b0 = bins[i] - 1
@@ -95,24 +93,21 @@ def moved_row_stats(stats: SubsetStats, y: float, treated: bool, from0: int, to0
 
 
 def migration_recompute_check(
-    dataset: ABDataset,
-    predictions: np.ndarray,
-    n_bins: int,
-    scale: float = 0.5,
-    sabotage: bool = False,
-    max_sort: int = DEFAULT_MAX_SORT,
+    dataset: ABDataset, eg: EffectiveGradient, config: GradConfig, sabotage: bool = False
 ) -> tuple[float, int]:
-    """Compare migration terms against full loss re-evaluation after a move.
+    """Compare each boundary row's migration part against a loss re-evaluation.
 
+    The migration part is the row's point gradient minus its bias channel.
     Covers every top/bottom row. Returns (max relative error, rows checked).
     `sabotage` flips the sign of the computed terms, for verifying that the
     check actually detects a wrong gradient.
     """
-    cuts = compute_cuts(predictions, n_bins, max_sort=max_sort)
-    bins = assign_bins(predictions, cuts)
-    stats = subset_stats(dataset, predictions, bins, n_bins)
-    inner = inner_cuts(cuts, predictions)
-    segments = assign_segments(predictions, cuts, inner, bins=bins)
+    stats, cuts, inner, bins = eg.stats, eg.cuts, eg.inner, eg.bins
+    scale = config.migration_step_scale
+    rows = np.flatnonzero(eg.segments != Segment.MIDDLE)
+    if rows.size == 0:
+        return 0.0, 0
+
     def bin_contributions(s: SubsetStats, idx) -> float:
         w = s.size[idx] / s.total_size
         return float(
@@ -120,9 +115,8 @@ def migration_recompute_check(
         )
 
     oracles = []
-    computeds = []
-    for i in np.flatnonzero(segments != Segment.MIDDLE):
-        up = segments[i] == Segment.TOP
+    for i in rows:
+        up = eg.segments[i] == Segment.TOP
         b = int(bins[i])
         from0 = b - 1
         to0 = b if up else b - 2
@@ -140,21 +134,9 @@ def migration_recompute_check(
         oracles.append(
             (bin_contributions(moved, affected) - bin_contributions(stats, affected)) / dp
         )
-        computed = migration_terms(
-            stats,
-            cuts,
-            inner,
-            float(dataset.outcome[i]),
-            bool(dataset.arm[i]),
-            b,
-            "up" if up else "down",
-            scale=scale,
-            segment=int(segments[i]),
-        )
-        computeds.append(-computed if sabotage else computed)
-    if not oracles:
-        return 0.0, 0
-    a = np.asarray(computeds)
+    a = eg.point_grad[rows] - bias_gradient(stats, bins[rows])
+    if sabotage:
+        a = -a
     b = np.asarray(oracles)
     # normalize each row against its own magnitude or the instance's largest
     # slope, whichever is bigger: rows whose terms cancel to nearly zero would
@@ -172,25 +154,28 @@ class GradCheckResult:
     migration_rows_checked: int
 
     @property
+    def bias_passed(self) -> bool:
+        return self.bias_max_rel_err <= BIAS_TOLERANCE
+
+    @property
+    def migration_passed(self) -> bool:
+        return self.migration_max_rel_err <= MIGRATION_TOLERANCE
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.bias_max_rel_err <= BIAS_TOLERANCE
-            and self.migration_max_rel_err <= MIGRATION_TOLERANCE
-        )
+        return self.bias_passed and self.migration_passed
 
 
 def run_gradcheck(
     dataset: ABDataset,
     predictions: np.ndarray,
-    n_bins: int,
-    scale: float = 0.5,
+    config: GradConfig,
     sample_rows: int = 100,
     seed: int = 0,
     sabotage: bool = False,
-    max_sort: int = DEFAULT_MAX_SORT,
 ) -> GradCheckResult:
-    bias_err = bias_fd_check(dataset, predictions, n_bins, sample_rows, seed, max_sort)
-    mig_err, checked = migration_recompute_check(
-        dataset, predictions, n_bins, scale, sabotage=sabotage, max_sort=max_sort
-    )
+    """Check one `effective_gradient` evaluation against both oracles."""
+    eg = effective_gradient(dataset, predictions, config)
+    bias_err = bias_fd_check(eg, predictions, sample_rows, seed)
+    mig_err, checked = migration_recompute_check(dataset, eg, config, sabotage)
     return GradCheckResult(bias_err, mig_err, checked)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .binning import BinningError, DegeneratePredictionsError, assign_bins, compute_cuts
+from .binning import DEFAULT_MAX_SORT, BinningError, DegeneratePredictionsError, assign_bins, compute_cuts
 from .checks import BIAS_TOLERANCE, MIGRATION_TOLERANCE, run_gradcheck
 from .dataset import (
     CsvFormatError,
@@ -238,6 +238,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    config = GradConfig(
+        n_bins=args.bins, migration_step_scale=args.migration_scale, max_sort=args.max_sort
+    )
     if args.data is not None:
         dataset = load_csv(args.data)
     else:
@@ -248,26 +251,17 @@ def cmd_gradcheck(args) -> int:
     model = ModelSpec(ModelKind.LINEAR, dataset.d)
     predictions = predict(model, rng.standard_normal(dataset.d + 1), dataset)
     result = run_gradcheck(
-        dataset,
-        predictions,
-        n_bins=args.bins,
-        scale=args.migration_scale,
-        sample_rows=args.sample_rows,
-        seed=args.seed,
-        sabotage=args.sabotage,
-        max_sort=args.max_sort,
+        dataset, predictions, config, args.sample_rows, args.seed, sabotage=args.sabotage
     )
-    bias_ok = result.bias_max_rel_err <= BIAS_TOLERANCE
-    mig_ok = result.migration_max_rel_err <= MIGRATION_TOLERANCE
     print(
         f"bias gradient vs frozen-structure finite differences: "
         f"max relative error {result.bias_max_rel_err:.3e} "
-        f"(tolerance {BIAS_TOLERANCE:.0e}) {'PASS' if bias_ok else 'FAIL'}"
+        f"(tolerance {BIAS_TOLERANCE:.0e}) {'PASS' if result.bias_passed else 'FAIL'}"
     )
     print(
         f"migration terms vs recompute oracle over {result.migration_rows_checked} rows: "
         f"max relative error {result.migration_max_rel_err:.3e} "
-        f"(tolerance {MIGRATION_TOLERANCE:.0e}) {'PASS' if mig_ok else 'FAIL'}"
+        f"(tolerance {MIGRATION_TOLERANCE:.0e}) {'PASS' if result.migration_passed else 'FAIL'}"
     )
     if not result.passed:
         print("gradcheck FAILED", file=sys.stderr)
@@ -337,7 +331,7 @@ def build_parser() -> _Parser:
     p.add_argument("--snapshots", help="comma-separated step indices to snapshot")
     p.add_argument("--rebin-every", type=int, default=1)
     p.add_argument("--migration-scale", type=float, default=0.5)
-    p.add_argument("--max-sort", type=int, default=100_000)
+    p.add_argument("--max-sort", type=int, default=DEFAULT_MAX_SORT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="output prefix")
     _add_config_flag(p)
@@ -347,7 +341,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--params", required=True, help="params JSON from train")
     p.add_argument("--bins", type=int, default=5)
-    p.add_argument("--max-sort", type=int, default=100_000)
+    p.add_argument("--max-sort", type=int, default=DEFAULT_MAX_SORT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="loss report CSV")
     _add_config_flag(p)
@@ -359,9 +353,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--migration-scale", type=float, default=0.5)
-    p.add_argument("--rebin-every", type=int, default=1,
-                   help="accepted for config compatibility with train; a single gradient evaluation never rebins")
-    p.add_argument("--max-sort", type=int, default=100_000)
+    p.add_argument("--max-sort", type=int, default=DEFAULT_MAX_SORT)
     p.add_argument("--sample-rows", type=int, default=100, help="rows sampled for the bias check")
     p.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
     _add_config_flag(p)

@@ -5,12 +5,15 @@ miss the part of the signal that comes from regrouping rows. The effective
 gradient adds a finite-difference slope for rows near a boundary: shift the
 row's prediction just far enough to cross, apply the resulting changes to
 the two affected bins (one row leaves, one bin gains it, both lifts move),
-and divide the exact loss change by the prediction shift. Rows deep inside a
-bin keep only the smooth bias-channel derivative.
+and divide the loss change by the prediction shift. Rows deep inside a bin
+keep only the smooth bias-channel derivative.
 
-The loss is linear in each bin's lift and size, and a one-row move shifts
-both lifts by amounts affine in the row's outcome `y` (the pre-move arm
-counts are the denominators). So every row's gradient is
+The loss change is a linearization, not the exact recomputed loss: each
+lift moves by the one-row update `(y - mean) / n` with the bin's pre-move
+arm count `n` as denominator, where an exact move would divide by `n - 1`
+on leaving and `n + 1` on joining. The loss is linear in each bin's lift and
+size, and these lift updates are affine in the row's outcome `y`, so every
+row's gradient is
 
     A[bin, segment, arm] + B[bin, segment, arm] * y
 
@@ -42,7 +45,6 @@ __all__ = [
     "EffectiveGradient",
     "bias_gradient",
     "loss_partials",
-    "migration_terms",
     "effective_gradient",
 ]
 
@@ -92,13 +94,10 @@ def bias_gradient(stats: SubsetStats, bin_index):
     """Smooth part of d(loss)/d(prediction) for rows in the given bin(s).
 
     Equals 2 * (mean_pred_n - lift_n) / total_size; accepts a scalar bin
-    index or an array of per-row bins.
+    index (returning a float64) or an array of per-row bins.
     """
     idx = np.asarray(bin_index) - 1
-    g = 2.0 * (stats.mean_pred[idx] - stats.lift[idx]) / stats.total_size
-    if np.isscalar(bin_index) or np.ndim(bin_index) == 0:
-        return float(g)
-    return g
+    return 2.0 * (stats.mean_pred[idx] - stats.lift[idx]) / stats.total_size
 
 
 def loss_partials(stats: SubsetStats) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +123,7 @@ def _migration_tables(
     source and destination lifts by amounts affine in its outcome `y`
     (pre-move arm counts as denominators; joining a bin is the negation of
     leaving it), and the loss is linear in each bin's lift and size, so the
-    exact loss change over the probe shift is affine in `y` too. Middle
+    linearized loss change over the probe shift is affine in `y` too. Middle
     segments and the edge bins' outward segments stay zero.
     """
     n = stats.n_bins
@@ -150,45 +149,6 @@ def _migration_tables(
         a[src, seg] = (w_from[src] * leave_a[src] - w_to[dst] * leave_a[dst] + gain) / dp
         b[src, seg] = (w_from[src] * leave_b[src] - w_to[dst] * leave_b[dst]) / dp
     return a, b
-
-
-def migration_terms(
-    stats: SubsetStats,
-    cuts: CutPoints,
-    inner: InnerCuts,
-    y: float,
-    treated: bool,
-    bin_index: int,
-    direction: str,
-    scale: float = 0.5,
-    segment: int | None = None,
-) -> float:
-    """Migration part of the effective gradient for one boundary row.
-
-    `direction` is "up" (top-segment row probing the boundary above) or
-    "down" (bottom-segment row probing the boundary below). The prediction
-    shift is `scale` times the segment width, signed by direction, and the
-    returned value is the exact loss change divided by that shift: one entry
-    of the coefficient table that `effective_gradient` gathers from.
-    """
-    n_bins = stats.n_bins
-    if direction not in ("up", "down"):
-        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    if segment is not None:
-        expected = Segment.TOP if direction == "up" else Segment.BOTTOM
-        if segment != expected:
-            raise ValueError(
-                f"migration {direction} applies to {expected.name.lower()}-segment rows, "
-                f"got segment {Segment(segment).name.lower()}"
-            )
-    if direction == "up" and bin_index >= n_bins:
-        raise ValueError(f"bin {bin_index} has no upper neighbor to migrate into")
-    if direction == "down" and bin_index <= 1:
-        raise ValueError(f"bin {bin_index} has no lower neighbor to migrate into")
-    a, b = _migration_tables(stats, cuts, inner, scale)
-    seg = Segment.TOP if direction == "up" else Segment.BOTTOM
-    cell = (bin_index - 1, seg, int(bool(treated)))
-    return float(a[cell] + b[cell] * float(y))
 
 
 def effective_gradient(

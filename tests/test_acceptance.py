@@ -18,12 +18,10 @@ from liftloss import (
     ModelKind,
     ModelSpec,
     assign_bins,
-    assign_segments,
     compute_cuts,
     effective_gradient,
     generate,
     global_lift,
-    inner_cuts,
     load_params,
     pointwise_mse,
     predict,
@@ -33,7 +31,7 @@ from liftloss import (
 )
 from liftloss.binning import DegeneratePredictionsError, Segment
 from liftloss.cli import main
-from liftloss.gradient import bias_gradient, migration_terms
+from liftloss.gradient import bias_gradient
 
 from test_gradient import recompute_loss_slope
 
@@ -188,11 +186,10 @@ def test_criterion_4_gradient_oracles():
         r = np.random.default_rng(300 + seed)
         p = predict(LINEAR2, r.normal(0, 1, 3), d)
         n_bins = int(r.integers(2, 6))
-        cuts = compute_cuts(p, n_bins)
-        bins = assign_bins(p, cuts)
-        stats = subset_stats(d, p, bins, n_bins)
-        inner = inner_cuts(cuts, p)
-        segments = assign_segments(p, cuts, inner, bins=bins)
+        eg = effective_gradient(d, p, GradConfig(n_bins=n_bins))
+        cuts, bins, stats, inner, segments = eg.cuts, eg.bins, eg.stats, eg.inner, eg.segments
+        # each boundary row's migration part: its gradient minus the bias channel
+        migration = eg.point_grad - bias_gradient(stats, bins)
         weight = stats.size / stats.total_size
         contribution_scale = weight * (
             (stats.mean_pred - stats.lift) ** 2 + (stats.lift - stats.global_lift) ** 2
@@ -206,10 +203,7 @@ def test_criterion_4_gradient_oracles():
             oracle = recompute_loss_slope(
                 stats, dp, float(d.outcome[i]), bool(d.arm[i]), b - 1, b - 1 + (1 if up else -1)
             )
-            computed = migration_terms(
-                stats, cuts, inner, float(d.outcome[i]), bool(d.arm[i]), b,
-                "up" if up else "down",
-            )
+            computed = migration[i]
             to0 = b - 1 + (1 if up else -1)
             noise_floor = 64 * eps * (contribution_scale[b - 1] + contribution_scale[to0]) / abs(dp)
             diff = abs(computed - oracle)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,27 @@ class TestGradcheck:
 
     def test_reads_dataset_file(self, data_csv):
         assert main(["gradcheck", "--data", str(data_csv), "--seed", "5"]) == 0
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--migration-scale", "0"),
+        ("--migration-scale", "-1"),
+        ("--bins", "1"),
+        ("--max-sort", "3"),
+    ])
+    def test_bad_gradient_settings_rejected_like_train(
+        self, tmp_path, data_csv, capsys, flag, value
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_train(tmp_path, data_csv, flag, value)
+            train_err = capsys.readouterr().err
+            assert main(["gradcheck", "--data", str(data_csv), flag, value]) == 1
+        assert code == 1
+        assert capsys.readouterr().err == train_err
+
+    def test_sample_rows_below_one_rejected(self, capsys):
+        assert main(["gradcheck", "--rows", "200", "--sample-rows", "0"]) == 1
+        assert "sample_rows" in capsys.readouterr().err
 
 
 class TestPlotData:

@@ -18,12 +18,12 @@ from liftloss import (
     global_lift,
     inner_cuts,
     loss_partials,
-    migration_terms,
     predict,
     subset_stats,
     true_lift_loss,
 )
 from liftloss.dataset import DataGenConfig
+from liftloss.gradient import _migration_tables
 from liftloss.models import ModelKind, ModelSpec
 
 from conftest import make_dataset
@@ -53,6 +53,14 @@ def recompute_loss_slope(stats, dp, y, treated, from0, to0):
     assert size.sum() == stats.total_size  # one row moved, none created
     moved = dataclasses.replace(stats, size=size, size_t=size_t, size_c=size_c, lift=lift)
     return (true_lift_loss(moved).loss - true_lift_loss(stats).loss) / dp
+
+
+def migration_parts(ds, preds, n_bins):
+    """One effective_gradient call and each boundary row's migration part:
+    its point gradient minus its bias channel."""
+    result = effective_gradient(ds, preds, GradConfig(n_bins=n_bins))
+    rows = np.flatnonzero(result.segments != Segment.MIDDLE)
+    return result, rows, result.point_grad[rows] - bias_gradient(result.stats, result.bins[rows])
 
 
 def full_structure(ds, preds, n_bins):
@@ -139,13 +147,13 @@ class TestMigrationTerms:
         # brackets: (0.3)^2 - (0.1)^2 in both bins; treated row at the arm mean
         cuts = compute_cuts(np.linspace(0, 1, 20), 2)
         inner = inner_cuts(cuts, np.linspace(0, 1, 20))
-        g = migration_terms(stats, cuts, inner, y=1.0, treated=True, bin_index=1, direction="up")
-        assert g == pytest.approx(0.0, abs=1e-12)
+        a, b = _migration_tables(stats, cuts, inner, 0.5)
+        cell = (0, Segment.TOP, 1)  # bin 1, top segment, treated
+        assert a[cell] + b[cell] * 1.0 == pytest.approx(0.0, abs=1e-12)
 
     def test_down_move_flips_sign_via_negative_shift(self, six_row_instance):
         ds, preds = six_row_instance
         cuts, bins, stats, inner, segments = full_structure(ds, preds, 2)
-        up = migration_terms(stats, cuts, inner, 2.0, True, 1, "up")
         # same loss change divided by a negative shift flips the sign
         dp_up = 0.5 * (cuts.cuts[0] - inner.minus[0])
         dp_down = 0.5 * (cuts.cuts[0] - inner.plus[0])
@@ -154,45 +162,33 @@ class TestMigrationTerms:
     def test_six_row_hand_instance_frozen(self, six_row_instance):
         # frozen from the recompute oracle on this instance
         ds, preds = six_row_instance
-        cuts, bins, stats, inner, segments = full_structure(ds, preds, 2)
-        assert cuts.cuts[0] == pytest.approx(0.515)
-        assert stats.lift == pytest.approx([1.0, 1.75])
-        assert stats.global_lift == pytest.approx(1.0)
-        g_top = migration_terms(stats, cuts, inner, 2.0, True, 1, "up")
-        g_bot = migration_terms(stats, cuts, inner, 1.0, False, 2, "down")
+        result, rows, (g_top, g_bot) = migration_parts(ds, preds, 2)
+        assert result.cuts.cuts[0] == pytest.approx(0.515)
+        assert result.stats.lift == pytest.approx([1.0, 1.75])
+        assert result.stats.global_lift == pytest.approx(1.0)
+        np.testing.assert_array_equal(rows, [2, 3])
         assert g_top == pytest.approx(-18.93126984126983, rel=1e-12)
         assert g_bot == pytest.approx(19.699682539682552, rel=1e-12)
 
     def test_six_row_matches_recompute_oracle(self, six_row_instance):
         ds, preds = six_row_instance
-        cuts, bins, stats, inner, segments = full_structure(ds, preds, 2)
-        dp_up = 0.5 * (cuts.cuts[0] - inner.minus[0])
-        oracle = recompute_loss_slope(stats, dp_up, 2.0, True, 0, 1)
-        computed = migration_terms(stats, cuts, inner, 2.0, True, 1, "up")
-        assert computed == pytest.approx(oracle, rel=1e-12)
-
-    def test_contract_violations(self, six_row_instance):
-        ds, preds = six_row_instance
-        cuts, bins, stats, inner, segments = full_structure(ds, preds, 2)
-        with pytest.raises(ValueError, match="no upper neighbor"):
-            migration_terms(stats, cuts, inner, 1.0, True, 2, "up")
-        with pytest.raises(ValueError, match="no lower neighbor"):
-            migration_terms(stats, cuts, inner, 1.0, True, 1, "down")
-        with pytest.raises(ValueError, match="middle"):
-            migration_terms(
-                stats, cuts, inner, 1.0, True, 1, "up", segment=int(Segment.MIDDLE)
-            )
-        with pytest.raises(ValueError, match="direction"):
-            migration_terms(stats, cuts, inner, 1.0, True, 1, "sideways")
+        result, rows, computed = migration_parts(ds, preds, 2)
+        assert rows[0] == 2  # top segment of bin 1: treated, y = 2
+        dp_up = 0.5 * (result.cuts.cuts[0] - result.inner.minus[0])
+        oracle = recompute_loss_slope(result.stats, dp_up, 2.0, True, 0, 1)
+        assert computed[0] == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("n_bins", [2, 4, 7])
     def test_every_boundary_row_matches_oracle(self, n_bins):
         ds = generate(DataGenConfig(n_rows=200, seed=33))
         rng = np.random.default_rng(33)
         preds = predict(ModelSpec(ModelKind.LINEAR, 2), rng.normal(0, 1, 3), ds)
-        cuts, bins, stats, inner, segments = full_structure(ds, preds, n_bins)
+        result, rows, computed = migration_parts(ds, preds, n_bins)
+        cuts, bins, stats, inner, segments = (
+            result.cuts, result.bins, result.stats, result.inner, result.segments
+        )
         checked = 0
-        for i in np.flatnonzero(segments != Segment.MIDDLE):
+        for i, g in zip(rows, computed):
             up = segments[i] == Segment.TOP
             b = int(bins[i])
             boundary = b - 1 if up else b - 2
@@ -201,16 +197,7 @@ class TestMigrationTerms:
             oracle = recompute_loss_slope(
                 stats, dp, float(ds.outcome[i]), bool(ds.arm[i]), b - 1, b - 1 + (1 if up else -1)
             )
-            computed = migration_terms(
-                stats,
-                cuts,
-                inner,
-                float(ds.outcome[i]),
-                bool(ds.arm[i]),
-                b,
-                "up" if up else "down",
-            )
-            rel = abs(computed - oracle) / max(abs(computed), abs(oracle), 1e-12)
+            rel = abs(g - oracle) / max(abs(g), abs(oracle), 1e-12)
             assert rel <= 1e-10
             checked += 1
         assert checked > 0
@@ -224,25 +211,6 @@ class TestEffectiveGradient:
         middle = result.segments == Segment.MIDDLE
         expected = bias_gradient(result.stats, result.bins[middle])
         np.testing.assert_array_equal(result.point_grad[middle], expected)
-
-    def test_boundary_rows_match_scalar_migration(self):
-        ds = generate(DataGenConfig(n_rows=400, seed=45))
-        rng = np.random.default_rng(45)
-        preds = predict(ModelSpec(ModelKind.LINEAR, 2), rng.normal(0, 1, 3), ds)
-        result = effective_gradient(ds, preds, GradConfig(n_bins=5))
-        for i in np.flatnonzero(result.segments != Segment.MIDDLE)[:50]:
-            up = result.segments[i] == Segment.TOP
-            scalar = migration_terms(
-                result.stats,
-                result.cuts,
-                result.inner,
-                float(ds.outcome[i]),
-                bool(ds.arm[i]),
-                int(result.bins[i]),
-                "up" if up else "down",
-            )
-            bias = bias_gradient(result.stats, int(result.bins[i]))
-            assert result.point_grad[i] == pytest.approx(bias + scalar, rel=1e-12)
 
     def test_unbiased_grouped_optimum_is_stationary_for_middle(self):
         # two perfectly separated groups whose predictions equal their lifts

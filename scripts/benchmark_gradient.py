@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Wall-clock scaling of the effective gradient over dataset sizes.
+"""Wall-clock scaling of the effective gradient over dataset sizes and bin counts.
 
 The per-step cost should grow linearly in rows: above the quantile subsample
 threshold no full sort happens, so only the vectorized per-row work remains.
+Several bin counts (`--bins 2,10,40,100`) show where `assign_bins` switches
+from counting cuts to a binary search.
 """
 
 import argparse
@@ -41,20 +43,22 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", default="10000,100000,1000000",
                     help="comma-separated row counts")
-    ap.add_argument("--bins", type=int, default=10)
+    ap.add_argument("--bins", default="10", help="comma-separated bin counts")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--reps", type=int, default=3)
     args = ap.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",")]
-    print(f"{'rows':>10} {'best of ' + str(args.reps):>12} {'ns/row':>8}")
-    base = None
-    for n in sizes:
-        t = time_once(n, args.bins, args.seed, args.reps)
-        ratio = "" if base is None else f"   ({t / base[1]:.1f}x the {base[0]} run)"
-        print(f"{n:>10} {t * 1e3:>10.1f}ms {t / n * 1e9:>8.0f}{ratio}")
-        if base is None:
-            base = (n, t)
+    bin_counts = [int(b) for b in args.bins.split(",")]
+    print(f"{'bins':>5} {'rows':>10} {'best of ' + str(args.reps):>12} {'ns/row':>8}")
+    for n_bins in bin_counts:
+        base = None
+        for n in sizes:
+            t = time_once(n, n_bins, args.seed, args.reps)
+            ratio = "" if base is None else f"   ({t / base[1]:.1f}x the {base[0]} run)"
+            print(f"{n_bins:>5} {n:>10} {t * 1e3:>10.1f}ms {t / n * 1e9:>8.0f}{ratio}")
+            if base is None:
+                base = (n, t)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_SORT = 100_000
+# assign_bins counts cuts up to this many bins; int8 counts would overflow at 128
+COUNT_MAX_BINS = 64
 
 
 class BinningError(ValueError):
@@ -118,16 +120,18 @@ def compute_cuts(
         raise BinningError(f"max_sort ({max_sort}) must be at least n_bins ({n_bins})")
     if p.size > max_sort:
         rng = np.random.default_rng(seed)
-        sample = p[rng.choice(p.size, size=max_sort, replace=False)]
+        s = p[rng.choice(p.size, size=max_sort, replace=False)]
+        s.sort()  # a fresh gather, so sorting it in place leaves the caller's array alone
     else:
-        sample = p
-    if np.unique(sample).size < n_bins:
+        s = np.sort(p)
+    # one sort serves both the distinct-value count and the quantiles
+    if 1 + np.count_nonzero(s[1:] != s[:-1]) < n_bins:
         raise DegeneratePredictionsError(
             f"degenerate predictions: need at least {n_bins} distinct values "
             f"to form {n_bins} bins"
         )
     quantiles = np.arange(1, n_bins) / n_bins
-    cuts = np.quantile(sample, quantiles, method="midpoint")
+    cuts = np.quantile(s, quantiles, method="midpoint")
     if cuts.size > 1 and not (np.diff(cuts) > 0).all():
         raise DegeneratePredictionsError(
             "degenerate predictions: tied quantiles, reduce n_bins"
@@ -139,10 +143,19 @@ def assign_bins(predictions, cuts: CutPoints) -> np.ndarray:
     """Map each prediction to its 1-based bin index.
 
     A prediction falls in bin ``1 + (number of cuts strictly below it)``;
-    values exactly equal to a cut go to the lower bin.
+    values exactly equal to a cut go to the lower bin. Up to
+    `COUNT_MAX_BINS` bins the cuts below each row are counted one cut at a
+    time in an int8 buffer; above that one binary search per row
+    (`searchsorted(side="left") + 1`) is faster. Both paths give the same
+    bins, ties included.
     """
     p = _check_predictions(predictions)
-    return np.searchsorted(cuts.cuts, p, side="left") + 1
+    if cuts.n_bins > COUNT_MAX_BINS:
+        return np.searchsorted(cuts.cuts, p, side="left") + 1
+    bins = np.ones(p.shape, dtype=np.int8)
+    for c in cuts.cuts:
+        bins += p > c
+    return bins.astype(np.intp)
 
 
 def inner_cuts(cuts: CutPoints, predictions=None) -> InnerCuts:

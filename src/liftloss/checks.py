@@ -2,11 +2,12 @@
 
 `run_gradcheck` evaluates `effective_gradient` once and checks that output,
 the same per-row gradient the trainer descends. Neither check reuses the
-gradient module's coefficient arithmetic: the bias channel is compared
-against central finite differences of the loss with the bin structure
-frozen, and each boundary row's migration part (its point gradient minus the
-bias channel) against a re-evaluation of the loss after moving that row
-between bins, with the lifts updated from the pre-move arm counts.
+gradient module's coefficient arithmetic: the bias channel (all of a middle
+row's point gradient) is compared against central finite differences of the
+loss with the bin structure frozen, and each boundary row's migration part
+(its point gradient minus the bias channel) against a re-evaluation of the
+loss after moving that row between bins, with the lifts updated from the
+pre-move arm counts.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ def bias_fd_check(
 
     Freezes bin membership and every statistic except the perturbed bin's
     mean prediction, then differences the loss around +/- eps shifts of a
-    single row's prediction.
+    single row's prediction. A middle row's gradient is the bias channel
+    alone, so its FD is compared with the row's `point_grad`; a boundary
+    row's with `bias_gradient`, since its point gradient adds the migration
+    part that `migration_recompute_check` covers.
     """
     if sample_rows < 1:
         raise ValueError(f"sample_rows must be at least 1, got {sample_rows}")
@@ -65,7 +69,11 @@ def bias_fd_check(
         loss_hi = true_lift_loss(replace(stats, mean_pred=hi)).loss
         loss_lo = true_lift_loss(replace(stats, mean_pred=lo)).loss
         fd = (loss_hi - loss_lo) / (2.0 * eps)
-        worst = max(worst, _rel_err(fd, bias_gradient(stats, int(bins[i]))))
+        if eg.segments[i] == Segment.MIDDLE:
+            analytic = eg.point_grad[i]
+        else:
+            analytic = bias_gradient(stats, int(bins[i]))
+        worst = max(worst, _rel_err(fd, analytic))
     return worst
 
 

@@ -176,9 +176,13 @@ def effective_gradient(
     segments = assign_segments(p, cuts, inner, bins=bins)
     a, b = _migration_tables(stats, cuts, inner, config.migration_step_scale)
     a += bias_gradient(stats, np.arange(1, cuts.n_bins + 1))[:, None, None]
-    idx = (bins - 1) * 6 + (segments * 2 + dataset.arm)
+    # idx = (bin - 1) * 6 + segment * 2 + arm; the small terms stay int8
+    idx = bins * 6
+    idx += segments * 2 + dataset.arm - 6
     grad = a.take(idx)
-    grad += b.take(idx) * dataset.outcome
+    migration = b.take(idx)
+    migration *= dataset.outcome
+    grad += migration
     if not np.isfinite(grad).all():
         raise FloatingPointError("effective gradient produced non-finite values")
     return EffectiveGradient(grad, stats, cuts, inner, bins, segments)

@@ -4,6 +4,8 @@ These are the per-row forms that the coefficient-table gradient in
 `liftloss.gradient` and the fused statistics in `liftloss.loss` replace,
 kept verbatim so property tests can compare the two on random instances:
 
+- `reference_compute_cuts`: an `np.unique` distinct-value count, then
+  `np.quantile` on the unsorted sample;
 - `reference_subset_stats`: five masked `bincount`s per call;
 - `reference_assign_segments`: per-row boundary indices and masks;
 - `bias_gradient`, `loss_partials`, `_lift_deltas`, `_delta_loss` and
@@ -15,8 +17,50 @@ from __future__ import annotations
 
 import numpy as np
 
-from liftloss.binning import CutPoints, InnerCuts, Segment, assign_bins, inner_cuts
+from liftloss.binning import (
+    DEFAULT_MAX_SORT,
+    BinningError,
+    CutPoints,
+    DegeneratePredictionsError,
+    InnerCuts,
+    Segment,
+    _check_predictions,
+    assign_bins,
+    inner_cuts,
+)
 from liftloss.loss import EmptyArmInBinError, SubsetStats
+
+
+def reference_compute_cuts(
+    predictions,
+    n_bins: int,
+    max_sort: int = DEFAULT_MAX_SORT,
+    seed: int = 0,
+) -> CutPoints:
+    p = _check_predictions(predictions)
+    if n_bins < 1:
+        raise BinningError(f"n_bins must be >= 1, got {n_bins}")
+    if n_bins == 1:
+        return CutPoints(np.empty(0), 1)
+    if max_sort < n_bins:
+        raise BinningError(f"max_sort ({max_sort}) must be at least n_bins ({n_bins})")
+    if p.size > max_sort:
+        rng = np.random.default_rng(seed)
+        sample = p[rng.choice(p.size, size=max_sort, replace=False)]
+    else:
+        sample = p
+    if np.unique(sample).size < n_bins:
+        raise DegeneratePredictionsError(
+            f"degenerate predictions: need at least {n_bins} distinct values "
+            f"to form {n_bins} bins"
+        )
+    quantiles = np.arange(1, n_bins) / n_bins
+    cuts = np.quantile(sample, quantiles, method="midpoint")
+    if cuts.size > 1 and not (np.diff(cuts) > 0).all():
+        raise DegeneratePredictionsError(
+            "degenerate predictions: tied quantiles, reduce n_bins"
+        )
+    return CutPoints(cuts, n_bins)
 
 
 def reference_subset_stats(bins, predictions, outcome, arm, n_bins, cached_global_lift=None):

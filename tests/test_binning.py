@@ -15,7 +15,7 @@ from liftloss import (
     inner_cuts,
 )
 
-from reference_gradient import reference_assign_segments
+from reference_gradient import reference_assign_segments, reference_compute_cuts
 
 
 class TestComputeCuts:
@@ -59,6 +59,66 @@ class TestComputeCuts:
             share_sub = np.bincount(assign_bins(preds, sub) - 1, minlength=n_bins) / preds.size
             assert np.abs(share_full - share_sub).max() < 0.05 / n_bins
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        n_bins=st.integers(1, 40),
+        distinct=st.one_of(st.none(), st.integers(1, 12)),
+        max_sort=st.one_of(st.none(), st.integers(1, 400)),
+        signed_zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_unique_and_unsorted_quantile_reference(
+        self, n, n_bins, distinct, max_sort, signed_zeros, seed
+    ):
+        # cuts are bit-identical to the np.unique + unsorted np.quantile form,
+        # with and without subsampling, and every error matches it too
+        rng = np.random.default_rng(seed)
+        preds = rng.normal(size=n) if distinct is None else rng.integers(0, distinct, n) * 0.5
+        if signed_zeros:
+            preds[rng.random(n) < 0.2] = 0.0
+            preds[rng.random(n) < 0.2] = -0.0
+        kwargs = {"seed": seed} if max_sort is None else {"seed": seed, "max_sort": max_sort}
+        before = preds.copy()
+        try:
+            expected = reference_compute_cuts(preds.copy(), n_bins, **kwargs)
+        except BinningError as err:
+            with pytest.raises(type(err)) as got:
+                compute_cuts(preds, n_bins, **kwargs)
+            assert str(got.value) == str(err)
+        else:
+            got = compute_cuts(preds, n_bins, **kwargs)
+            assert got.n_bins == expected.n_bins
+            if not signed_zeros:
+                assert got.cuts.tobytes() == expected.cuts.tobytes()
+            else:
+                # a cut between 0.0 and -0.0 takes its sign from the order in
+                # which the sort or the partition leaves tied zeros; either
+                # sign compares equal, so bins and segment bounds are the same
+                np.testing.assert_array_equal(got.cuts, expected.cuts)
+                np.testing.assert_array_equal(
+                    assign_bins(preds, got), assign_bins(preds, expected)
+                )
+                if n_bins > 1:
+                    a, b = inner_cuts(got, preds), inner_cuts(expected, preds)
+                    assert a.minus.tobytes() == b.minus.tobytes()
+                    assert a.plus.tobytes() == b.plus.tobytes()
+        assert preds.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("preds,n_bins", [
+        ([2.0] * 7, 2),
+        ([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], 3),  # untied quantiles 0 and 1, only 2 values
+        ([-0.0, 0.0, 1.0], 3),  # -0.0 and 0.0 are one value
+    ])
+    def test_too_few_distinct_values_raises_like_reference(self, preds, n_bins):
+        preds = np.array(preds)
+        with pytest.raises(DegeneratePredictionsError) as expected:
+            reference_compute_cuts(preds, n_bins)
+        with pytest.raises(DegeneratePredictionsError) as got:
+            compute_cuts(preds, n_bins)
+        assert "distinct values" in str(got.value)
+        assert str(got.value) == str(expected.value)
+
     def test_subsample_deterministic(self):
         rng = np.random.default_rng(8)
         preds = rng.random(50_000)
@@ -88,6 +148,49 @@ class TestAssignBins:
         bins = assign_bins(np.asarray(preds), cuts)
         for p, b in zip(preds, bins):
             assert b == 1 + sum(1 for c in cuts.cuts if c < p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_bins=st.integers(2, 130),
+        data=st.data(),
+    )
+    def test_count_and_search_paths_match_brute_force(self, n_bins, data):
+        # both paths (counting up to 64 bins, searchsorted above) give
+        # 1 + #(cuts < p), with rows exactly on cuts, their float neighbours
+        # and signed zeros
+        cut_values = data.draw(
+            st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n_bins - 1,
+                     max_size=n_bins - 1, unique=True),
+            label="cuts",
+        )
+        zero = data.draw(st.sampled_from([None, 0.0, -0.0]), label="zero cut")
+        if zero is not None and 0.0 not in cut_values:
+            cut_values[0] = zero
+        c = np.sort(np.asarray(cut_values))
+        cuts = CutPoints(c, n_bins)
+        extra = data.draw(st.lists(st.floats(-2e6, 2e6, allow_nan=False), max_size=30),
+                          label="preds")
+        preds = np.concatenate([
+            c, np.nextafter(c, np.inf), np.nextafter(c, -np.inf),
+            [0.0, -0.0, c[0] - 1.0, c[-1] + 1.0], extra,
+        ])
+        preds = data.draw(st.permutations(preds.tolist()), label="order")
+        preds = np.asarray(preds)
+        bins = assign_bins(preds, cuts)
+        assert bins.dtype == np.intp
+        np.testing.assert_array_equal(bins, 1 + (c[None, :] < preds[:, None]).sum(axis=1))
+        np.testing.assert_array_equal(bins, np.searchsorted(c, preds, side="left") + 1)
+
+    @pytest.mark.parametrize("n_bins", [63, 64, 65, 127, 128, 129, 200])
+    def test_paths_agree_at_switch_and_int8_limit(self, n_bins):
+        rng = np.random.default_rng(n_bins)
+        c = np.sort(rng.choice(np.arange(-500, 500) * 0.25, n_bins - 1, replace=False))
+        preds = np.concatenate([c, np.nextafter(c, np.inf), rng.normal(0, 60, 5000),
+                                [c[-1] + 1.0, 1e300, -1e300]])
+        bins = assign_bins(preds, CutPoints(c, n_bins))
+        assert bins.dtype == np.intp
+        assert bins.max() == n_bins and bins.min() == 1
+        np.testing.assert_array_equal(bins, np.searchsorted(c, preds, side="left") + 1)
 
     def test_partition(self):
         rng = np.random.default_rng(1)

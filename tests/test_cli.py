@@ -178,6 +178,15 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert out.count("PASS") >= 2
 
+    def test_defaults_pass_and_report_errors(self, capsys):
+        assert main(["gradcheck"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        errors = [float(line.split("max relative error ")[1].split()[0])
+                  for line in lines if "max relative error" in line]
+        assert len(errors) == 2
+        assert 0.0 < errors[0] <= 1e-6 and 0.0 <= errors[1] <= 1e-10
+        assert lines[-1] == "gradcheck PASS"
+
     def test_sabotage_detected(self, capsys):
         assert main(["gradcheck", "--rows", "200", "--seed", "3", "--sabotage"]) == 2
         assert "FAIL" in capsys.readouterr().out

@@ -22,6 +22,12 @@ from liftloss import (
     subset_stats,
     true_lift_loss,
 )
+from liftloss.checks import (
+    BIAS_TOLERANCE,
+    MIGRATION_TOLERANCE,
+    bias_fd_check,
+    migration_recompute_check,
+)
 from liftloss.dataset import DataGenConfig
 from liftloss.gradient import _migration_tables
 from liftloss.models import ModelKind, ModelSpec
@@ -293,6 +299,25 @@ class TestEffectiveGradient:
             GradConfig(n_bins=5, migration_step_scale=0.0)
         with pytest.raises(ValueError):
             GradConfig(n_bins=5, rebin_every=0)
+
+
+class TestGradcheckOracles:
+    def test_bias_check_sees_middle_rows(self):
+        # middle rows carry only the bias channel, so their point gradients
+        # are under the FD oracle; scaling them must fail the check, which
+        # the boundary-only migration oracle cannot see
+        ds = generate(DataGenConfig(n_rows=400, seed=49))
+        rng = np.random.default_rng(49)
+        preds = predict(ModelSpec(ModelKind.LINEAR, 2), rng.normal(0, 1, 3), ds)
+        config = GradConfig(n_bins=5)
+        eg = effective_gradient(ds, preds, config)
+        assert bias_fd_check(eg, preds) <= BIAS_TOLERANCE
+        middle = eg.segments == Segment.MIDDLE
+        broken = dataclasses.replace(
+            eg, point_grad=np.where(middle, 1.5 * eg.point_grad, eg.point_grad)
+        )
+        assert bias_fd_check(broken, preds) > 0.3
+        assert migration_recompute_check(ds, broken, config)[0] <= MIGRATION_TOLERANCE
 
 
 def place_ties(preds, cuts, rng):

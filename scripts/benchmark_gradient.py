@@ -1,10 +1,18 @@
 #!/usr/bin/env python3
-"""Wall-clock scaling of the effective gradient over dataset sizes and bin counts.
+"""Wall-clock scaling of the effective gradient or of a short MLP `train` over dataset sizes.
 
 The per-step cost should grow linearly in rows: above the quantile subsample
 threshold no full sort happens, so only the vectorized per-row work remains.
 Several bin counts (`--bins 2,10,40,100`) show where `assign_bins` switches
 from counting cuts to a binary search.
+
+`--model mlp --batch N` times a 4-step `train` of a hidden-32 tanh MLP on
+N-row minibatches with cuts reused every 4 steps, the shape of perfbench's
+timed `minibatch_mlp_1m` op. Every mode prints the best, median and worst of
+`--reps` runs. Set `OPENBLAS_NUM_THREADS=1` to pin BLAS as perfbench does:
+
+    OPENBLAS_NUM_THREADS=1 python scripts/benchmark_gradient.py \\
+        --model mlp --batch 100000 --sizes 1000000 --reps 15
 """
 
 import argparse
@@ -13,30 +21,47 @@ import time
 import numpy as np
 
 from liftloss import (
+    Activation,
     DataGenConfig,
     GradConfig,
     ModelKind,
     ModelSpec,
+    TrainConfig,
     effective_gradient,
     generate,
     global_lift,
     predict,
+    random_params,
+    train,
 )
 
+MLP_STEPS = 4  # perfbench's OP_STEPS
+MLP_SPEC = ModelSpec(ModelKind.MLP, 2, 32, Activation.TANH)
 
-def time_once(n_rows: int, n_bins: int, seed: int, reps: int) -> float:
-    dataset = generate(DataGenConfig(n_rows=n_rows, seed=seed))
+
+def gradient_call(dataset, n_bins: int, seed: int):
     rng = np.random.default_rng(seed)
     preds = predict(ModelSpec(ModelKind.LINEAR, 2), rng.normal(0, 0.5, 3), dataset)
     config = GradConfig(n_bins=n_bins)
     cached = global_lift(dataset)
-    effective_gradient(dataset, preds, config, cached_global_lift=cached)  # warm up
-    best = float("inf")
+    return lambda: effective_gradient(dataset, preds, config, cached_global_lift=cached)
+
+
+def mlp_train_call(dataset, n_bins: int, seed: int, batch: int | None):
+    init = random_params(MLP_SPEC, seed)
+    config = TrainConfig(step_size=0.1, steps=MLP_STEPS,
+                         grad=GradConfig(n_bins=n_bins, rebin_every=4), batch=batch, seed=seed)
+    return lambda: train(dataset, MLP_SPEC, init, config)
+
+
+def time_reps(call, reps: int) -> np.ndarray:
+    call()  # warm up
+    walls = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        effective_gradient(dataset, preds, config, cached_global_lift=cached)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        call()
+        walls.append(time.perf_counter() - t0)
+    return np.array(walls)
 
 
 def main() -> None:
@@ -44,19 +69,36 @@ def main() -> None:
     ap.add_argument("--sizes", default="10000,100000,1000000",
                     help="comma-separated row counts")
     ap.add_argument("--bins", default="10", help="comma-separated bin counts")
+    ap.add_argument("--model", choices=("linear", "mlp"), default="linear",
+                    help="linear: one effective_gradient call on linear predictions; "
+                         f"mlp: a {MLP_STEPS}-step MLP train")
+    ap.add_argument("--batch", type=int, default=None,
+                    help="minibatch rows of the mlp train (default: full batch)")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--reps", type=int, default=3)
     args = ap.parse_args()
+    if args.batch is not None and args.model != "mlp":
+        ap.error("--batch applies to --model mlp only")
 
     sizes = [int(s) for s in args.sizes.split(",")]
     bin_counts = [int(b) for b in args.bins.split(",")]
-    print(f"{'bins':>5} {'rows':>10} {'best of ' + str(args.reps):>12} {'ns/row':>8}")
+    print(f"{'bins':>5} {'rows':>10} {'best':>10} {'median':>10} {'worst':>10} "
+          f"{'ns/row':>8}  (of {args.reps})")
     for n_bins in bin_counts:
         base = None
         for n in sizes:
-            t = time_once(n, n_bins, args.seed, args.reps)
+            dataset = generate(DataGenConfig(n_rows=n, seed=args.seed))
+            if args.model == "mlp":
+                call = mlp_train_call(dataset, n_bins, args.seed, args.batch)
+                rows = min(args.batch or n, n) * (MLP_STEPS + 1)
+            else:
+                call = gradient_call(dataset, n_bins, args.seed)
+                rows = n
+            walls = time_reps(call, args.reps)
+            t = walls.min()
             ratio = "" if base is None else f"   ({t / base[1]:.1f}x the {base[0]} run)"
-            print(f"{n_bins:>5} {n:>10} {t * 1e3:>10.1f}ms {t / n * 1e9:>8.0f}{ratio}")
+            print(f"{n_bins:>5} {n:>10} {t * 1e3:>8.1f}ms {np.median(walls) * 1e3:>8.1f}ms "
+                  f"{walls.max() * 1e3:>8.1f}ms {t / rows * 1e9:>8.0f}{ratio}")
             if base is None:
                 base = (n, t)
 

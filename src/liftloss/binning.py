@@ -175,7 +175,8 @@ def inner_cuts(cuts: CutPoints, predictions=None) -> InnerCuts:
         if predictions is None:
             raise BinningError("predictions are required for inner cuts with a single boundary")
         p = _check_predictions(predictions)
-        width = float(np.quantile(p, 0.75) - np.quantile(p, 0.25))
+        q1, q3 = np.quantile(p, [0.25, 0.75])
+        width = float(q3 - q1)
         if width == 0.0:
             width = float(np.ptp(p))
         if width == 0.0:

@@ -109,9 +109,22 @@ class ABDataset:
         return self.arm == Arm.TREATMENT
 
     def take(self, indices: np.ndarray) -> "ABDataset":
-        """Subset by row indices (used for minibatching)."""
-        lift = None if self.true_lift is None else self.true_lift[indices]
-        return ABDataset(self.features[indices], self.outcome[indices], self.arm[indices], lift)
+        """Subset by integer row indices (used for minibatching).
+
+        Features are gathered one column at a time into a C-ordered (k, d)
+        array: the same values and strides as `features[indices]`, several
+        times faster on the column-major features `generate` makes.
+        """
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise TypeError(
+                f"row indices must be a 1-d integer array, got {idx.ndim}-d {idx.dtype}"
+            )
+        feats = np.empty((idx.size, self.d))
+        for j in range(self.d):
+            feats[:, j] = self.features[:, j].take(idx)
+        lift = None if self.true_lift is None else self.true_lift.take(idx)
+        return ABDataset(feats, self.outcome.take(idx), self.arm.take(idx), lift)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,8 @@ def global_lift(dataset: ABDataset) -> float:
     if n_t == 0 or n_t == len(dataset):
         raise ValueError("global lift needs rows in both arms")
     y = dataset.outcome
-    return float(y[treated].mean() - y[~treated].mean())
+    # `compress` picks the rows of `y[mask]` in the same order, several times faster
+    return float(np.compress(treated, y).mean() - np.compress(~treated, y).mean())
 
 
 def subset_stats(

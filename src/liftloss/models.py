@@ -115,37 +115,20 @@ def _hidden(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def predict(spec: ModelSpec, params, data) -> np.ndarray:
-    """Model predictions for a dataset or a raw (n, d) feature array.
-
-    Linear parameter layout is [coef_0, ..., coef_{d-1}, offset]; the MLP
-    layout is [W1 row-major, b1, w2, b2].
-    """
-    p = _check_params(spec, params)
-    x = _features(data, spec)
+def _forward(spec: ModelSpec, p: np.ndarray, x: np.ndarray):
+    """Predictions, and the MLP hidden activations behind them (None for linear)."""
     if spec.kind is ModelKind.LINEAR:
-        return x @ p[:-1] + p[-1]
+        return x @ p[:-1] + p[-1], None
     _, _, w2, b2 = _unpack_mlp(spec, p)
-    return _hidden(spec, p, x) @ w2 + b2
+    h = _hidden(spec, p, x)
+    return h @ w2 + b2, h
 
 
-def backprop(spec: ModelSpec, params, data, point_grad) -> np.ndarray:
-    """Contract a per-row loss gradient into a parameter gradient.
-
-    Returns sum_i g_i * d(prediction_i)/d(params). ReLU uses derivative 0 at
-    exactly zero. The MLP's first layer is one (hidden, d+1) product with w2
-    factored out of the row sums, `[dW1 | db1] = (act'.T @ [g*x, g]) * w2`,
-    within 1e-12 of max|grad| of the unfactored `(g*w2*act').T @ [x, 1]`.
-    """
-    p = _check_params(spec, params)
-    x = _features(data, spec)
-    g = np.asarray(point_grad, dtype=np.float64)
-    if g.shape != (x.shape[0],):
-        raise ValueError("point gradient must align with the rows")
+def _backward(spec: ModelSpec, p: np.ndarray, x: np.ndarray, g: np.ndarray, h) -> np.ndarray:
+    """Parameter gradient from `_forward`'s activations `h`, which it overwrites."""
     if spec.kind is ModelKind.LINEAR:
         return np.concatenate([x.T @ g, [g.sum()]])
     _, _, w2, _ = _unpack_mlp(spec, p)
-    h = _hidden(spec, p, x)
     dw2 = h.T @ g
     # overwrite the activations with their derivative: 1 - h^2, or [h > 0]
     if spec.activation is Activation.TANH:
@@ -155,6 +138,33 @@ def backprop(spec: ModelSpec, params, data, point_grad) -> np.ndarray:
         np.greater(h, 0.0, out=h)
     m = (h.T @ np.column_stack((x * g[:, None], g))) * w2[:, None]
     return np.concatenate([m[:, :-1].ravel(), m[:, -1], dw2, [g.sum()]])
+
+
+def predict(spec: ModelSpec, params, data) -> np.ndarray:
+    """Model predictions for a dataset or a raw (n, d) feature array.
+
+    Linear parameter layout is [coef_0, ..., coef_{d-1}, offset]; the MLP
+    layout is [W1 row-major, b1, w2, b2].
+    """
+    return _forward(spec, _check_params(spec, params), _features(data, spec))[0]
+
+
+def backprop(spec: ModelSpec, params, data, point_grad) -> np.ndarray:
+    """Contract a per-row loss gradient into a parameter gradient.
+
+    Returns sum_i g_i * d(prediction_i)/d(params). ReLU uses derivative 0 at
+    exactly zero. The MLP's first layer is one (hidden, d+1) product with w2
+    factored out of the row sums, `[dW1 | db1] = (act'.T @ [g*x, g]) * w2`,
+    within 1e-12 of max|grad| of the unfactored `(g*w2*act').T @ [x, 1]`.
+    Called alone it rebuilds the hidden layer; `train` reuses its forward pass's.
+    """
+    p = _check_params(spec, params)
+    x = _features(data, spec)
+    g = np.asarray(point_grad, dtype=np.float64)
+    if g.shape != (x.shape[0],):
+        raise ValueError("point gradient must align with the rows")
+    h = None if spec.kind is ModelKind.LINEAR else _hidden(spec, p, x)
+    return _backward(spec, p, x, g, h)
 
 
 @dataclass(frozen=True)
@@ -222,8 +232,9 @@ def train(
     yields one entry and unchanged parameters). Cuts are refreshed every
     `grad.rebin_every` steps. If a bin loses an arm mid-run the bin count is
     halved and training continues; at step 0 this is raised instead, with a
-    hint to use fewer bins. Deterministic given the seed, which only drives
-    minibatch sampling.
+    hint to use fewer bins. Each step builds the MLP hidden layer once, for
+    the forward pass, and hands it to the backward pass. Deterministic given
+    the seed, which only drives minibatch sampling.
     """
     params = _check_params(spec, init_params).copy()
     grad_cfg = config.grad
@@ -238,7 +249,8 @@ def train(
         else:
             idx = rng.choice(len(dataset), size=config.batch, replace=False)
             data_t = dataset.take(idx)
-        preds = predict(spec, params, data_t)
+        x = _features(data_t, spec)
+        preds, hidden = _forward(spec, params, x)
         if not np.isfinite(preds).all():
             raise TrainingDivergedError(f"non-finite predictions at step {t}", trace)
         reuse = cuts if (t % grad_cfg.rebin_every != 0 and cuts is not None) else None
@@ -278,7 +290,8 @@ def train(
             trace.snapshots[t] = report
         if t == config.steps:
             break
-        params -= config.step_size * backprop(spec, params, data_t, eg.point_grad)
+        params -= config.step_size * _backward(spec, params, x, eg.point_grad, hidden)
+        del hidden  # free this step's (batch, hidden) buffer before the next forward pass
     return params, trace
 
 

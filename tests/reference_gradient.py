@@ -6,6 +6,8 @@ kept verbatim so property tests can compare the two on random instances:
 
 - `reference_compute_cuts`: an `np.unique` distinct-value count, then
   `np.quantile` on the unsorted sample;
+- `reference_single_cut_inner_cuts`: the 2-bin segment width from two
+  separate `np.quantile` calls;
 - `reference_subset_stats`: five masked `bincount`s per call;
 - `reference_assign_segments`: per-row boundary indices and masks;
 - `bias_gradient`, `loss_partials`, `_lift_deltas`, `_delta_loss` and
@@ -61,6 +63,20 @@ def reference_compute_cuts(
             "degenerate predictions: tied quantiles, reduce n_bins"
         )
     return CutPoints(cuts, n_bins)
+
+
+def reference_single_cut_inner_cuts(cuts: CutPoints, predictions) -> InnerCuts:
+    """Segment bounds of a single cut, one sixth of the IQR on each side."""
+    assert cuts.n_bins == 2
+    p = _check_predictions(predictions)
+    c = cuts.cuts
+    width = float(np.quantile(p, 0.75) - np.quantile(p, 0.25))
+    if width == 0.0:
+        width = float(np.ptp(p))
+    if width == 0.0:
+        raise DegeneratePredictionsError("cannot size segments: predictions are constant")
+    offset = width / 6.0
+    return InnerCuts(c - offset, c + offset)
 
 
 def reference_subset_stats(bins, predictions, outcome, arm, n_bins, cached_global_lift=None):

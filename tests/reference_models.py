@@ -1,4 +1,4 @@
-"""Unfactored reference forms of the MLP forward and backward passes.
+"""Reference forms of the MLP passes and of the training loop.
 
 These are the MLP branches of `liftloss.models.predict` and `backprop` as
 they were before the hidden layer moved into one in-place buffer and the
@@ -6,14 +6,28 @@ first layer's gradient became one factored `(hidden, d+1)` product. Kept
 verbatim so property tests can compare the two on random instances:
 
 - `reference_predict`: fresh `z`, then `h`, then `h @ w2 + b2`;
-- `reference_backprop`: `u = g*w2*act'`, `dW1 = u.T @ x`, `db1 = u.sum(0)`.
+- `reference_backprop`: `u = g*w2*act'`, `dW1 = u.T @ x`, `db1 = u.sum(0)`;
+- `public_loop_train`: `train`'s loop written out over the public
+  `predict` -> `effective_gradient` -> `backprop`, each called alone, with
+  the same minibatch draws, cut reuse, cut refresh and bin halving.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from liftloss.models import Activation, ModelKind, ModelSpec, _unpack_mlp
+from liftloss import (
+    EmptyArmInBinError,
+    TrainTrace,
+    backprop,
+    effective_gradient,
+    global_lift,
+    predict,
+    true_lift_loss,
+)
+from liftloss.models import Activation, ModelKind, ModelSpec, TraceEntry, _unpack_mlp
 
 
 def reference_predict(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -42,3 +56,47 @@ def reference_backprop(
     dw1 = u.T @ x
     db1 = u.sum(axis=0)
     return np.concatenate([dw1.ravel(), db1, dw2, [db2]])
+
+
+def public_loop_train(dataset, spec, init_params, config):
+    """`train` for runs that do not diverge, one public call per phase."""
+    params = np.array(init_params, dtype=np.float64)
+    grad_cfg = config.grad
+    rng = np.random.default_rng(config.seed)
+    cached = global_lift(dataset)
+    trace = TrainTrace()
+    cuts = None
+    for t in range(config.steps + 1):
+        if config.batch is None or config.batch >= len(dataset):
+            data_t = dataset
+        else:
+            data_t = dataset.take(rng.choice(len(dataset), size=config.batch, replace=False))
+        preds = predict(spec, params, data_t)
+        reuse = cuts if (t % grad_cfg.rebin_every != 0 and cuts is not None) else None
+        while True:
+            try:
+                eg = effective_gradient(data_t, preds, grad_cfg, cached_global_lift=cached,
+                                        cuts=reuse)
+                break
+            except EmptyArmInBinError as err:
+                if t == 0:
+                    raise
+                if reuse is not None:
+                    trace.events.append(f"step {t}: {err}; refreshing cuts")
+                    reuse = None
+                    continue
+                if grad_cfg.n_bins <= 2:
+                    raise
+                new_bins = max(2, grad_cfg.n_bins // 2)
+                trace.events.append(
+                    f"step {t}: {err}; reducing bins {grad_cfg.n_bins} -> {new_bins}"
+                )
+                grad_cfg = replace(grad_cfg, n_bins=new_bins)
+        cuts = eg.cuts
+        report = true_lift_loss(eg.stats)
+        trace.entries.append(
+            TraceEntry(t, report.loss, report.bias_term, report.separation_term, params.copy())
+        )
+        if t < config.steps:
+            params -= config.step_size * backprop(spec, params, data_t, eg.point_grad)
+    return params, trace

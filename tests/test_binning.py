@@ -15,7 +15,11 @@ from liftloss import (
     inner_cuts,
 )
 
-from reference_gradient import reference_assign_segments, reference_compute_cuts
+from reference_gradient import (
+    reference_assign_segments,
+    reference_compute_cuts,
+    reference_single_cut_inner_cuts,
+)
 
 
 class TestComputeCuts:
@@ -225,6 +229,29 @@ class TestInnerCuts:
         iqr = np.quantile(preds, 0.75) - np.quantile(preds, 0.25)
         assert cuts.cuts[0] - inner.minus[0] == pytest.approx(iqr / 6)
         assert inner.plus[0] - cuts.cuts[0] == pytest.approx(iqr / 6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        distinct=st.one_of(st.none(), st.integers(1, 6)),
+        cut=st.floats(-2.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_single_boundary_matches_two_quantile_reference(self, n, distinct, cut, seed):
+        # one np.quantile call for both quartiles gives the two-call IQR bit
+        # for bit, ties and constant input included
+        rng = np.random.default_rng(seed)
+        preds = rng.normal(size=n) if distinct is None else rng.integers(0, distinct, n) * 0.25
+        cuts = CutPoints(np.array([cut]), 2)
+        try:
+            want = reference_single_cut_inner_cuts(cuts, preds)
+        except DegeneratePredictionsError as err:
+            with pytest.raises(DegeneratePredictionsError, match=str(err)):
+                inner_cuts(cuts, preds)
+            return
+        got = inner_cuts(cuts, preds)
+        assert got.minus.tobytes() == want.minus.tobytes()
+        assert got.plus.tobytes() == want.plus.tobytes()
 
     def test_single_boundary_requires_predictions(self):
         with pytest.raises(BinningError):

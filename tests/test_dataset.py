@@ -43,6 +43,76 @@ class TestDatasetInvariants:
             ds.outcome[0] = 5.0
 
 
+class TestTake:
+    """`take` gathers column by column; the result must equal fancy indexing."""
+
+    @staticmethod
+    def assert_same_as_fancy_indexing(ds, idx):
+        got = ds.take(idx)
+        want = ds.features[idx]
+        assert got.features.dtype == want.dtype and got.features.shape == want.shape
+        assert got.features.flags.c_contiguous and got.features.strides == want.strides
+        assert got.features.tobytes() == want.tobytes()
+        for name in ("outcome", "arm", "true_lift"):
+            col, sub = getattr(ds, name), getattr(got, name)
+            if col is None:
+                assert sub is None
+            else:
+                assert sub.dtype == col.dtype and sub.tobytes() == col[idx].tobytes()
+
+    @staticmethod
+    def indices(n, seed):
+        # duplicates and negative indices, each arm present
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(-n, n, size=2 * n)
+        return np.concatenate([idx, [0, 0, -1, -1, n - 1, -n]])
+
+    def test_generated_features_are_column_major(self):
+        ds = generate(DataGenConfig(n_rows=500, seed=2))
+        assert ds.features.flags.f_contiguous and not ds.features.flags.c_contiguous
+        self.assert_same_as_fancy_indexing(ds, self.indices(len(ds), 0))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("with_lift", [True, False])
+    def test_loaded_row_major_and_column_major(self, tmp_path, d, with_lift):
+        rng = np.random.default_rng(d)
+        n = 60
+        arm = np.arange(n) % 2
+        lift = rng.normal(size=n) if with_lift else None
+        path = tmp_path / "rows.csv"
+        save_csv(ABDataset(rng.normal(size=(n, d)), rng.normal(size=n), arm, lift), path)
+        loaded = load_csv(path)
+        assert loaded.features.flags.c_contiguous and (loaded.true_lift is None) != with_lift
+        by_column = ABDataset(np.asfortranarray(loaded.features), loaded.outcome, loaded.arm,
+                              loaded.true_lift)
+        assert d == 1 or not by_column.features.flags.c_contiguous
+        for ds in (loaded, by_column):
+            self.assert_same_as_fancy_indexing(ds, self.indices(n, d))
+            self.assert_same_as_fancy_indexing(ds, self.indices(n, d).astype(np.int32))
+
+    @pytest.mark.parametrize("bad", [[0, 1, 6], [-7, 0, 1]])
+    def test_out_of_range_raises_index_error(self, bad):
+        ds = make_dataset(np.arange(6.0), np.arange(6.0), [0, 1] * 3)
+        with pytest.raises(IndexError):
+            ds.take(np.array(bad))
+
+    @pytest.mark.parametrize("bad", [
+        np.array([True, False, True, True, False, False]),
+        np.array([0.0, 1.0]),
+        np.array([[0, 1], [2, 3]]),
+    ], ids=["boolean-mask", "float", "2-d"])
+    def test_non_integer_or_non_1d_indices_rejected(self, bad):
+        # a boolean mask would otherwise be read as rows 0 and 1
+        ds = make_dataset(np.arange(6.0), np.arange(6.0), [0, 1] * 3)
+        with pytest.raises(TypeError, match="1-d integer array"):
+            ds.take(bad)
+
+    def test_batch_that_loses_an_arm_raises(self):
+        ds = make_dataset(np.arange(6.0), np.arange(6.0), [0, 1] * 3)
+        with pytest.raises(ValueError, match="no control rows"):
+            ds.take(np.array([1, 3, 5]))
+
+
 class TestGenerate:
     def test_shape_and_split(self):
         config = DataGenConfig(n_rows=10_000, treatment_fraction=0.7, seed=11, lift_coefficient=0.5)

@@ -55,6 +55,45 @@ class TestGlobalLift:
         ds = make_dataset([0.0] * 5, [1.0, 2, 3, 0, 1], [1, 1, 1, 0, 0])
         assert global_lift(ds) == pytest.approx(2.0 - 0.5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        one_row_arm=st.sampled_from([None, 0, 1]),
+        zero_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_boolean_index_reference(self, n, one_row_arm, zero_share, seed):
+        # bit for bit, signed zeros and one-row arms included
+        rng = np.random.default_rng(seed)
+        if one_row_arm is None:
+            arm = rng.integers(0, 2, n)
+            arm[rng.choice(n, 2, replace=False)] = (0, 1)
+        else:
+            arm = np.full(n, 1 - one_row_arm)
+            arm[rng.integers(n)] = one_row_arm
+        y = rng.normal(0.0, 1e3, n)
+        zeros = rng.random(n) < zero_share
+        y[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        treated = arm == 1
+        expected = float(y[treated].mean() - y[~treated].mean())
+        got = global_lift(make_dataset(np.zeros(n), y, arm))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("y,arm", [
+        ([-0.0, 0.0], [1, 0]),
+        ([-0.0, -0.0], [1, 0]),
+        ([0.0, -0.0], [1, 0]),
+        ([-0.0, -0.0, 0.0], [1, 0, 0]),
+        ([2.5, 1.0, 1.0, 1.0], [1, 0, 0, 0]),
+    ])
+    def test_signed_zero_and_one_row_arm_cases(self, y, arm):
+        y = np.array(y)
+        treated = np.array(arm) == 1
+        expected = float(y[treated].mean() - y[~treated].mean())
+        got = global_lift(make_dataset(np.zeros(len(y)), y, arm))
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
 
 class TestSubsetStats:
     def test_hand_arithmetic_single_bin(self):

@@ -22,7 +22,7 @@ from liftloss import (
 from liftloss.dataset import DataGenConfig
 from liftloss.models import _unpack_mlp
 
-from reference_models import reference_backprop, reference_predict
+from reference_models import public_loop_train, reference_backprop, reference_predict
 
 
 LINEAR2 = ModelSpec(ModelKind.LINEAR, 2)
@@ -271,6 +271,33 @@ class TestTrain:
         params, trace = train(ds, spec, init, config)
         assert trace.entries[-1].loss < trace.entries[0].loss
         assert np.isfinite(params).all()
+
+
+class TestTrainMatchesPublicLoop:
+    """`train` hands each step's hidden layer from the forward to the backward
+    pass; the result must equal `predict` and `backprop` called alone."""
+
+    @pytest.mark.parametrize("batch", [None, 800])
+    @pytest.mark.parametrize("spec", [
+        LINEAR2,
+        ModelSpec(ModelKind.MLP, 2, hidden=6, activation=Activation.TANH),
+        ModelSpec(ModelKind.MLP, 2, hidden=6, activation=Activation.RELU),
+    ], ids=["linear", "mlp-tanh", "mlp-relu"])
+    def test_bit_identical(self, spec, batch):
+        ds = generate(DataGenConfig(n_rows=4000, seed=7))
+        init = np.array([1.0, 0.1, 1.0]) if spec is LINEAR2 else random_params(spec, seed=7)
+        config = TrainConfig(step_size=0.02, steps=12, grad=GradConfig(n_bins=5, rebin_every=2),
+                             batch=batch, seed=21)
+        params, trace = train(ds, spec, init, config)
+        ref_params, ref_trace = public_loop_train(ds, spec, init, config)
+        assert params.tobytes() == ref_params.tobytes()
+        # every case refreshes stale cuts at least once, so that path is compared too
+        assert trace.events and trace.events == ref_trace.events
+        assert len(trace.entries) == len(ref_trace.entries) == config.steps + 1
+        for got, want in zip(trace.entries, ref_trace.entries):
+            assert (got.step, got.loss, got.bias_term, got.separation_term) == (
+                want.step, want.loss, want.bias_term, want.separation_term)
+            assert got.params.tobytes() == want.params.tobytes()
 
 
 class TestParamsIo:

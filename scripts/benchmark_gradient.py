@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall-clock scaling of the effective gradient or of a short MLP `train` over dataset sizes.
+"""Wall-clock scaling of the effective gradient, a short MLP `train`, or CSV I/O over dataset sizes.
 
 The per-step cost should grow linearly in rows: above the quantile subsample
 threshold no full sort happens, so only the vectorized per-row work remains.
@@ -8,15 +8,20 @@ from counting cuts to a binary search.
 
 `--model mlp --batch N` times a 4-step `train` of a hidden-32 tanh MLP on
 N-row minibatches with cuts reused every 4 steps, the shape of perfbench's
-timed `minibatch_mlp_1m` op. Every mode prints the best, median and worst of
-`--reps` runs. Set `OPENBLAS_NUM_THREADS=1` to pin BLAS as perfbench does:
+timed `minibatch_mlp_1m` op. `--io` times `save_csv` and `load_csv` of a
+generated dataset instead, in µs per row; the file goes to a temporary
+directory. Every mode prints the best, median and worst of `--reps` runs.
+Set `OPENBLAS_NUM_THREADS=1` to pin BLAS as perfbench does:
 
     OPENBLAS_NUM_THREADS=1 python scripts/benchmark_gradient.py \\
         --model mlp --batch 100000 --sizes 1000000 --reps 15
+    python scripts/benchmark_gradient.py --io --sizes 200000 --reps 7
 """
 
 import argparse
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +35,10 @@ from liftloss import (
     effective_gradient,
     generate,
     global_lift,
+    load_csv,
     predict,
     random_params,
+    save_csv,
     train,
 )
 
@@ -64,6 +71,19 @@ def time_reps(call, reps: int) -> np.ndarray:
     return np.array(walls)
 
 
+def run_io(sizes: list[int], reps: int, seed: int) -> None:
+    print(f"{'op':>9} {'rows':>10} {'best':>9} {'median':>9} {'worst':>9} {'us/row':>7}  (of {reps})")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        for n in sizes:
+            dataset = generate(DataGenConfig(n_rows=n, seed=seed))
+            for name, call in (("save_csv", lambda: save_csv(dataset, path)),
+                               ("load_csv", lambda: load_csv(path))):
+                walls = time_reps(call, reps)
+                print(f"{name:>9} {n:>10} {walls.min():>8.3f}s {np.median(walls):>8.3f}s "
+                      f"{walls.max():>8.3f}s {walls.min() / n * 1e6:>7.2f}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", default="10000,100000,1000000",
@@ -72,6 +92,8 @@ def main() -> None:
     ap.add_argument("--model", choices=("linear", "mlp"), default="linear",
                     help="linear: one effective_gradient call on linear predictions; "
                          f"mlp: a {MLP_STEPS}-step MLP train")
+    ap.add_argument("--io", action="store_true",
+                    help="time save_csv and load_csv instead of a training computation")
     ap.add_argument("--batch", type=int, default=None,
                     help="minibatch rows of the mlp train (default: full batch)")
     ap.add_argument("--seed", type=int, default=3)
@@ -79,8 +101,13 @@ def main() -> None:
     args = ap.parse_args()
     if args.batch is not None and args.model != "mlp":
         ap.error("--batch applies to --model mlp only")
+    if args.io and args.model != "linear":
+        ap.error("--io times CSV I/O and takes no --model")
 
     sizes = [int(s) for s in args.sizes.split(",")]
+    if args.io:
+        run_io(sizes, args.reps, args.seed)
+        return
     bin_counts = [int(b) for b in args.bins.split(",")]
     print(f"{'bins':>5} {'rows':>10} {'best':>10} {'median':>10} {'worst':>10} "
           f"{'ns/row':>8}  (of {args.reps})")

@@ -27,11 +27,13 @@ from .dataset import (
     generate,
     load_csv,
     save_csv,
+    write_csv,
 )
 from .gradient import GradConfig
 from .loss import (
     EmptyArmInBinError,
     LossReport,
+    bin_table,
     subset_stats,
     true_lift_loss,
     write_loss_report,
@@ -107,7 +109,7 @@ def _model_spec(args, d: int) -> ModelSpec:
         if args.hidden is None:
             raise ValueError("--hidden is required for --model mlp")
         return ModelSpec(kind, d, args.hidden, Activation(args.activation))
-    return ModelSpec(kind, d)
+    return ModelSpec(kind, d, args.hidden)
 
 
 def _init_params(args, spec: ModelSpec) -> np.ndarray:
@@ -124,6 +126,7 @@ def _init_params(args, spec: ModelSpec) -> np.ndarray:
 
 def _snapshot_doc(step: int, report: LossReport) -> dict:
     s = report.stats
+    table = bin_table(s)
     return {
         "step": step,
         "loss": report.loss,
@@ -131,20 +134,16 @@ def _snapshot_doc(step: int, report: LossReport) -> dict:
         "separation": report.separation_term,
         "total_size": s.total_size,
         "global_lift": s.global_lift,
-        "bins": [
-            {
-                "bin": i + 1,
-                "size": int(s.size[i]),
-                "size_t": int(s.size_t[i]),
-                "size_c": int(s.size_c[i]),
-                "mean_pred": float(s.mean_pred[i]),
-                "mean_y_t": float(s.mean_y_t[i]),
-                "mean_y_c": float(s.mean_y_c[i]),
-                "lift": float(s.lift[i]),
-            }
-            for i in range(report.n_bins)
-        ],
+        "bins": [dict(zip(table, row)) for row in zip(*(c.tolist() for c in table.values()))],
     }
+
+
+def _write_trace(path: Path, entries) -> None:
+    """One LF-terminated row per trace entry: step, loss split, then every parameter."""
+    params = np.array([e.params for e in entries])
+    header = ["step", "loss", "bias", "separation"] + [f"p{i}" for i in range(params.shape[1])]
+    scalars = zip(*((e.step, e.loss, e.bias_term, e.separation_term) for e in entries))
+    write_csv(path, header, [*scalars, *params.T], "\n")
 
 
 def cmd_train(args) -> int:
@@ -175,12 +174,7 @@ def cmd_train(args) -> int:
     outputs = [params_path, trace_path, snaps_path]
 
     save_params(params_path, spec, params)
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        names = ",".join(f"p{i}" for i in range(params.size))
-        fh.write(f"step,loss,bias,separation,{names}\n")
-        for e in trace.entries:
-            values = ",".join(repr(float(v)) for v in e.params)
-            fh.write(f"{e.step},{e.loss!r},{e.bias_term!r},{e.separation_term!r},{values}\n")
+    _write_trace(trace_path, trace.entries)
     snaps_doc = {
         "steps": sorted(trace.snapshots),
         "events": trace.events,
@@ -287,12 +281,11 @@ def cmd_plot_data(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
+    fields = ["bin", "mean_pred", "lift", "size"]
     for t in wanted:
         out = out_dir / f"bins_t{t}.csv"
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("bin,mean_pred,lift,size\n")
-            for row in available[t]["bins"]:
-                fh.write(f"{row['bin']},{row['mean_pred']!r},{row['lift']!r},{row['size']}\n")
+        bins = available[t]["bins"]
+        write_csv(out, fields, [[row[k] for row in bins] for k in fields], "\n")
         outputs.append(out)
     _write_manifest(out_dir / "plot_data.manifest.json", "plot-data", args, [snaps_path], outputs)
     print(f"wrote {len(outputs)} snapshot files to {out_dir}")

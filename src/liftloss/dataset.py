@@ -18,6 +18,7 @@ __all__ = [
     "generate",
     "load_csv",
     "save_csv",
+    "write_csv",
 ]
 
 
@@ -176,23 +177,35 @@ def generate(config: DataGenConfig) -> ABDataset:
     return ABDataset(features, outcome, treated.astype(np.int8), lift)
 
 
+CSV_BLOCK_ROWS = 1 << 16  # rows converted and written per `write` call
+
+
+def write_csv(path: str | Path, header: list[str], columns: list, newline: str) -> None:
+    """Write equal-length columns (ndarrays or lists) as CSV, `newline` ending each line.
+
+    Each cell is the `repr` of an ndarray's `tolist()` value or of a list's
+    own value, so ints print plainly and floats round-trip exactly. Memory
+    stays O(`CSV_BLOCK_ROWS`): rows are converted and written block by block.
+    """
+    n = len(columns[0])
+    if len(columns) != len(header) or any(len(c) != n for c in columns):
+        raise ValueError(f"need {len(header)} columns of equal length for header {','.join(header)}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + newline)
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            parts = (c[lo : lo + CSV_BLOCK_ROWS] for c in columns)
+            cells = [map(repr, p.tolist() if isinstance(p, np.ndarray) else p) for p in parts]
+            fh.write(newline.join(map(",".join, zip(*cells))) + newline)
+
+
 def save_csv(dataset: ABDataset, path: str | Path) -> None:
     """Write a dataset to CSV at full float precision (round-trips exactly)."""
-    d = dataset.d
-    header = [f"f{j}" for j in range(d)] + ["y", "arm"]
-    has_lift = dataset.true_lift is not None
-    if has_lift:
+    header = [f"f{j}" for j in range(dataset.d)] + ["y", "arm"]
+    columns = [*dataset.features.T, dataset.outcome, dataset.arm]
+    if dataset.true_lift is not None:
         header.append("true_lift")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(repr(float(dataset.outcome[i])))
-            row.append(str(int(dataset.arm[i])))
-            if has_lift:
-                row.append(repr(float(dataset.true_lift[i])))
-            writer.writerow(row)
+        columns.append(dataset.true_lift)
+    write_csv(path, header, columns, "\r\n")
 
 
 def _parse_float(text: str, column: str, line_no: int) -> float:

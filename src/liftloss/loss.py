@@ -13,18 +13,18 @@ per-row lifts are unobservable.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import ABDataset
+from .dataset import ABDataset, write_csv
 
 __all__ = [
     "EmptyArmInBinError",
     "SubsetStats",
     "LossReport",
+    "bin_table",
     "global_lift",
     "subset_stats",
     "true_lift_loss",
@@ -43,6 +43,10 @@ class EmptyArmInBinError(ValueError):
         super().__init__(
             f"bin {bin_index} of {n_bins} has no {arm_name} rows; retry with fewer bins"
         )
+
+
+# the per-bin columns of SubsetStats, in the order the bin tables list them
+BIN_FIELDS = ("size", "size_t", "size_c", "mean_pred", "mean_y_t", "mean_y_c", "lift")
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ class SubsetStats:
 
     def __post_init__(self) -> None:
         n = self.size.shape[0]
-        for name in ("size_t", "size_c", "mean_pred", "mean_y_t", "mean_y_c", "lift"):
+        for name in BIN_FIELDS:
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
         if not (self.size == self.size_t + self.size_c).all():
@@ -151,15 +155,13 @@ def subset_stats(
 
 @dataclass(frozen=True)
 class LossReport:
-    """Loss value with its bias / separation split and per-bin breakdown."""
+    """Loss value with its bias / separation split and the stats behind it."""
 
     loss: float
     bias_term: float
     separation_term: float
     n_bins: int
     stats: SubsetStats
-    bias_by_bin: np.ndarray
-    separation_by_bin: np.ndarray
 
 
 def true_lift_loss(stats: SubsetStats) -> LossReport:
@@ -168,18 +170,14 @@ def true_lift_loss(stats: SubsetStats) -> LossReport:
     The report satisfies ``loss == bias_term - separation_term`` exactly.
     """
     weight = stats.size / stats.total_size
-    bias_by_bin = weight * (stats.mean_pred - stats.lift) ** 2
-    separation_by_bin = weight * (stats.lift - stats.global_lift) ** 2
-    bias = float(bias_by_bin.sum())
-    separation = float(separation_by_bin.sum())
+    bias = float((weight * (stats.mean_pred - stats.lift) ** 2).sum())
+    separation = float((weight * (stats.lift - stats.global_lift) ** 2).sum())
     return LossReport(
         loss=bias - separation,
         bias_term=bias,
         separation_term=separation,
         n_bins=stats.n_bins,
         stats=stats,
-        bias_by_bin=bias_by_bin,
-        separation_by_bin=separation_by_bin,
     )
 
 
@@ -222,25 +220,17 @@ def variance_decomposition(values, groups) -> tuple[float, float, float]:
     return total, within, between
 
 
+def bin_table(stats: SubsetStats) -> dict[str, np.ndarray]:
+    """The per-bin table by column: `bin` (numbered from 1), then `BIN_FIELDS`."""
+    return {"bin": np.arange(1, stats.n_bins + 1)} | {k: getattr(stats, k) for k in BIN_FIELDS}
+
+
 def write_loss_report(report: LossReport, path: str | Path) -> None:
-    """Write per-bin rows as CSV with a trailing '#' summary line."""
+    """Write per-bin rows as CSV (CRLF rows) with a trailing '#' summary line (LF)."""
     s = report.stats
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "size", "size_t", "size_c", "mean_pred", "mean_y_t", "mean_y_c", "lift"])
-        for i in range(report.n_bins):
-            writer.writerow(
-                [
-                    i + 1,
-                    int(s.size[i]),
-                    int(s.size_t[i]),
-                    int(s.size_c[i]),
-                    repr(float(s.mean_pred[i])),
-                    repr(float(s.mean_y_t[i])),
-                    repr(float(s.mean_y_c[i])),
-                    repr(float(s.lift[i])),
-                ]
-            )
+    table = bin_table(s)
+    write_csv(path, list(table), list(table.values()), "\r\n")
+    with open(path, "a", newline="", encoding="utf-8") as fh:
         fh.write(
             f"# loss={report.loss!r} bias={report.bias_term!r} "
             f"separation={report.separation_term!r} n_bins={report.n_bins} "

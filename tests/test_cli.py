@@ -84,6 +84,13 @@ class TestTrain:
                      "--steps", "1", "-o", str(tmp_path / "x")])
         assert code == 1
 
+    def test_hidden_with_linear_model_is_usage_error(self, tmp_path, data_csv, capsys):
+        code = main(["train", "--data", str(data_csv), "--model", "linear", "--hidden", "8",
+                     "--steps", "1", "-o", str(tmp_path / "x")])
+        assert code == 1
+        assert "only apply to MLP models" in capsys.readouterr().err
+        assert not (tmp_path / "x.manifest.json").exists()
+
     def test_mlp_runs(self, tmp_path, data_csv):
         prefix = tmp_path / "mlp"
         assert main(["train", "--data", str(data_csv), "--model", "mlp", "--hidden", "4",

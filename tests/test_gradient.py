@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftloss import (
+    DegeneratePredictionsError,
     EmptyArmInBinError,
     GradConfig,
     Segment,
@@ -379,3 +380,40 @@ class TestTableMatchesReference:
         np.testing.assert_array_equal(
             result.point_grad[middle], bias_gradient(result.stats, result.bins[middle])
         )
+
+
+class TestRowPermutation:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_shuffled_rows_permute_bins_and_gradient(self, data):
+        n_bins = data.draw(st.integers(2, 8), label="n_bins")
+        n = data.draw(st.integers(200, 5000), label="rows")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        ties = data.draw(st.booleans(), label="rounded predictions")
+        max_sort = data.draw(st.sampled_from([n, 2 * n]), label="max_sort")
+        rng = np.random.default_rng(seed)
+        ds = generate(DataGenConfig(n_rows=n, seed=seed))
+        preds = ds.features @ rng.normal(size=2) + 0.1 * rng.normal(size=n)
+        if ties:
+            preds = np.round(preds, 2)
+        perm = rng.permutation(n)
+        config = GradConfig(n_bins=n_bins, max_sort=max_sort)
+        try:
+            eg = effective_gradient(ds, preds, config)
+        except (EmptyArmInBinError, DegeneratePredictionsError) as err:
+            with pytest.raises(type(err)) as got:
+                effective_gradient(ds.take(perm), preds[perm], config)
+            assert str(got.value) == str(err)
+            return
+        shuffled = effective_gradient(ds.take(perm), preds[perm], config)
+        np.testing.assert_array_equal(shuffled.cuts.cuts, eg.cuts.cuts)
+        np.testing.assert_array_equal(shuffled.inner.minus, eg.inner.minus)
+        np.testing.assert_array_equal(shuffled.inner.plus, eg.inner.plus)
+        np.testing.assert_array_equal(shuffled.bins, eg.bins[perm])
+        np.testing.assert_array_equal(shuffled.segments, eg.segments[perm])
+        scale = np.abs(eg.point_grad).max()
+        assert np.abs(shuffled.point_grad - eg.point_grad[perm]).max() <= 1e-12 * scale
+        report, shuffled_report = true_lift_loss(eg.stats), true_lift_loss(shuffled.stats)
+        # the loss is a difference of two non-negative terms; bound it on their scale
+        terms = max(report.bias_term, report.separation_term)
+        assert abs(shuffled_report.loss - report.loss) <= 1e-12 * terms

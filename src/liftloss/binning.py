@@ -158,22 +158,20 @@ def assign_bins(predictions, cuts: CutPoints) -> np.ndarray:
     return bins.astype(np.intp)
 
 
-def inner_cuts(cuts: CutPoints, predictions=None) -> InnerCuts:
+def inner_cuts(cuts: CutPoints, predictions) -> InnerCuts:
     """Place segment boundaries one third of the way into each neighboring bin.
 
     Interior boundaries blend with their neighbors (2/3 own cut + 1/3
     neighbor); the outermost boundaries extrapolate the same one-third-of-gap
     width outward. With a single cut there is no neighboring gap at all, so
     the offset falls back to one sixth of the interquartile range of
-    `predictions` (which must be supplied in that case).
+    `predictions`.
     """
     k = cuts.n_bins - 1
     if k < 1:
         raise BinningError("no boundaries: need at least 2 bins for inner cuts")
     c = cuts.cuts
     if k == 1:
-        if predictions is None:
-            raise BinningError("predictions are required for inner cuts with a single boundary")
         p = _check_predictions(predictions)
         q1, q3 = np.quantile(p, [0.25, 0.75])
         width = float(q3 - q1)
@@ -193,26 +191,17 @@ def inner_cuts(cuts: CutPoints, predictions=None) -> InnerCuts:
 
 
 def assign_segments(
-    predictions,
-    cuts: CutPoints,
-    inner: InnerCuts | None,
-    bins: np.ndarray | None = None,
+    predictions, cuts: CutPoints, inner: InnerCuts, bins: np.ndarray
 ) -> np.ndarray:
     """Label each row bottom / middle / top within its bin.
 
-    Top means within one segment of the bin's upper cut (candidates to
-    migrate up), bottom within one segment of the lower cut (candidates to
-    migrate down). The first bin has no bottom segment and the last no top
-    segment; their outer regions stay middle. With a single bin every row is
-    middle and `inner` may be None.
+    `bins` is `assign_bins(predictions, cuts)`. Top means within one segment
+    of the bin's upper cut (candidates to migrate up), bottom within one
+    segment of the lower cut (candidates to migrate down). The first bin has
+    no bottom segment and the last no top segment; their outer regions stay
+    middle, so with one bin and empty `inner` every row is middle.
     """
     p = _check_predictions(predictions)
-    if cuts.n_bins == 1:
-        return np.full(p.shape, Segment.MIDDLE, dtype=np.int8)
-    if inner is None:
-        raise BinningError("inner cuts are required when n_bins >= 2")
-    if bins is None:
-        bins = assign_bins(p, cuts)
     b0 = bins - 1
     # per-bin thresholds; the edge bins' outward sides can never be crossed
     top = p > np.append(inner.minus, np.inf)[b0]

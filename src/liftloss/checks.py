@@ -101,14 +101,12 @@ def moved_row_stats(stats: SubsetStats, y: float, treated: bool, from0: int, to0
 
 
 def migration_recompute_check(
-    dataset: ABDataset, eg: EffectiveGradient, config: GradConfig, sabotage: bool = False
+    dataset: ABDataset, eg: EffectiveGradient, config: GradConfig
 ) -> tuple[float, int]:
     """Compare each boundary row's migration part against a loss re-evaluation.
 
     The migration part is the row's point gradient minus its bias channel.
     Covers every top/bottom row. Returns (max relative error, rows checked).
-    `sabotage` flips the sign of the computed terms, for verifying that the
-    check actually detects a wrong gradient.
     """
     stats, cuts, inner, bins = eg.stats, eg.cuts, eg.inner, eg.bins
     scale = config.migration_step_scale
@@ -143,8 +141,6 @@ def migration_recompute_check(
             (bin_contributions(moved, affected) - bin_contributions(stats, affected)) / dp
         )
     a = eg.point_grad[rows] - bias_gradient(stats, bins[rows])
-    if sabotage:
-        a = -a
     b = np.asarray(oracles)
     # normalize each row against its own magnitude or the instance's largest
     # slope, whichever is bigger: rows whose terms cancel to nearly zero would
@@ -180,10 +176,9 @@ def run_gradcheck(
     config: GradConfig,
     sample_rows: int = 100,
     seed: int = 0,
-    sabotage: bool = False,
 ) -> GradCheckResult:
     """Check one `effective_gradient` evaluation against both oracles."""
     eg = effective_gradient(dataset, predictions, config)
     bias_err = bias_fd_check(eg, predictions, sample_rows, seed)
-    mig_err, checked = migration_recompute_check(dataset, eg, config, sabotage)
+    mig_err, checked = migration_recompute_check(dataset, eg, config)
     return GradCheckResult(bias_err, mig_err, checked)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .binning import DEFAULT_MAX_SORT, BinningError, DegeneratePredictionsError, assign_bins, compute_cuts
+from .binning import BinningError, DegeneratePredictionsError, assign_bins, compute_cuts
 from .checks import BIAS_TOLERANCE, MIGRATION_TOLERANCE, run_gradcheck
 from .dataset import (
     CsvFormatError,
@@ -108,8 +108,9 @@ def _model_spec(args, d: int) -> ModelSpec:
     if kind is ModelKind.MLP:
         if args.hidden is None:
             raise ValueError("--hidden is required for --model mlp")
-        return ModelSpec(kind, d, args.hidden, Activation(args.activation))
-    return ModelSpec(kind, d, args.hidden)
+        args.activation = args.activation or Activation.TANH.value  # resolved for the manifest
+    activation = None if args.activation is None else Activation(args.activation)
+    return ModelSpec(kind, d, args.hidden, activation)
 
 
 def _init_params(args, spec: ModelSpec) -> np.ndarray:
@@ -244,9 +245,7 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     model = ModelSpec(ModelKind.LINEAR, dataset.d)
     predictions = predict(model, rng.standard_normal(dataset.d + 1), dataset)
-    result = run_gradcheck(
-        dataset, predictions, config, args.sample_rows, args.seed, sabotage=args.sabotage
-    )
+    result = run_gradcheck(dataset, predictions, config, args.sample_rows, args.seed)
     print(
         f"bias gradient vs frozen-structure finite differences: "
         f"max relative error {result.bias_max_rel_err:.3e} "
@@ -268,8 +267,19 @@ def cmd_plot_data(args) -> int:
     snaps_path = Path(args.snapshots)
     if not snaps_path.exists():
         raise FileNotFoundError(f"snapshot file not found: {snaps_path}")
-    doc = json.loads(snaps_path.read_text(encoding="utf-8"))
-    available = {snap["step"]: snap for snap in doc.get("snapshots", [])}
+    fields = ["bin", "mean_pred", "lift", "size"]
+    try:  # a malformed file names itself and the first entry it lacks
+        doc = json.loads(snaps_path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise KeyError("snapshots")
+        available = {
+            snap["step"]: [[row[k] for row in snap["bins"]] for k in fields]
+            for snap in doc["snapshots"]
+        }
+    except KeyError as err:
+        raise ValueError(f"{snaps_path} has no {err} entry") from None
+    except (TypeError, json.JSONDecodeError) as err:
+        raise ValueError(f"{snaps_path} is not a train snapshots file: {err}") from None
     if not available:
         raise ValueError(f"{snaps_path} contains no snapshots")
     wanted = _parse_ints(args.steps, "--steps") if args.steps else tuple(sorted(available))
@@ -281,11 +291,9 @@ def cmd_plot_data(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    fields = ["bin", "mean_pred", "lift", "size"]
     for t in wanted:
         out = out_dir / f"bins_t{t}.csv"
-        bins = available[t]["bins"]
-        write_csv(out, fields, [[row[k] for row in bins] for k in fields], "\n")
+        write_csv(out, fields, available[t], "\n")
         outputs.append(out)
     _write_manifest(out_dir / "plot_data.manifest.json", "plot-data", args, [snaps_path], outputs)
     print(f"wrote {len(outputs)} snapshot files to {out_dir}")
@@ -303,10 +311,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a synthetic randomized-experiment CSV")
     p.add_argument("--rows", type=int, required=True, help="number of rows (>= 2)")
-    p.add_argument("--treatment-frac", type=float, default=0.7)
+    p.add_argument("--treatment-frac", type=float, default=DataGenConfig.treatment_fraction)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", choices=["uniform", "normal"], default="uniform")
-    p.add_argument("--lift", type=float, default=0.5, help="lift coefficient on the third noise draw")
+    p.add_argument("--noise", choices=["uniform", "normal"], default=DataGenConfig.noise_distribution.value)
+    p.add_argument("--lift", type=float, default=DataGenConfig.lift_coefficient, help="lift coefficient on the third noise draw")
     p.add_argument("-o", "--output", required=True)
     _add_config_flag(p)
     p.set_defaults(func=cmd_gen)
@@ -315,16 +323,16 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--model", choices=["linear", "mlp"], default="linear")
     p.add_argument("--hidden", type=int, help="hidden width (mlp only)")
-    p.add_argument("--activation", choices=["tanh", "relu"], default="tanh")
+    p.add_argument("--activation", choices=["tanh", "relu"], help="hidden activation (mlp only; default tanh)")
     p.add_argument("--init", help="comma-separated parameters, coefficients then offset; random if omitted")
     p.add_argument("--lr", type=float, default=0.1, help="gradient step size")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--batch", type=int, help="minibatch size (full batch if omitted)")
     p.add_argument("--snapshots", help="comma-separated step indices to snapshot")
-    p.add_argument("--rebin-every", type=int, default=1)
-    p.add_argument("--migration-scale", type=float, default=0.5)
-    p.add_argument("--max-sort", type=int, default=DEFAULT_MAX_SORT)
+    p.add_argument("--rebin-every", type=int, default=GradConfig.rebin_every)
+    p.add_argument("--migration-scale", type=float, default=GradConfig.migration_step_scale)
+    p.add_argument("--max-sort", type=int, default=GradConfig.max_sort)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="output prefix")
     _add_config_flag(p)
@@ -334,7 +342,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--params", required=True, help="params JSON from train")
     p.add_argument("--bins", type=int, default=5)
-    p.add_argument("--max-sort", type=int, default=DEFAULT_MAX_SORT)
+    p.add_argument("--max-sort", type=int, default=GradConfig.max_sort)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="loss report CSV")
     _add_config_flag(p)
@@ -345,10 +353,9 @@ def build_parser() -> _Parser:
     p.add_argument("--rows", type=int, default=200, help="rows of synthetic data when --data is omitted")
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--migration-scale", type=float, default=0.5)
-    p.add_argument("--max-sort", type=int, default=DEFAULT_MAX_SORT)
+    p.add_argument("--migration-scale", type=float, default=GradConfig.migration_step_scale)
+    p.add_argument("--max-sort", type=int, default=GradConfig.max_sort)
     p.add_argument("--sample-rows", type=int, default=100, help="rows sampled for the bias check")
-    p.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
     _add_config_flag(p)
     p.set_defaults(func=cmd_gradcheck)
 

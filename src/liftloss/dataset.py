@@ -243,7 +243,8 @@ def load_csv(path: str | Path) -> ABDataset:
         ys: list[float] = []
         arms: list[int] = []
         lifts: list[float] = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num  # a quoted field may span lines
             if len(row) != n_cols:
                 raise CsvFormatError(
                     f"line {line_no}: expected {n_cols} fields, got {len(row)}"

@@ -232,9 +232,11 @@ def train(
     yields one entry and unchanged parameters). Cuts are refreshed every
     `grad.rebin_every` steps. If a bin loses an arm mid-run the bin count is
     halved and training continues; at step 0 this is raised instead, with a
-    hint to use fewer bins. Each step builds the MLP hidden layer once, for
-    the forward pass, and hands it to the backward pass. Deterministic given
-    the seed, which only drives minibatch sampling.
+    hint to use fewer bins. A minibatch that draws rows of one arm only
+    raises ValueError naming the step and the batch size. Each step builds
+    the MLP hidden layer once, for the forward pass, and hands it to the
+    backward pass. Deterministic given the seed, which only drives minibatch
+    sampling.
     """
     params = _check_params(spec, init_params).copy()
     grad_cfg = config.grad
@@ -248,7 +250,12 @@ def train(
             data_t = dataset
         else:
             idx = rng.choice(len(dataset), size=config.batch, replace=False)
-            data_t = dataset.take(idx)
+            try:
+                data_t = dataset.take(idx)
+            except ValueError as err:  # the draw holds rows of one arm only
+                raise ValueError(
+                    f"step {t}: minibatch of {config.batch} rows has {err}; use a larger batch"
+                ) from err
         x = _features(data_t, spec)
         preds, hidden = _forward(spec, params, x)
         if not np.isfinite(preds).all():

@@ -208,18 +208,18 @@ class TestAssignBins:
 
 class TestInnerCuts:
     def test_interior_blend(self):
-        inner = inner_cuts(CutPoints(np.array([0.0, 3.0]), 3))
+        inner = inner_cuts(CutPoints(np.array([0.0, 3.0]), 3), np.array([-1.0, 4.0]))
         # boundary 1's upper inner cut blends toward its neighbor at 3
         assert inner.plus[0] == pytest.approx(1.0)
 
     def test_edge_extrapolation_low(self):
-        inner = inner_cuts(CutPoints(np.array([1.0, 2.0]), 3))
+        inner = inner_cuts(CutPoints(np.array([1.0, 2.0]), 3), np.array([0.0, 3.0]))
         assert inner.minus[0] == pytest.approx(2.0 / 3.0)
 
     def test_edge_extrapolation_high(self):
         # the top boundary mirrors the bottom rule, extending one third of the
         # last gap beyond the final cut
-        inner = inner_cuts(CutPoints(np.array([1.0, 2.0]), 3))
+        inner = inner_cuts(CutPoints(np.array([1.0, 2.0]), 3), np.array([0.0, 3.0]))
         assert inner.plus[1] == pytest.approx(7.0 / 3.0)
 
     def test_single_boundary_uses_iqr(self):
@@ -253,13 +253,9 @@ class TestInnerCuts:
         assert got.minus.tobytes() == want.minus.tobytes()
         assert got.plus.tobytes() == want.plus.tobytes()
 
-    def test_single_boundary_requires_predictions(self):
-        with pytest.raises(BinningError):
-            inner_cuts(CutPoints(np.array([0.5]), 2))
-
     def test_no_boundaries(self):
         with pytest.raises(BinningError, match="no boundaries"):
-            inner_cuts(CutPoints(np.empty(0), 1))
+            inner_cuts(CutPoints(np.empty(0), 1), np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("n_bins", [3, 5, 9])
     def test_segments_ordered_and_disjoint(self, n_bins):
@@ -275,25 +271,24 @@ class TestAssignSegments:
     def test_bottom_segment(self):
         # bin 2's lower region sits between the cut at 0 and the inner cut at 1
         cuts = CutPoints(np.array([0.0, 3.0]), 3)
-        inner = inner_cuts(cuts)
-        seg = assign_segments(np.array([0.5]), cuts, inner)
+        p = np.array([0.5])
+        inner = inner_cuts(cuts, p)
+        seg = assign_segments(p, cuts, inner, assign_bins(p, cuts))
         assert seg[0] == Segment.BOTTOM
-
-    def test_single_bin_all_middle(self):
-        seg = assign_segments(np.array([1.0, 5.0, 9.0]), CutPoints(np.empty(0), 1), None)
-        assert (seg == Segment.MIDDLE).all()
 
     def test_deep_interior_is_middle(self):
         cuts = CutPoints(np.array([0.0, 3.0]), 3)
-        inner = inner_cuts(cuts)
-        seg = assign_segments(np.array([1.5]), cuts, inner)  # between plus[0]=1 and minus[1]=2
+        p = np.array([1.5])  # between plus[0]=1 and minus[1]=2
+        inner = inner_cuts(cuts, p)
+        seg = assign_segments(p, cuts, inner, assign_bins(p, cuts))
         assert seg[0] == Segment.MIDDLE
 
     def test_tie_at_cut_is_top_of_lower_bin(self):
         cuts = CutPoints(np.array([0.0, 3.0]), 3)
-        inner = inner_cuts(cuts)
-        seg = assign_segments(np.array([0.0]), cuts, inner)
-        assert assign_bins(np.array([0.0]), cuts)[0] == 1
+        p = np.array([0.0])
+        bins = assign_bins(p, cuts)
+        seg = assign_segments(p, cuts, inner_cuts(cuts, p), bins)
+        assert bins[0] == 1
         assert seg[0] == Segment.TOP
 
     def test_edge_bins_lack_outward_segments(self):
@@ -335,12 +330,13 @@ class TestAssignSegments:
     def test_threshold_gathers_match_mask_reference(self, data):
         # cuts reused from shifted predictions, segment widths that may overlap
         # a neighbor's (top must win), rows placed exactly on every cut, minus
-        # and plus, and rows far outside the first and last bins
+        # and plus, and rows far outside the first and last bins; one bin with
+        # no inner cuts leaves every row middle
         n_bins = data.draw(st.integers(1, 12), label="n_bins")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         preds = rng.normal(size=data.draw(st.integers(50, 3000), label="rows"))
         cuts = compute_cuts(preds + data.draw(st.floats(-0.5, 0.5), label="cut shift"), n_bins)
-        inner = None
+        inner = InnerCuts(np.empty(0), np.empty(0))
         if n_bins > 1:
             if data.draw(st.booleans(), label="random widths"):
                 spread = np.ptp(preds)
@@ -354,7 +350,6 @@ class TestAssignSegments:
             preds[rng.choice(preds.size, ties.size, replace=False)] = ties
         bins = assign_bins(preds, cuts)
         expected = reference_assign_segments(preds, cuts, inner, bins)
-        np.testing.assert_array_equal(assign_segments(preds, cuts, inner, bins=bins), expected)
-        seg = assign_segments(preds, cuts, inner)
+        seg = assign_segments(preds, cuts, inner, bins)
         np.testing.assert_array_equal(seg, expected)
         assert seg.dtype == expected.dtype

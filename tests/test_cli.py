@@ -1,11 +1,21 @@
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from liftloss import load_csv, load_params
-from liftloss.cli import main
+from liftloss import (
+    DataGenConfig,
+    GradConfig,
+    NoiseDistribution,
+    bias_gradient,
+    checks,
+    effective_gradient,
+    load_csv,
+    load_params,
+)
+from liftloss.cli import build_parser, main
 
 
 @pytest.fixture
@@ -47,6 +57,27 @@ class TestGen:
 
     def test_unknown_flag_exits_1(self, tmp_path):
         assert main(["gen", "--rows", "10", "--bogus", "-o", str(tmp_path / "x.csv")]) == 1
+
+
+def test_flag_defaults_come_from_the_library(monkeypatch):
+    # move every library default: the parser must follow, so each has one home
+    for cls, name, value in (
+        (GradConfig, "migration_step_scale", 0.625),
+        (GradConfig, "rebin_every", 3),
+        (GradConfig, "max_sort", 777),
+        (DataGenConfig, "treatment_fraction", 0.4),
+        (DataGenConfig, "noise_distribution", NoiseDistribution.STD_NORMAL),
+        (DataGenConfig, "lift_coefficient", 0.9),
+    ):
+        monkeypatch.setattr(cls, name, value)
+    parser = build_parser()
+    gen = parser.parse_args(["gen", "--rows", "10", "-o", "x"])
+    assert (gen.treatment_frac, gen.noise, gen.lift) == (0.4, "normal", 0.9)
+    train = parser.parse_args(["train", "--data", "d", "-o", "x"])
+    assert (train.migration_scale, train.rebin_every, train.max_sort) == (0.625, 3, 777)
+    gradcheck = parser.parse_args(["gradcheck"])
+    assert (gradcheck.migration_scale, gradcheck.max_sort) == (0.625, 777)
+    assert parser.parse_args(["eval", "--data", "d", "--params", "p", "-o", "x"]).max_sort == 777
 
 
 class TestTrain:
@@ -91,12 +122,29 @@ class TestTrain:
         assert "only apply to MLP models" in capsys.readouterr().err
         assert not (tmp_path / "x.manifest.json").exists()
 
+    def test_activation_with_linear_model_is_usage_error(self, tmp_path, data_csv, capsys):
+        code = main(["train", "--data", str(data_csv), "--model", "linear",
+                     "--activation", "relu", "--steps", "1", "-o", str(tmp_path / "x")])
+        assert code == 1
+        assert "only apply to MLP models" in capsys.readouterr().err
+        assert not (tmp_path / "x.manifest.json").exists()
+
     def test_mlp_runs(self, tmp_path, data_csv):
         prefix = tmp_path / "mlp"
         assert main(["train", "--data", str(data_csv), "--model", "mlp", "--hidden", "4",
                      "--steps", "5", "--bins", "4", "--seed", "3", "-o", str(prefix)]) == 0
         spec, params = load_params(f"{prefix}.params.json")
         assert spec.hidden == 4 and params.size == 4 * 2 + 4 + 4 + 1
+
+    def test_manifest_records_resolved_activation(self, tmp_path, data_csv):
+        # an MLP without the flag trains with tanh; a linear model has none
+        assert main(["train", "--data", str(data_csv), "--model", "mlp", "--hidden", "4",
+                     "--steps", "1", "--bins", "4", "-o", str(tmp_path / "mlp")]) == 0
+        code, prefix = run_train(tmp_path, data_csv)
+        assert code == 0
+        for name, want in (("mlp", "tanh"), ("run", None)):
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            assert manifest["options"]["activation"] == want
 
 
 class TestEval:
@@ -194,9 +242,18 @@ class TestGradcheck:
         assert 0.0 < errors[0] <= 1e-6 and 0.0 <= errors[1] <= 1e-10
         assert lines[-1] == "gradcheck PASS"
 
-    def test_sabotage_detected(self, capsys):
-        assert main(["gradcheck", "--rows", "200", "--seed", "3", "--sabotage"]) == 2
-        assert "FAIL" in capsys.readouterr().out
+    def test_wrong_migration_part_detected(self, monkeypatch, capsys):
+        # flip each row's migration part (point gradient minus bias channel)
+        def corrupted(*args, **kwargs):
+            eg = effective_gradient(*args, **kwargs)
+            flipped = 2 * bias_gradient(eg.stats, eg.bins) - eg.point_grad
+            return dataclasses.replace(eg, point_grad=flipped)
+
+        monkeypatch.setattr(checks, "effective_gradient", corrupted)
+        assert main(["gradcheck", "--rows", "200", "--seed", "3"]) == 2
+        out = capsys.readouterr().out
+        assert any(line.startswith("migration") and line.endswith("FAIL")
+                   for line in out.splitlines())
 
     def test_zero_rows_is_usage_error(self):
         assert main(["gradcheck", "--rows", "0"]) == 1
@@ -256,6 +313,23 @@ class TestPlotData:
         assert code == 1
         err = capsys.readouterr().err
         assert "[7]" in err and "[0, 1, 10]" in err
+
+    @pytest.mark.parametrize("doc,missing", [
+        ({"snapshots": [{"step": 0, "bins": [{"bin": 1, "mean_pred": 0.1, "size": 5}]}]},
+         "'lift'"),
+        ({"snapshots": [{"step": 0}]}, "'bins'"),
+        ({"snapshots": [{"bins": []}]}, "'step'"),
+        ([{"step": 0, "bins": []}], "'snapshots'"),
+        ("{", "not a train snapshots file"),
+    ], ids=["bin-without-lift", "snapshot-without-bins", "snapshot-without-step",
+            "top-level-list", "invalid-json"])
+    def test_malformed_snapshots_name_file_and_gap(self, tmp_path, capsys, doc, missing):
+        path = tmp_path / "snaps.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert main(["plot-data", "--snapshots", str(path),
+                     "--out-dir", str(tmp_path / "figs")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and missing in err
 
 
 class TestConfigFile:

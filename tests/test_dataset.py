@@ -214,6 +214,13 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 5.*'abc'"):
             load_csv(path)
 
+    def test_error_line_counts_lines_inside_quoted_fields(self, tmp_path):
+        # the quoted y value of the first row spans physical lines 2 and 3
+        path = tmp_path / "bad.csv"
+        path.write_text('f0,y,arm\n1.0,"2.0\n",1\n0.2,2.0,0\n0.4,abc,0\n')
+        with pytest.raises(CsvFormatError, match="line 5.*'abc'"):
+            load_csv(path)
+
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,y,arm\n0.1,1.0,1\n0.2,2.0\n")

@@ -382,6 +382,45 @@ class TestTableMatchesReference:
         )
 
 
+class TestDegeneratePredictions:
+    """Tied or constant predictions, on fresh cuts or on cuts reused after the
+    predictions moved: the gradient is finite and equals the per-row
+    reference, or the call raises the error its docstring names."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_finite_and_matches_reference_or_documented_error(self, data):
+        n = data.draw(st.integers(2, 400), label="rows")
+        n_bins = data.draw(st.integers(2, 8), label="n_bins")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        distinct = data.draw(st.integers(1, 8), label="distinct predictions")
+        preds = rng.integers(0, distinct, n) * 0.25 + data.draw(st.floats(-1, 1), label="offset")
+        arm = (rng.random(n) < data.draw(st.floats(0.05, 0.95), label="treated share"))
+        arm = arm.astype(np.int8)
+        arm[:2] = (0, 1)
+        ds = make_dataset(preds, rng.normal(0.5 * arm, 1.0), arm)
+        max_sort = data.draw(st.sampled_from([n_bins, 2 * n_bins, GradConfig.max_sort]),
+                             label="max_sort")
+        config = GradConfig(n_bins=n_bins, max_sort=max_sort)
+        gl = global_lift(ds) if data.draw(st.booleans(), label="cached lift") else None
+        cuts = None
+        if data.draw(st.booleans(), label="reuse cuts of moved predictions"):
+            cuts = compute_cuts(rng.normal(preds.mean(), 0.5, 50), n_bins)
+        try:
+            want_cuts = compute_cuts(preds, n_bins, max_sort=max_sort) if cuts is None else cuts
+            ref, ref_segments = reference_effective_gradient(ds, preds, want_cuts, gl, 0.5)
+        except (DegeneratePredictionsError, EmptyArmInBinError) as err:
+            with pytest.raises(type(err)) as got:
+                effective_gradient(ds, preds, config, gl, cuts)
+            assert str(got.value) == str(err)
+            return
+        result = effective_gradient(ds, preds, config, gl, cuts)
+        report = true_lift_loss(result.stats)
+        assert np.isfinite(result.point_grad).all() and np.isfinite(report.loss)
+        np.testing.assert_array_equal(result.segments, ref_segments)
+        assert np.abs(result.point_grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestRowPermutation:
     @settings(max_examples=30, deadline=None)
     @given(st.data())

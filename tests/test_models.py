@@ -1,10 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftloss import (
+    ABDataset,
     Activation,
+    DegeneratePredictionsError,
+    EmptyArmInBinError,
     GradConfig,
     ModelKind,
     ModelSpec,
@@ -245,6 +250,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="fewer bins"):
             train(ds, LINEAR2, np.array([1.0, 0.1, 1.0]), config)
 
+    def test_minibatch_without_an_arm_names_step_and_batch(self):
+        # 90% treated, so a batch of 8 often draws no control row; seed 0 does at step 1
+        ds = generate(DataGenConfig(n_rows=2000, treatment_fraction=0.9, seed=0))
+        config = TrainConfig(step_size=0.1, steps=30, grad=GradConfig(n_bins=2), batch=8, seed=0)
+        with pytest.raises(ValueError, match="^step 1: minibatch of 8 rows has no control rows; "
+                                             "use a larger batch$"):
+            train(ds, LINEAR2, np.array([1.0, 0.1, 1.0]), config)
+
     def test_divergence_aborts_with_trace(self):
         ds = generate(DataGenConfig(n_rows=500, seed=6))
         config = TrainConfig(step_size=1e12, steps=60, grad=GradConfig(n_bins=3))
@@ -271,6 +284,58 @@ class TestTrain:
         params, trace = train(ds, spec, init, config)
         assert trace.entries[-1].loss < trace.entries[0].loss
         assert np.isfinite(params).all()
+
+
+class TestDegenerateTraining:
+    """Tied or constant predictions, minibatches that lose an arm and cuts
+    reused after the predictions moved: `train` either returns finite
+    results equal to the public-call loop's or raises a documented error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_finite_and_exact_or_documented_error(self, data):
+        n = data.draw(st.integers(4, 300), label="rows")
+        frac = data.draw(st.floats(0.05, 0.95), label="treated share")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+        x = rng.random((n, 2))
+        # rounded features tie the predictions; zero weights make them constant
+        decimals = data.draw(st.one_of(st.none(), st.integers(0, 2)), label="round features")
+        if decimals is not None:
+            x = np.round(x, decimals)
+        arm = (rng.random(n) < frac).astype(np.int8)
+        arm[:2] = (0, 1)
+        ds = ABDataset(x, x[:, 0] + rng.random(n) + 0.5 * arm * x[:, 1], arm)
+        spec = data.draw(st.sampled_from([
+            LINEAR2, ModelSpec(ModelKind.MLP, 2, hidden=3, activation=Activation.RELU)
+        ]), label="model")
+        init = random_params(spec, data.draw(st.integers(0, 99), label="init seed"))
+        init *= data.draw(st.sampled_from([0.0, 1.0, 10.0]), label="init scale")
+        config = TrainConfig(
+            step_size=data.draw(st.sampled_from([0.1, 5.0, 50.0]), label="lr"),
+            steps=data.draw(st.integers(0, 6), label="steps"),
+            grad=GradConfig(
+                n_bins=data.draw(st.integers(2, 6), label="n_bins"),
+                rebin_every=data.draw(st.integers(1, 3), label="rebin_every"),
+            ),
+            batch=data.draw(st.one_of(st.none(), st.integers(2, n)), label="batch"),
+            seed=data.draw(st.integers(0, 99), label="batch seed"),
+        )
+        try:
+            params, trace = train(ds, spec, init, config)
+        except (DegeneratePredictionsError, EmptyArmInBinError, TrainingDivergedError):
+            return
+        except ValueError as err:
+            assert re.fullmatch(
+                r"step \d+: minibatch of \d+ rows has no (control|treatment) rows; "
+                r"use a larger batch", str(err)), err
+            return
+        assert np.isfinite(params).all()
+        assert all(np.isfinite([e.loss, e.bias_term, e.separation_term]).all()
+                   for e in trace.entries)
+        ref_params, ref_trace = public_loop_train(ds, spec, init, config)
+        assert params.tobytes() == ref_params.tobytes()
+        assert trace.events == ref_trace.events
+        assert [e.loss for e in trace.entries] == [e.loss for e in ref_trace.entries]
 
 
 class TestTrainMatchesPublicLoop:

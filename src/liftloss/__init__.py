@@ -19,7 +19,6 @@ from .binning import (
 )
 from .dataset import (
     ABDataset,
-    Arm,
     CsvFormatError,
     DataGenConfig,
     NoiseDistribution,

@@ -190,16 +190,15 @@ def inner_cuts(cuts: CutPoints, predictions) -> InnerCuts:
     return InnerCuts(minus, plus)
 
 
-def assign_segments(
-    predictions, cuts: CutPoints, inner: InnerCuts, bins: np.ndarray
-) -> np.ndarray:
+def assign_segments(predictions, inner: InnerCuts, bins: np.ndarray) -> np.ndarray:
     """Label each row bottom / middle / top within its bin.
 
-    `bins` is `assign_bins(predictions, cuts)`. Top means within one segment
-    of the bin's upper cut (candidates to migrate up), bottom within one
-    segment of the lower cut (candidates to migrate down). The first bin has
-    no bottom segment and the last no top segment; their outer regions stay
-    middle, so with one bin and empty `inner` every row is middle.
+    `bins` is `assign_bins(predictions, cuts)` and `inner` is
+    `inner_cuts(cuts, predictions)`. Top means within one segment of the
+    bin's upper cut (candidates to migrate up), bottom within one segment of
+    the lower cut (candidates to migrate down). The first bin has no bottom
+    segment and the last no top segment; their outer regions stay middle, so
+    with one bin and empty `inner` every row is middle.
     """
     p = _check_predictions(predictions)
     b0 = bins - 1

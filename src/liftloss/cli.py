@@ -196,6 +196,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.bins < 1:
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
+    if args.bins > 1 and args.max_sort < args.bins:  # one bin needs no cuts, so no sort
+        raise ValueError(f"--max-sort ({args.max_sort}) must be at least --bins ({args.bins})")
     dataset = load_csv(args.data)
     spec, params = load_params(args.params)
     predictions = predict(spec, params, dataset)

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "Arm",
     "NoiseDistribution",
     "ABDataset",
     "DataGenConfig",
@@ -20,13 +19,6 @@ __all__ = [
     "save_csv",
     "write_csv",
 ]
-
-
-class Arm(enum.IntEnum):
-    """Experiment arm of a row: 1 = treatment, 0 = control."""
-
-    CONTROL = 0
-    TREATMENT = 1
 
 
 class NoiseDistribution(enum.Enum):
@@ -102,12 +94,8 @@ class ABDataset:
         return int(self.arm.sum())
 
     @property
-    def n_control(self) -> int:
-        return len(self) - self.n_treatment
-
-    @property
     def is_treatment(self) -> np.ndarray:
-        return self.arm == Arm.TREATMENT
+        return self.arm == 1
 
     def take(self, indices: np.ndarray) -> "ABDataset":
         """Subset by integer row indices (used for minibatching).

@@ -173,7 +173,7 @@ def effective_gradient(
     bins = assign_bins(p, cuts)
     stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
     inner = inner_cuts(cuts, p)
-    segments = assign_segments(p, cuts, inner, bins=bins)
+    segments = assign_segments(p, inner, bins)
     a, b = _migration_tables(stats, cuts, inner, config.migration_step_scale)
     a += bias_gradient(stats, np.arange(1, cuts.n_bins + 1))[:, None, None]
     # idx = (bin - 1) * 6 + segment * 2 + arm; the small terms stay int8

@@ -35,14 +35,16 @@ __all__ = [
 
 
 class EmptyArmInBinError(ValueError):
-    """A bin ended up with no treatment or no control rows."""
+    """A bin has no rows of one arm, or no rows at all (`arm_name` None)."""
 
-    def __init__(self, bin_index: int, n_bins: int, arm_name: str):
+    def __init__(
+        self, bin_index: int, n_bins: int, arm_name: str | None, advice="retry with fewer bins"
+    ):
         self.bin_index = bin_index
         self.n_bins = n_bins
-        super().__init__(
-            f"bin {bin_index} of {n_bins} has no {arm_name} rows; retry with fewer bins"
-        )
+        self.arm_name = arm_name
+        rows = "rows" if arm_name is None else f"{arm_name} rows"
+        super().__init__(f"bin {bin_index} of {n_bins} has no {rows}; {advice}")
 
 
 # the per-bin columns of SubsetStats, in the order the bin tables list them
@@ -122,11 +124,12 @@ def subset_stats(
         np.bincount(key, weights=dataset.outcome, minlength=2 * n_bins).reshape(n_bins, 2).T
     )
     sum_pred = np.bincount(bins0, weights=p, minlength=n_bins)
+    count = count_c + count_t
     for arm_count, arm_name in ((count_t, "treatment"), (count_c, "control")):
         empty = np.flatnonzero(arm_count == 0)
         if empty.size:
-            raise EmptyArmInBinError(int(empty[0]) + 1, n_bins, arm_name)
-    count = count_c + count_t
+            k = int(empty[0])
+            raise EmptyArmInBinError(k + 1, n_bins, arm_name if count[k] else None)
     total = int(count.sum())
     total_t = int(count_t.sum())
     if cached_global_lift is None:

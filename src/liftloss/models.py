@@ -94,50 +94,37 @@ def _features(data, spec: ModelSpec) -> np.ndarray:
     return x
 
 
-def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
-    h, d = spec.hidden, spec.d
-    w1 = params[: h * d].reshape(h, d)
-    b1 = params[h * d : h * d + h]
-    w2 = params[h * d + h : h * d + 2 * h]
-    b2 = params[-1]
-    return w1, b1, w2, b2
-
-
-def _hidden(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """MLP hidden activations, built in place in one fresh (n, hidden) buffer."""
-    w1, b1, _, _ = _unpack_mlp(spec, params)
-    h = x @ w1.T
-    h += b1
-    if spec.activation is Activation.TANH:
-        np.tanh(h, out=h)
-    else:
-        np.maximum(h, 0.0, out=h)
-    return h
-
-
 def _forward(spec: ModelSpec, p: np.ndarray, x: np.ndarray):
-    """Predictions, and the MLP hidden activations behind them (None for linear)."""
-    if spec.kind is ModelKind.LINEAR:
-        return x @ p[:-1] + p[-1], None
-    _, _, w2, b2 = _unpack_mlp(spec, p)
-    h = _hidden(spec, p, x)
-    return h @ w2 + b2, h
+    """Predictions and the output layer's input `z`: `x`, or an MLP's hidden layer.
+
+    Both kinds end in `z @ w + b`, with `w, b` the last `z.shape[1] + 1`
+    parameters. An MLP builds `z` in place in one fresh (n, hidden) buffer.
+    """
+    z = x
+    if spec.kind is ModelKind.MLP:
+        n_w1 = spec.hidden * spec.d
+        z = x @ p[:n_w1].reshape(spec.hidden, spec.d).T
+        z += p[n_w1 : n_w1 + spec.hidden]
+        if spec.activation is Activation.TANH:
+            np.tanh(z, out=z)
+        else:
+            np.maximum(z, 0.0, out=z)
+    return z @ p[-z.shape[1] - 1 : -1] + p[-1], z
 
 
-def _backward(spec: ModelSpec, p: np.ndarray, x: np.ndarray, g: np.ndarray, h) -> np.ndarray:
-    """Parameter gradient from `_forward`'s activations `h`, which it overwrites."""
-    if spec.kind is ModelKind.LINEAR:
-        return np.concatenate([x.T @ g, [g.sum()]])
-    _, _, w2, _ = _unpack_mlp(spec, p)
-    dw2 = h.T @ g
-    # overwrite the activations with their derivative: 1 - h^2, or [h > 0]
-    if spec.activation is Activation.TANH:
-        np.square(h, out=h)
-        np.subtract(1.0, h, out=h)
-    else:
-        np.greater(h, 0.0, out=h)
-    m = (h.T @ np.column_stack((x * g[:, None], g))) * w2[:, None]
-    return np.concatenate([m[:, :-1].ravel(), m[:, -1], dw2, [g.sum()]])
+def _backward(spec: ModelSpec, p: np.ndarray, x: np.ndarray, g: np.ndarray, z) -> np.ndarray:
+    """Parameter gradient from `_forward`'s `z`, which it overwrites for an MLP."""
+    out = [z.T @ g, [g.sum()]]  # the output layer's [dw, db]
+    if spec.kind is ModelKind.MLP:
+        # overwrite the activations with their derivative: 1 - z^2, or [z > 0]
+        if spec.activation is Activation.TANH:
+            np.square(z, out=z)
+            np.subtract(1.0, z, out=z)
+        else:
+            np.greater(z, 0.0, out=z)
+        m = (z.T @ np.column_stack((x * g[:, None], g))) * p[-z.shape[1] - 1 : -1, None]
+        out[:0] = [m[:, :-1].ravel(), m[:, -1]]
+    return np.concatenate(out)
 
 
 def predict(spec: ModelSpec, params, data) -> np.ndarray:
@@ -163,8 +150,8 @@ def backprop(spec: ModelSpec, params, data, point_grad) -> np.ndarray:
     g = np.asarray(point_grad, dtype=np.float64)
     if g.shape != (x.shape[0],):
         raise ValueError("point gradient must align with the rows")
-    h = None if spec.kind is ModelKind.LINEAR else _hidden(spec, p, x)
-    return _backward(spec, p, x, g, h)
+    z = x if spec.kind is ModelKind.LINEAR else _forward(spec, p, x)[1]
+    return _backward(spec, p, x, g, z)
 
 
 @dataclass(frozen=True)
@@ -232,11 +219,12 @@ def train(
     yields one entry and unchanged parameters). Cuts are refreshed every
     `grad.rebin_every` steps. If a bin loses an arm mid-run the bin count is
     halved and training continues; at step 0 this is raised instead, with a
-    hint to use fewer bins. A minibatch that draws rows of one arm only
-    raises ValueError naming the step and the batch size. Each step builds
-    the MLP hidden layer once, for the forward pass, and hands it to the
-    backward pass. Deterministic given the seed, which only drives minibatch
-    sampling.
+    hint to use fewer bins. At 2 bins, the fewest `GradConfig` allows, it is
+    raised at any step, naming the step and advising more rows or a larger
+    batch. A minibatch that draws rows of one arm only raises ValueError
+    naming the step and the batch size. Each step builds the MLP hidden
+    layer once, for the forward pass, and hands it to the backward pass.
+    Deterministic given the seed, which only drives minibatch sampling.
     """
     params = _check_params(spec, init_params).copy()
     grad_cfg = config.grad
@@ -257,7 +245,7 @@ def train(
                     f"step {t}: minibatch of {config.batch} rows has {err}; use a larger batch"
                 ) from err
         x = _features(data_t, spec)
-        preds, hidden = _forward(spec, params, x)
+        preds, z = _forward(spec, params, x)
         if not np.isfinite(preds).all():
             raise TrainingDivergedError(f"non-finite predictions at step {t}", trace)
         reuse = cuts if (t % grad_cfg.rebin_every != 0 and cuts is not None) else None
@@ -270,15 +258,19 @@ def train(
             except FloatingPointError as err:
                 raise TrainingDivergedError(f"{err} at step {t}", trace) from err
             except EmptyArmInBinError as err:
-                if t == 0:
-                    raise  # infeasible at the initial predictions: caller should lower n_bins
                 if reuse is not None:
                     # stale boundaries no longer cover the predictions; re-cut first
                     trace.events.append(f"step {t}: {err}; refreshing cuts")
                     reuse = None
                     continue
-                if grad_cfg.n_bins <= 2:
-                    raise
+                if grad_cfg.n_bins <= 2:  # GradConfig allows no fewer bins
+                    raise EmptyArmInBinError(
+                        err.bin_index, err.n_bins, err.arm_name,
+                        f"at step {t}, with the fewest bins allowed, "
+                        "use more rows or a larger batch",
+                    ) from err
+                if t == 0:
+                    raise  # infeasible at the initial predictions: caller should lower n_bins
                 new_bins = max(2, grad_cfg.n_bins // 2)
                 trace.events.append(
                     f"step {t}: {err}; reducing bins {grad_cfg.n_bins} -> {new_bins}"
@@ -297,8 +289,8 @@ def train(
             trace.snapshots[t] = report
         if t == config.steps:
             break
-        params -= config.step_size * _backward(spec, params, x, eg.point_grad, hidden)
-        del hidden  # free this step's (batch, hidden) buffer before the next forward pass
+        params -= config.step_size * _backward(spec, params, x, eg.point_grad, z)
+        del z  # free an MLP's (batch, hidden) buffer before the next forward pass
     return params, trace
 
 

@@ -100,7 +100,9 @@ def reference_subset_stats(bins, predictions, outcome, arm, n_bins, cached_globa
     for arm_count, arm_name in ((count_t, "treatment"), (count_c, "control")):
         empty = np.flatnonzero(arm_count == 0)
         if empty.size:
-            raise EmptyArmInBinError(int(empty[0]) + 1, n_bins, arm_name)
+            k = int(empty[0])
+            # a bin with no rows at all is reported as empty, not as missing an arm
+            raise EmptyArmInBinError(k + 1, n_bins, arm_name if count[k] else None)
     total = int(count.sum())
     total_t = int(count_t.sum())
     if cached_global_lift is None:

@@ -5,6 +5,9 @@ they were before the hidden layer moved into one in-place buffer and the
 first layer's gradient became one factored `(hidden, d+1)` product. Kept
 verbatim so property tests can compare the two on random instances:
 
+- `unpack_mlp`: the documented `[W1 row-major, b1, w2, b2]` layout, decoded
+  here rather than by the package, so a layout bug in `liftloss.models`
+  cannot hide behind a shared decoder;
 - `reference_predict`: fresh `z`, then `h`, then `h @ w2 + b2`;
 - `reference_backprop`: `u = g*w2*act'`, `dW1 = u.T @ x`, `db1 = u.sum(0)`;
 - `public_loop_train`: `train`'s loop written out over the public
@@ -27,12 +30,20 @@ from liftloss import (
     predict,
     true_lift_loss,
 )
-from liftloss.models import Activation, ModelKind, ModelSpec, TraceEntry, _unpack_mlp
+from liftloss.models import Activation, ModelKind, ModelSpec, TraceEntry
+
+
+def unpack_mlp(spec: ModelSpec, params: np.ndarray):
+    """`(W1, b1, w2, b2)` from `[W1 row-major, b1, w2, b2]`, read front to back."""
+    h, d = spec.hidden, spec.d
+    w1, b1, w2, b2 = np.split(params, np.cumsum([h * d, h, h]))
+    assert b2.shape == (1,)
+    return w1.reshape(h, d), b1, w2, b2[0]
 
 
 def reference_predict(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     assert spec.kind is ModelKind.MLP
-    w1, b1, w2, b2 = _unpack_mlp(spec, params)
+    w1, b1, w2, b2 = unpack_mlp(spec, params)
     z = x @ w1.T + b1
     h = np.tanh(z) if spec.activation is Activation.TANH else np.maximum(z, 0.0)
     return h @ w2 + b2
@@ -42,7 +53,7 @@ def reference_backprop(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, g: np.ndarray
 ) -> np.ndarray:
     assert spec.kind is ModelKind.MLP
-    w1, b1, w2, _ = _unpack_mlp(spec, params)
+    w1, b1, w2, _ = unpack_mlp(spec, params)
     z = x @ w1.T + b1
     if spec.activation is Activation.TANH:
         h = np.tanh(z)

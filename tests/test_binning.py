@@ -273,21 +273,21 @@ class TestAssignSegments:
         cuts = CutPoints(np.array([0.0, 3.0]), 3)
         p = np.array([0.5])
         inner = inner_cuts(cuts, p)
-        seg = assign_segments(p, cuts, inner, assign_bins(p, cuts))
+        seg = assign_segments(p, inner, assign_bins(p, cuts))
         assert seg[0] == Segment.BOTTOM
 
     def test_deep_interior_is_middle(self):
         cuts = CutPoints(np.array([0.0, 3.0]), 3)
         p = np.array([1.5])  # between plus[0]=1 and minus[1]=2
         inner = inner_cuts(cuts, p)
-        seg = assign_segments(p, cuts, inner, assign_bins(p, cuts))
+        seg = assign_segments(p, inner, assign_bins(p, cuts))
         assert seg[0] == Segment.MIDDLE
 
     def test_tie_at_cut_is_top_of_lower_bin(self):
         cuts = CutPoints(np.array([0.0, 3.0]), 3)
         p = np.array([0.0])
         bins = assign_bins(p, cuts)
-        seg = assign_segments(p, cuts, inner_cuts(cuts, p), bins)
+        seg = assign_segments(p, inner_cuts(cuts, p), bins)
         assert bins[0] == 1
         assert seg[0] == Segment.TOP
 
@@ -298,7 +298,7 @@ class TestAssignSegments:
         cuts = compute_cuts(preds, n_bins)
         inner = inner_cuts(cuts, preds)
         bins = assign_bins(preds, cuts)
-        seg = assign_segments(preds, cuts, inner, bins=bins)
+        seg = assign_segments(preds, inner, bins)
         assert not ((bins == 1) & (seg == Segment.BOTTOM)).any()
         assert not ((bins == n_bins) & (seg == Segment.TOP)).any()
 
@@ -309,7 +309,7 @@ class TestAssignSegments:
         cuts = compute_cuts(preds, 7)
         inner = inner_cuts(cuts, preds)
         bins = assign_bins(preds, cuts)
-        seg = assign_segments(preds, cuts, inner, bins=bins)
+        seg = assign_segments(preds, inner, bins)
         order = np.argsort(preds, kind="stable")
         keys = bins[order] * 10 + seg[order]
         assert (np.diff(keys) >= 0).all()
@@ -320,7 +320,7 @@ class TestAssignSegments:
         cuts = compute_cuts(preds, 4)
         inner = inner_cuts(cuts, preds)
         bins = assign_bins(preds, cuts)
-        seg = assign_segments(preds, cuts, inner, bins=bins)
+        seg = assign_segments(preds, inner, bins)
         top = seg == Segment.TOP
         assert (preds[top] > inner.minus[bins[top] - 1]).all()
         assert (preds[top] <= cuts.cuts[bins[top] - 1]).all()
@@ -350,6 +350,6 @@ class TestAssignSegments:
             preds[rng.choice(preds.size, ties.size, replace=False)] = ties
         bins = assign_bins(preds, cuts)
         expected = reference_assign_segments(preds, cuts, inner, bins)
-        seg = assign_segments(preds, cuts, inner, bins)
+        seg = assign_segments(preds, inner, bins)
         np.testing.assert_array_equal(seg, expected)
         assert seg.dtype == expected.dtype

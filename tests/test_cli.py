@@ -226,6 +226,22 @@ class TestEval:
         manifest = json.loads((tmp_path / "seed_7.csv.manifest.json").read_text())
         assert manifest["seed"] == 7
 
+    @pytest.mark.parametrize("args, message", [
+        (["--bins", "0"], "error: --bins must be >= 1, got 0\n"),
+        (["--bins", "5", "--max-sort", "3"], "error: --max-sort (3) must be at least --bins (5)\n"),
+    ])
+    def test_bad_bin_settings_are_usage_errors(self, tmp_path, data_csv, capsys, args, message):
+        # validated like train's settings: exit 1, not the runtime failure exit 2
+        from liftloss import ModelKind, ModelSpec, save_params
+
+        pfile = tmp_path / "m.json"
+        save_params(pfile, ModelSpec(ModelKind.LINEAR, 2), np.array([0.2, 0.5, 0.1]))
+        out = tmp_path / "bad.csv"
+        assert main(["eval", "--data", str(data_csv), "--params", str(pfile),
+                     *args, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
 
 class TestGradcheck:
     def test_default_passes(self, capsys):

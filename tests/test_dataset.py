@@ -35,7 +35,7 @@ class TestDatasetInvariants:
 
     def test_counts(self):
         ds = make_dataset([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], [1, 0, 1], [0.5, 0.0, 0.5])
-        assert len(ds) == ds.n_treatment + ds.n_control == 3
+        assert (len(ds), ds.n_treatment) == (3, 2)
 
     def test_immutable_after_construction(self):
         ds = make_dataset([1.0, 2.0], [0.1, 0.2], [1, 0])

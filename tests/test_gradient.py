@@ -75,7 +75,7 @@ def full_structure(ds, preds, n_bins):
     bins = assign_bins(preds, cuts)
     stats = subset_stats(ds, preds, bins, n_bins)
     inner = inner_cuts(cuts, preds)
-    segments = assign_segments(preds, cuts, inner, bins=bins)
+    segments = assign_segments(preds, inner, bins)
     return cuts, bins, stats, inner, segments
 
 

@@ -25,9 +25,13 @@ from liftloss import (
     train,
 )
 from liftloss.dataset import DataGenConfig
-from liftloss.models import _unpack_mlp
 
-from reference_models import public_loop_train, reference_backprop, reference_predict
+from reference_models import (
+    public_loop_train,
+    reference_backprop,
+    reference_predict,
+    unpack_mlp,
+)
 
 
 LINEAR2 = ModelSpec(ModelKind.LINEAR, 2)
@@ -172,7 +176,7 @@ class TestMatchesUnfactoredReference:
             params[hidden * d] = 0.0
             x = rng.integers(-2, 3, (n, d)).astype(np.float64)
             x[0] = 0.0
-            w1, b1, _, _ = _unpack_mlp(spec, params)
+            w1, b1, _, _ = unpack_mlp(spec, params)
             assert ((x @ w1.T + b1) == 0).any()
         else:
             params = rng.normal(0.0, 0.7, n_params(spec))
@@ -257,6 +261,20 @@ class TestTrain:
         with pytest.raises(ValueError, match="^step 1: minibatch of 8 rows has no control rows; "
                                              "use a larger batch$"):
             train(ds, LINEAR2, np.array([1.0, 0.1, 1.0]), config)
+
+    @pytest.mark.parametrize("data_seed, batch_seed, message", [
+        (1, 1, "bin 1 of 2 has no control rows; at step 0, "),
+        (0, 10, "bin 2 of 2 has no control rows; at step 1, "),
+    ])
+    def test_lost_arm_at_two_bins_names_step_and_remedies(self, data_seed, batch_seed, message):
+        # GradConfig allows no fewer than 2 bins, so "retry with fewer bins" is no remedy
+        ds = generate(DataGenConfig(n_rows=2000, treatment_fraction=0.9, seed=data_seed))
+        config = TrainConfig(step_size=0.1, steps=30, grad=GradConfig(n_bins=2), batch=8,
+                             seed=batch_seed)
+        with pytest.raises(EmptyArmInBinError) as err:
+            train(ds, LINEAR2, np.array([1.0, 0.1, 1.0]), config)
+        assert str(err.value) == (
+            message + "with the fewest bins allowed, use more rows or a larger batch")
 
     def test_divergence_aborts_with_trace(self):
         ds = generate(DataGenConfig(n_rows=500, seed=6))

@@ -19,13 +19,12 @@ import numpy as np
 from .binning import Segment
 from .dataset import ABDataset
 from .gradient import EffectiveGradient, GradConfig, bias_gradient, effective_gradient
-from .loss import SubsetStats, true_lift_loss
+from .loss import true_lift_loss
 
 __all__ = [
     "GradCheckResult",
     "bias_fd_check",
     "migration_recompute_check",
-    "moved_row_stats",
     "run_gradcheck",
 ]
 
@@ -77,71 +76,44 @@ def bias_fd_check(
     return worst
 
 
-def moved_row_stats(stats: SubsetStats, y: float, treated: bool, from0: int, to0: int) -> SubsetStats:
-    """Stats after one row moves between bins, with the lift updates applied
-    incrementally using the pre-move arm counts; mean predictions and the
-    global lift stay fixed."""
-    size = stats.size.copy()
-    size_t = stats.size_t.copy()
-    size_c = stats.size_c.copy()
-    lift = stats.lift.copy()
-    if treated:
-        lift[from0] += (stats.mean_y_t[from0] - y) / stats.size_t[from0]
-        lift[to0] += (y - stats.mean_y_t[to0]) / stats.size_t[to0]
-        size_t[from0] -= 1
-        size_t[to0] += 1
-    else:
-        lift[from0] += (y - stats.mean_y_c[from0]) / stats.size_c[from0]
-        lift[to0] += (stats.mean_y_c[to0] - y) / stats.size_c[to0]
-        size_c[from0] -= 1
-        size_c[to0] += 1
-    size[from0] -= 1
-    size[to0] += 1
-    return replace(stats, size=size, size_t=size_t, size_c=size_c, lift=lift)
-
-
 def migration_recompute_check(
     dataset: ABDataset, eg: EffectiveGradient, config: GradConfig
 ) -> tuple[float, int]:
     """Compare each boundary row's migration part against a loss re-evaluation.
 
     The migration part is the row's point gradient minus its bias channel.
-    Covers every top/bottom row. Returns (max relative error, rows checked).
+    Covers every top/bottom row in one pass, a row that is the last of its
+    arm in its bin included. Returns (max relative error, rows checked).
     """
-    stats, cuts, inner, bins = eg.stats, eg.cuts, eg.inner, eg.bins
-    scale = config.migration_step_scale
+    s, cuts, inner = eg.stats, eg.cuts, eg.inner
     rows = np.flatnonzero(eg.segments != Segment.MIDDLE)
     if rows.size == 0:
         return 0.0, 0
+    up = eg.segments[rows] == Segment.TOP
+    src = eg.bins[rows] - 1
+    dst = np.where(up, src + 1, src - 1)
+    k = np.minimum(src, dst)  # the boundary crossed
+    inner_edge = np.where(up, inner.minus[k], inner.plus[k])
+    dp = config.migration_step_scale * (cuts.cuts[k] - inner_edge)
+    # each lift moves by the row's own-arm (mean - y) over the pre-move arm
+    # count: with the arm mean for a treated row, against it for a control row
+    arm, y = dataset.arm[rows], dataset.outcome[rows]
+    mean_y = np.stack([s.mean_y_c, s.mean_y_t], axis=1)
+    size_arm = np.stack([s.size_c, s.size_t], axis=1)
+    sign = 2.0 * arm - 1.0
+    lift_src = s.lift[src] + sign * (mean_y[src, arm] - y) / size_arm[src, arm]
+    lift_dst = s.lift[dst] - sign * (mean_y[dst, arm] - y) / size_arm[dst, arm]
 
-    def bin_contributions(s: SubsetStats, idx) -> float:
-        w = s.size[idx] / s.total_size
-        return float(
-            (w * ((s.mean_pred[idx] - s.lift[idx]) ** 2 - (s.lift[idx] - s.global_lift) ** 2)).sum()
-        )
+    def contribution(bin0, lift, grow=0):
+        gap, sep = s.mean_pred[bin0] - lift, lift - s.global_lift
+        return (s.size[bin0] + grow) / s.total_size * (gap**2 - sep**2)
 
-    oracles = []
-    for i in rows:
-        up = eg.segments[i] == Segment.TOP
-        b = int(bins[i])
-        from0 = b - 1
-        to0 = b if up else b - 2
-        boundary = b - 1 if up else b - 2
-        if up:
-            dp = scale * (cuts.cuts[boundary] - inner.minus[boundary])
-        else:
-            dp = scale * (cuts.cuts[boundary] - inner.plus[boundary])
-        moved = moved_row_stats(
-            stats, float(dataset.outcome[i]), bool(dataset.arm[i]), from0, to0
-        )
-        # only the two affected bins change, so the loss difference reduces to
-        # them; summing the untouched bins would just add cancellation noise
-        affected = np.array([from0, to0])
-        oracles.append(
-            (bin_contributions(moved, affected) - bin_contributions(stats, affected)) / dp
-        )
-    a = eg.point_grad[rows] - bias_gradient(stats, bins[rows])
-    b = np.asarray(oracles)
+    # only the two affected bins change, so the loss difference reduces to
+    # them; summing the untouched bins would just add cancellation noise
+    before = contribution(src, s.lift[src]) + contribution(dst, s.lift[dst])
+    after = contribution(src, lift_src, -1) + contribution(dst, lift_dst, +1)
+    a = eg.point_grad[rows] - bias_gradient(s, eg.bins[rows])
+    b = (after - before) / dp
     # normalize each row against its own magnitude or the instance's largest
     # slope, whichever is bigger: rows whose terms cancel to nearly zero would
     # otherwise amplify double-precision noise into spurious relative error

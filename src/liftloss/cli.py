@@ -406,12 +406,13 @@ def main(argv=None) -> int:
 
 def _config_tokens(path: str) -> list[str]:
     """Turn 'key = value' config lines into argv tokens (prepended, so real
-    flags override them)."""
+    flags override them). A line whose first non-blank character is '#' is a
+    comment; every value is passed as written, a '#' in it included."""
     tokens: list[str] = []
     text = Path(path).read_text(encoding="utf-8")
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"config line must be 'key = value': {raw!r}")
@@ -420,12 +421,7 @@ def _config_tokens(path: str) -> list[str]:
         value = value.strip()
         if not key:
             raise ValueError(f"config line has empty key: {raw!r}")
-        if value.lower() == "true":
-            tokens.append(f"--{key}")
-        elif value.lower() == "false":
-            pass
-        else:
-            tokens.extend([f"--{key}", value])
+        tokens.extend([f"--{key}", value])
     return tokens
 
 

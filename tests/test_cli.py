@@ -271,6 +271,13 @@ class TestGradcheck:
         assert any(line.startswith("migration") and line.endswith("FAIL")
                    for line in out.splitlines())
 
+    @pytest.mark.parametrize("rows,bins,seed", [(75, 8, 0), (111, 10, 68), (38, 8, 220)])
+    def test_boundary_row_last_of_its_arm_passes(self, capsys, rows, bins, seed):
+        # each instance has a boundary row that is the only one of its arm in its bin
+        assert main(["gradcheck", "--rows", str(rows), "--bins", str(bins),
+                     "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "gradcheck PASS"
+
     def test_zero_rows_is_usage_error(self):
         assert main(["gradcheck", "--rows", "0"]) == 1
 
@@ -351,7 +358,8 @@ class TestPlotData:
 class TestConfigFile:
     def test_config_equivalent_to_flags(self, tmp_path):
         cfg = tmp_path / "gen.cfg"
-        cfg.write_text("rows = 300\nseed = 4\ntreatment-frac = 0.6\n")
+        cfg.write_text("# whole-line comments are skipped\nrows = 300\nseed = 4\n"
+                       "   # an indented one too\ntreatment-frac = 0.6\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["gen", "--config", str(cfg), "-o", str(a)]) == 0
         assert main(["gen", "--rows", "300", "--seed", "4", "--treatment-frac", "0.6",
@@ -375,3 +383,24 @@ class TestConfigFile:
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("rows 50\n")
         assert main(["gen", "--config", str(cfg), "-o", str(tmp_path / "c.csv")]) == 1
+
+    def test_boolean_words_passed_as_written(self, tmp_path, capsys):
+        # no option is a bare switch, so `false` is a value like any other
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("rows = 300\nseed = false\n")
+        out = tmp_path / "c.csv"
+        assert main(["gen", "--config", str(cfg), "-o", str(out)]) == 1
+        assert "invalid int value: 'false'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hash_inside_value_kept(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"rows = 50\noutput = {tmp_path / 'run#1.csv'}\n")
+        assert main(["gen", "--config", str(cfg)]) == 0
+        assert (tmp_path / "run#1.csv").exists() and not (tmp_path / "run").exists()
+
+    def test_inline_comment_is_part_of_the_value(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("rows = 300  # enough rows\n")
+        assert main(["gen", "--config", str(cfg), "-o", str(tmp_path / "c.csv")]) == 1
+        assert "invalid int value: '300  # enough rows'" in capsys.readouterr().err

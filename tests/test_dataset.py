@@ -13,7 +13,7 @@ from liftloss import (
     save_csv,
 )
 
-from conftest import make_dataset
+from dataset_helpers import make_dataset
 
 
 class TestDatasetInvariants:

@@ -28,12 +28,13 @@ from liftloss.checks import (
     MIGRATION_TOLERANCE,
     bias_fd_check,
     migration_recompute_check,
+    run_gradcheck,
 )
 from liftloss.dataset import DataGenConfig
 from liftloss.gradient import _migration_tables
 from liftloss.models import ModelKind, ModelSpec
 
-from conftest import make_dataset
+from dataset_helpers import make_dataset
 from reference_gradient import reference_effective_gradient
 
 
@@ -319,6 +320,58 @@ class TestGradcheckOracles:
         )
         assert bias_fd_check(broken, preds) > 0.3
         assert migration_recompute_check(ds, broken, config)[0] <= MIGRATION_TOLERANCE
+
+    def test_row_last_of_its_arm_in_its_bin_checked(self, six_row_instance):
+        # row 1 made control: row 2, the top segment of bin 1, is then the
+        # only treated row of its bin
+        ds, preds = six_row_instance
+        ds = make_dataset(preds, ds.outcome, [0, 0, 1, 0, 1, 0])
+        config = GradConfig(n_bins=2)
+        eg = effective_gradient(ds, preds, config)
+        assert eg.segments[2] == Segment.TOP and ds.arm[2] == 1 and eg.stats.size_t[0] == 1
+        result = run_gradcheck(ds, preds, config)
+        assert result.passed and result.migration_rows_checked == 2
+        assert sabotaged_migration_err(ds, eg, config, 2) > MIGRATION_TOLERANCE
+
+    @pytest.mark.parametrize("segment,arm", [(Segment.BOTTOM, 0), (Segment.TOP, 1)])
+    def test_one_sabotaged_row_fails(self, segment, arm):
+        ds = generate(DataGenConfig(n_rows=400, seed=49))
+        rng = np.random.default_rng(49)
+        preds = predict(ModelSpec(ModelKind.LINEAR, 2), rng.normal(0, 1, 3), ds)
+        config = GradConfig(n_bins=5)
+        eg = effective_gradient(ds, preds, config)
+        row = np.flatnonzero((eg.segments == segment) & (ds.arm == arm))[0]
+        assert migration_recompute_check(ds, eg, config)[0] <= MIGRATION_TOLERANCE
+        assert sabotaged_migration_err(ds, eg, config, row) > MIGRATION_TOLERANCE
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_migration_passes_wherever_the_gradient_exists(self, data):
+        n = data.draw(st.integers(20, 300), label="rows")
+        n_bins = data.draw(st.integers(2, 8), label="n_bins")
+        frac = data.draw(st.floats(0.05, 0.95), label="treated share")
+        scale = data.draw(st.sampled_from([0.5, 1.0, 1.5]), label="scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        preds = rng.normal(size=n)
+        arm = (rng.random(n) < frac).astype(np.int8)
+        arm[:2] = (0, 1)
+        ds = make_dataset(preds, rng.normal(0.5 * arm + 0.3 * preds, 1.0), arm)
+        config = GradConfig(n_bins=n_bins, migration_step_scale=scale)
+        try:
+            effective_gradient(ds, preds, config)
+        except (EmptyArmInBinError, DegeneratePredictionsError):
+            return
+        assert run_gradcheck(ds, preds, config).migration_passed
+
+
+def sabotaged_migration_err(ds, eg, config, row):
+    """Migration check error after shifting one boundary row's point gradient
+    by 1e-6 of the instance's largest migration part."""
+    rows = np.flatnonzero(eg.segments != Segment.MIDDLE)
+    largest = np.abs(eg.point_grad[rows] - bias_gradient(eg.stats, eg.bins[rows])).max()
+    grad = eg.point_grad.copy()
+    grad[row] += 1e-6 * largest
+    return migration_recompute_check(ds, dataclasses.replace(eg, point_grad=grad), config)[0]
 
 
 def place_ties(preds, cuts, rng):

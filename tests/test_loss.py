@@ -20,7 +20,7 @@ from liftloss import (
 from liftloss.dataset import DataGenConfig
 from liftloss.loss import write_loss_report
 
-from conftest import make_dataset
+from dataset_helpers import make_dataset
 from reference_gradient import reference_subset_stats
 
 

@@ -8,6 +8,7 @@ top segments around the bin boundaries.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ __all__ = [
 DEFAULT_MAX_SORT = 100_000
 # assign_bins counts cuts up to this many bins; int8 counts would overflow at 128
 COUNT_MAX_BINS = 64
+# rows per block of assign_bins' count: a block of predictions stays in cache
+# for all of its cut comparisons
+BIN_BLOCK_ROWS = 1 << 16
 
 
 class BinningError(ValueError):
@@ -98,6 +102,18 @@ def _check_predictions(predictions) -> np.ndarray:
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _subsample_rows(n: int, size: int, seed: int) -> np.ndarray:
+    """The seeded rows `compute_cuts` quantiles when it has more than `size`.
+
+    The draw depends only on its arguments, and a training run asks for the
+    same one at every step, so the last one is kept (read-only).
+    """
+    rows = np.random.default_rng(seed).choice(n, size=size, replace=False)
+    rows.setflags(write=False)
+    return rows
+
+
 def compute_cuts(
     predictions,
     n_bins: int,
@@ -109,7 +125,11 @@ def compute_cuts(
     Cuts are the k/n_bins empirical quantiles (midpoint interpolation, which
     places a cut halfway between the order statistics flanking the quantile
     boundary). Inputs longer than `max_sort` are quantiled on a seeded
-    uniform subsample of `max_sort` points instead of a full sort.
+    uniform subsample of `max_sort` points instead of a full sort; the
+    subsample's row indices are drawn once per `(len, max_sort, seed)` and
+    reused. The (sub)sample is sorted once, and each quantile is read from
+    it by index with `np.quantile(method="midpoint")`'s own arithmetic, so
+    the cuts equal that call's bit for bit.
     """
     p = _check_predictions(predictions)
     if n_bins < 1:
@@ -119,8 +139,7 @@ def compute_cuts(
     if max_sort < n_bins:
         raise BinningError(f"max_sort ({max_sort}) must be at least n_bins ({n_bins})")
     if p.size > max_sort:
-        rng = np.random.default_rng(seed)
-        s = p[rng.choice(p.size, size=max_sort, replace=False)]
+        s = p.take(_subsample_rows(p.size, max_sort, seed))
         s.sort()  # a fresh gather, so sorting it in place leaves the caller's array alone
     else:
         s = np.sort(p)
@@ -130,8 +149,13 @@ def compute_cuts(
             f"degenerate predictions: need at least {n_bins} distinct values "
             f"to form {n_bins} bins"
         )
-    quantiles = np.arange(1, n_bins) / n_bins
-    cuts = np.quantile(s, quantiles, method="midpoint")
+    # np.quantile's midpoint rule: the order statistics flanking the virtual
+    # index v, and the lower one alone (as a + (b - a) * 0) where v is whole
+    v = (s.size - 1) * (np.arange(1, n_bins) / n_bins)
+    lo = np.floor(v).astype(np.intp)
+    a = s[lo]
+    b = s[np.minimum(lo + 1, s.size - 1)]
+    cuts = np.where(v == lo, a + (b - a) * 0.0, b - (b - a) * 0.5)
     if cuts.size > 1 and not (np.diff(cuts) > 0).all():
         raise DegeneratePredictionsError(
             "degenerate predictions: tied quantiles, reduce n_bins"
@@ -145,17 +169,26 @@ def assign_bins(predictions, cuts: CutPoints) -> np.ndarray:
     A prediction falls in bin ``1 + (number of cuts strictly below it)``;
     values exactly equal to a cut go to the lower bin. Up to
     `COUNT_MAX_BINS` bins the cuts below each row are counted one cut at a
-    time in an int8 buffer; above that one binary search per row
-    (`searchsorted(side="left") + 1`) is faster. Both paths give the same
-    bins, ties included.
+    time in an int8 buffer, a block of `BIN_BLOCK_ROWS` rows at a time, so
+    each block is read from memory once for all the cuts; above that one
+    binary search per row (`searchsorted(side="left") + 1`) is faster. Both
+    paths give the same bins, ties included.
     """
     p = _check_predictions(predictions)
     if cuts.n_bins > COUNT_MAX_BINS:
         return np.searchsorted(cuts.cuts, p, side="left") + 1
-    bins = np.ones(p.shape, dtype=np.int8)
-    for c in cuts.cuts:
-        bins += p > c
-    return bins.astype(np.intp)
+    bins = np.empty(p.shape, dtype=np.intp)
+    count_buf = np.empty(min(p.size, BIN_BLOCK_ROWS), dtype=np.int8)
+    above_buf = np.empty(count_buf.shape, dtype=bool)
+    for start in range(0, p.size, BIN_BLOCK_ROWS):
+        block = p[start : start + BIN_BLOCK_ROWS]
+        count = count_buf[: block.size]
+        above = above_buf[: block.size]
+        count.fill(1)
+        for c in cuts.cuts:
+            count += np.greater(block, c, out=above).view(np.int8)
+        bins[start : start + block.size] = count
+    return bins
 
 
 def inner_cuts(cuts: CutPoints, predictions) -> InnerCuts:
@@ -201,9 +234,12 @@ def assign_segments(predictions, inner: InnerCuts, bins: np.ndarray) -> np.ndarr
     with one bin and empty `inner` every row is middle.
     """
     p = _check_predictions(predictions)
-    b0 = bins - 1
-    # per-bin thresholds; the edge bins' outward sides can never be crossed
-    top = p > np.append(inner.minus, np.inf)[b0]
+    if np.shape(bins) != p.shape:
+        raise BinningError(f"bins shape {np.shape(bins)} does not match predictions {p.shape}")
+    # per-bin thresholds indexed by the 1-based bin itself; the edge bins'
+    # outward sides can never be crossed, and index 0 is no bin
+    top = p > np.concatenate(([np.nan], inner.minus, [np.inf])).take(bins)
+    bottom = p < np.concatenate(([np.nan, -np.inf], inner.plus)).take(bins)
     seg = top.view(np.int8) + np.int8(Segment.MIDDLE)  # MIDDLE + 1 == TOP
-    seg -= (p < np.insert(inner.plus, 0, -np.inf)[b0]) & ~top  # MIDDLE - 1 == BOTTOM
+    seg -= np.greater(bottom, top, out=bottom)  # bottom & ~top; MIDDLE - 1 == BOTTOM
     return seg

@@ -30,6 +30,14 @@ class CsvFormatError(ValueError):
     """Raised when an input CSV does not follow the expected schema."""
 
 
+def _require_both_arms(arm: np.ndarray) -> None:
+    n_t = int(arm.sum())
+    if n_t == 0:
+        raise ValueError("no treatment rows")
+    if n_t == arm.size:
+        raise ValueError("no control rows")
+
+
 @dataclass(frozen=True)
 class ABDataset:
     """Columnar store of A/B-test rows.
@@ -62,11 +70,7 @@ class ABDataset:
             raise ValueError("outcome contains non-finite values")
         if not np.isin(arm, (0, 1)).all():
             raise ValueError("arm values must be 0 (control) or 1 (treatment)")
-        n_t = int(arm.sum())
-        if n_t == 0:
-            raise ValueError("no treatment rows")
-        if n_t == n:
-            raise ValueError("no control rows")
+        _require_both_arms(arm)
         lift = self.true_lift
         if lift is not None:
             lift = np.array(lift, dtype=np.float64)
@@ -74,13 +78,14 @@ class ABDataset:
                 raise ValueError(f"true_lift shape {lift.shape} does not match n={n}")
             if not np.isfinite(lift).all():
                 raise ValueError("true_lift contains non-finite values")
-            lift.setflags(write=False)
-        for arr in (feats, y, arm):
-            arr.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "outcome", y)
-        object.__setattr__(self, "arm", arm)
-        object.__setattr__(self, "true_lift", lift)
+        self._freeze(feats, y, arm, lift)
+
+    def _freeze(self, feats, y, arm, lift) -> None:
+        """Store the columns, read-only."""
+        for name, arr in zip(("features", "outcome", "arm", "true_lift"), (feats, y, arm, lift)):
+            if arr is not None:
+                arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -102,7 +107,9 @@ class ABDataset:
 
         Features are gathered one column at a time into a C-ordered (k, d)
         array: the same values and strides as `features[indices]`, several
-        times faster on the column-major features `generate` makes.
+        times faster on the column-major features `generate` makes. The rows
+        were validated when this dataset was built, so the subset is stored
+        as gathered; only the check that both arms are present runs again.
         """
         idx = np.asarray(indices)
         if idx.ndim != 1 or idx.dtype.kind not in "iu":
@@ -112,8 +119,12 @@ class ABDataset:
         feats = np.empty((idx.size, self.d))
         for j in range(self.d):
             feats[:, j] = self.features[:, j].take(idx)
+        arm = self.arm.take(idx)
+        _require_both_arms(arm)
         lift = None if self.true_lift is None else self.true_lift.take(idx)
-        return ABDataset(feats, self.outcome.take(idx), self.arm.take(idx), lift)
+        subset = object.__new__(ABDataset)
+        subset._freeze(feats, self.outcome.take(idx), arm, lift)
+        return subset
 
 
 @dataclass(frozen=True)

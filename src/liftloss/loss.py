@@ -106,24 +106,35 @@ def subset_stats(
 ) -> SubsetStats:
     """Per-bin counts and means from one pass over the rows.
 
-    Raises EmptyArmInBinError if any bin lacks treatment or control rows.
-    Passing `cached_global_lift` pins the global lift (useful for minibatches,
-    where the batch estimate would be noisier than the full-data value).
+    Rows are counted and summed by one `bincount` key, `bins * 2 + arm`, in
+    the integer width of the row indices, so `int8` or list bins cannot wrap.
+    The same counts hold the range check: a bin below 1 makes the key
+    negative or lands in buckets 0 and 1, and a bin above `n_bins` lengthens
+    the result. Raises EmptyArmInBinError if any bin lacks treatment or
+    control rows. Passing `cached_global_lift` pins the global lift (useful
+    for minibatches, where the batch estimate would be noisier than the
+    full-data value).
     """
     p = np.asarray(predictions, dtype=np.float64)
-    if p.shape != (len(dataset),) or np.asarray(bins).shape != (len(dataset),):
+    bins = np.asarray(bins)
+    if p.shape != (len(dataset),) or bins.shape != (len(dataset),):
         raise ValueError("predictions and bins must align with the dataset rows")
-    bins0 = np.asarray(bins) - 1
-    if bins0.min() < 0 or bins0.max() >= n_bins:
-        raise ValueError("bin index out of range")
     # one bucket per (bin, arm): column 0 is control, column 1 treatment; each
     # bucket sums its rows in row order, as a per-arm masked bincount would
-    key = bins0 * 2 + dataset.arm
-    count_c, count_t = np.bincount(key, minlength=2 * n_bins).reshape(n_bins, 2).T
+    key = np.multiply(bins, 2, dtype=np.intp)
+    key += dataset.arm
+    n_keys = 2 * n_bins + 2
+    try:
+        counts = np.bincount(key, minlength=n_keys)
+    except ValueError:  # a negative key
+        raise ValueError("bin index out of range") from None
+    if counts.size > n_keys or counts[0] or counts[1]:
+        raise ValueError("bin index out of range")
+    count_c, count_t = counts[2:].reshape(n_bins, 2).T
     sum_y_c, sum_y_t = (
-        np.bincount(key, weights=dataset.outcome, minlength=2 * n_bins).reshape(n_bins, 2).T
+        np.bincount(key, weights=dataset.outcome, minlength=n_keys)[2:].reshape(n_bins, 2).T
     )
-    sum_pred = np.bincount(bins0, weights=p, minlength=n_bins)
+    sum_pred = np.bincount(bins, weights=p, minlength=n_bins + 1)[1:]
     count = count_c + count_t
     for arm_count, arm_name in ((count_t, "treatment"), (count_c, "control")):
         empty = np.flatnonzero(arm_count == 0)

@@ -9,7 +9,13 @@ kept verbatim so property tests can compare the two on random instances:
 - `reference_single_cut_inner_cuts`: the 2-bin segment width from two
   separate `np.quantile` calls;
 - `reference_subset_stats`: five masked `bincount`s per call;
+- `reference_keyed_subset_stats`: one `bins0 * 2 + arm` key after a
+  min/max range check on `bins0 = bins - 1`;
+- `reference_assign_bins`: the cuts below each row counted over the whole
+  vector, one cut at a time, in an `int8` buffer;
 - `reference_assign_segments`: per-row boundary indices and masks;
+- `reference_fancy_assign_segments`: thresholds gathered by fancy indexing
+  with `bins - 1`;
 - `bias_gradient`, `loss_partials`, `_lift_deltas`, `_delta_loss` and
   `_migration_gradient`: the bias channel plus the per-row migration slope
   with its 4-way `np.where`.
@@ -20,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from liftloss.binning import (
+    COUNT_MAX_BINS,
     DEFAULT_MAX_SORT,
     BinningError,
     CutPoints,
@@ -124,6 +131,70 @@ def reference_subset_stats(bins, predictions, outcome, arm, n_bins, cached_globa
         global_lift=gl,
         max_arm_imbalance=imbalance,
     )
+
+
+def reference_keyed_subset_stats(dataset, predictions, bins, n_bins, cached_global_lift=None):
+    """Per-bin stats from one `bins0 * 2 + arm` key, range-checked by min/max."""
+    p = np.asarray(predictions, dtype=np.float64)
+    if p.shape != (len(dataset),) or np.asarray(bins).shape != (len(dataset),):
+        raise ValueError("predictions and bins must align with the dataset rows")
+    bins0 = np.asarray(bins) - 1
+    if bins0.min() < 0 or bins0.max() >= n_bins:
+        raise ValueError("bin index out of range")
+    key = bins0 * 2 + dataset.arm
+    count_c, count_t = np.bincount(key, minlength=2 * n_bins).reshape(n_bins, 2).T
+    sum_y_c, sum_y_t = (
+        np.bincount(key, weights=dataset.outcome, minlength=2 * n_bins).reshape(n_bins, 2).T
+    )
+    sum_pred = np.bincount(bins0, weights=p, minlength=n_bins)
+    count = count_c + count_t
+    for arm_count, arm_name in ((count_t, "treatment"), (count_c, "control")):
+        empty = np.flatnonzero(arm_count == 0)
+        if empty.size:
+            k = int(empty[0])
+            raise EmptyArmInBinError(k + 1, n_bins, arm_name if count[k] else None)
+    total = int(count.sum())
+    total_t = int(count_t.sum())
+    if cached_global_lift is None:
+        gl = float(sum_y_t.sum() / total_t - sum_y_c.sum() / (total - total_t))
+    else:
+        gl = float(cached_global_lift)
+    mean_y_t = sum_y_t / count_t
+    mean_y_c = sum_y_c / count_c
+    imbalance = float(np.abs(count_t / count - total_t / total).max())
+    return SubsetStats(
+        size=count,
+        size_t=count_t,
+        size_c=count_c,
+        mean_pred=sum_pred / count,
+        mean_y_t=mean_y_t,
+        mean_y_c=mean_y_c,
+        lift=mean_y_t - mean_y_c,
+        total_size=total,
+        global_lift=gl,
+        max_arm_imbalance=imbalance,
+    )
+
+
+def reference_assign_bins(predictions, cuts: CutPoints) -> np.ndarray:
+    """1 + #(cuts < p), counted over all rows one cut at a time in int8."""
+    p = _check_predictions(predictions)
+    if cuts.n_bins > COUNT_MAX_BINS:
+        return np.searchsorted(cuts.cuts, p, side="left") + 1
+    bins = np.ones(p.shape, dtype=np.int8)
+    for c in cuts.cuts:
+        bins += p > c
+    return bins.astype(np.intp)
+
+
+def reference_fancy_assign_segments(predictions, inner: InnerCuts, bins) -> np.ndarray:
+    """Bottom / middle / top labels from thresholds gathered at `bins - 1`."""
+    p = _check_predictions(predictions)
+    b0 = bins - 1
+    top = p > np.append(inner.minus, np.inf)[b0]
+    seg = top.view(np.int8) + np.int8(Segment.MIDDLE)
+    seg -= (p < np.insert(inner.plus, 0, -np.inf)[b0]) & ~top
+    return seg
 
 
 def reference_assign_segments(p, cuts: CutPoints, inner: InnerCuts, bins) -> np.ndarray:

@@ -14,10 +14,13 @@ from liftloss import (
     compute_cuts,
     inner_cuts,
 )
+from liftloss.binning import BIN_BLOCK_ROWS, _subsample_rows
 
 from reference_gradient import (
+    reference_assign_bins,
     reference_assign_segments,
     reference_compute_cuts,
+    reference_fancy_assign_segments,
     reference_single_cut_inner_cuts,
 )
 
@@ -70,13 +73,20 @@ class TestComputeCuts:
         distinct=st.one_of(st.none(), st.integers(1, 12)),
         max_sort=st.one_of(st.none(), st.integers(1, 400)),
         signed_zeros=st.booleans(),
+        whole_index=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_unique_and_unsorted_quantile_reference(
-        self, n, n_bins, distinct, max_sort, signed_zeros, seed
+        self, n, n_bins, distinct, max_sort, signed_zeros, whole_index, seed
     ):
         # cuts are bit-identical to the np.unique + unsorted np.quantile form,
-        # with and without subsampling, and every error matches it too
+        # with and without subsampling, and every error matches it too; with
+        # whole_index the sample size m has (m - 1) * k / n_bins integral, so
+        # every cut is a single order statistic rather than a midpoint
+        if whole_index:
+            n = n_bins * (n // n_bins + 1) + 1
+            if max_sort is not None:
+                max_sort = n_bins * (max_sort // n_bins + 1) + 1
         rng = np.random.default_rng(seed)
         preds = rng.normal(size=n) if distinct is None else rng.integers(0, distinct, n) * 0.5
         if signed_zeros:
@@ -129,6 +139,32 @@ class TestComputeCuts:
         a = compute_cuts(preds, 7, max_sort=1000, seed=3)
         b = compute_cuts(preds, 7, max_sort=1000, seed=3)
         np.testing.assert_array_equal(a.cuts, b.cuts)
+
+    def test_memoized_draw_is_read_only(self):
+        rows = _subsample_rows(5000, 300, 11)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0] = 0
+
+    def test_cached_draw_gives_the_fresh_draws_cuts(self):
+        rng = np.random.default_rng(9)
+        preds = rng.normal(size=20_000)
+        compute_cuts(preds, 6, max_sort=700, seed=5)
+        hits = _subsample_rows.cache_info().hits
+        got = compute_cuts(preds, 6, max_sort=700, seed=5)
+        assert _subsample_rows.cache_info().hits == hits + 1
+        fresh = np.random.default_rng(5).choice(preds.size, size=700, replace=False)
+        want = np.quantile(preds[fresh], np.arange(1, 6) / 6, method="midpoint")
+        assert got.cuts.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,size,seed", [(5001, 300, 11), (5000, 301, 11), (5000, 300, 12)])
+    def test_other_draw_arguments_are_not_served_from_cache(self, n, size, seed):
+        _subsample_rows(5000, 300, 11)
+        misses = _subsample_rows.cache_info().misses
+        rows = _subsample_rows(n, size, seed)
+        assert _subsample_rows.cache_info().misses == misses + 1
+        want = np.random.default_rng(seed).choice(n, size=size, replace=False)
+        assert rows.tobytes() == want.tobytes()
 
 
 class TestAssignBins:
@@ -195,6 +231,38 @@ class TestAssignBins:
         assert bins.dtype == np.intp
         assert bins.max() == n_bins and bins.min() == 1
         np.testing.assert_array_equal(bins, np.searchsorted(c, preds, side="left") + 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.sampled_from([1, 7, BIN_BLOCK_ROWS - 1, BIN_BLOCK_ROWS, BIN_BLOCK_ROWS + 1,
+                              2 * BIN_BLOCK_ROWS + 1]),
+        n_bins=st.sampled_from([1, 2, 3, 10, 64, 65, 130]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_blocks_match_whole_vector_count_reference(self, rows, n_bins, seed):
+        # row counts around the block size, rows exactly on every cut, minus
+        # and plus, and bins past the count path's 64: bins and segments are
+        # byte-identical to the whole-vector int8 count and the fancy-index
+        # gather, dtypes included
+        rng = np.random.default_rng(seed)
+        preds = rng.normal(size=rows)
+        cuts = CutPoints(np.sort(rng.choice(np.arange(-400, 400) * 0.01, n_bins - 1,
+                                            replace=False)), n_bins)
+        inner = InnerCuts(np.empty(0), np.empty(0))
+        if n_bins > 1:
+            # widths up to five cut gaps, so neighboring segments may overlap
+            inner = InnerCuts(cuts.cuts - rng.uniform(1e-3, 0.05, n_bins - 1),
+                              cuts.cuts + rng.uniform(1e-3, 0.05, n_bins - 1))
+            ties = np.concatenate([cuts.cuts, inner.minus, inner.plus])
+            preds[rng.choice(rows, min(rows, ties.size), replace=False)] = ties[:rows]
+        bins = assign_bins(preds, cuts)
+        want = reference_assign_bins(preds, cuts)
+        assert bins.dtype == want.dtype == np.intp
+        assert bins.tobytes() == want.tobytes()
+        seg = assign_segments(preds, inner, bins)
+        want = reference_fancy_assign_segments(preds, inner, bins)
+        assert seg.dtype == want.dtype == np.int8
+        assert seg.tobytes() == want.tobytes()
 
     def test_partition(self):
         rng = np.random.default_rng(1)
@@ -324,6 +392,15 @@ class TestAssignSegments:
         top = seg == Segment.TOP
         assert (preds[top] > inner.minus[bins[top] - 1]).all()
         assert (preds[top] <= cuts.cuts[bins[top] - 1]).all()
+
+    @pytest.mark.parametrize("bins", [np.array([3]), np.full(13, 2), np.full((12, 1), 2)],
+                             ids=["one", "longer", "2-d"])
+    def test_bins_of_another_shape_raise(self, bins):
+        # a length-1 bins array would otherwise broadcast over all 12 rows
+        p = np.linspace(0.0, 1.0, 12)
+        cuts = compute_cuts(p, 4)
+        with pytest.raises(ValueError, match="bins shape"):
+            assign_segments(p, inner_cuts(cuts, p), bins)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -90,6 +90,33 @@ class TestTake:
             self.assert_same_as_fancy_indexing(ds, self.indices(n, d))
             self.assert_same_as_fancy_indexing(ds, self.indices(n, d).astype(np.int32))
 
+    @pytest.mark.parametrize("with_lift", [True, False])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_constructor_on_gathered_rows(self, with_lift, order):
+        # the subset skips the constructor's copy and checks, yet is the
+        # dataset the constructor builds from the same rows
+        rng = np.random.default_rng(4)
+        n = 300
+        ds = ABDataset(np.asarray(rng.normal(size=(n, 3)), order=order), rng.normal(size=n),
+                       rng.integers(0, 2, n), rng.normal(size=n) if with_lift else None)
+        idx = self.indices(n, 5)
+        got = ds.take(idx)
+        want = ABDataset(ds.features[idx], ds.outcome[idx], ds.arm[idx],
+                         None if ds.true_lift is None else ds.true_lift[idx])
+        for name in ("features", "outcome", "arm", "true_lift"):
+            a, b = getattr(got, name), getattr(want, name)
+            if b is None:
+                assert a is None
+                continue
+            assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides), name
+            assert a.tobytes() == b.tobytes() and a.flags.c_contiguous, name
+            assert not a.flags.writeable and not b.flags.writeable, name
+
+    def test_batch_that_loses_treatment_raises(self):
+        ds = make_dataset(np.arange(6.0), np.arange(6.0), [0, 1] * 3)
+        with pytest.raises(ValueError, match="^no treatment rows$"):
+            ds.take(np.array([0, 2, 4]))
+
     @pytest.mark.parametrize("bad", [[0, 1, 6], [-7, 0, 1]])
     def test_out_of_range_raises_index_error(self, bad):
         ds = make_dataset(np.arange(6.0), np.arange(6.0), [0, 1] * 3)

@@ -21,7 +21,7 @@ from liftloss.dataset import DataGenConfig
 from liftloss.loss import write_loss_report
 
 from dataset_helpers import make_dataset
-from reference_gradient import reference_subset_stats
+from reference_gradient import reference_keyed_subset_stats, reference_subset_stats
 
 
 def two_bin_stats(mean_pred, lift, gl, size=(10, 10)):
@@ -180,6 +180,69 @@ class TestSubsetStats:
         for field in dataclasses.fields(SubsetStats):
             np.testing.assert_array_equal(
                 getattr(stats, field.name), getattr(expected, field.name), err_msg=field.name
+            )
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_keyed_reference_byte_for_byte(self, data):
+        # every field, dtype and strides included, and every error, against the
+        # min/max-checked `bins0 * 2 + arm` key; list bins give the same
+        n_bins = data.draw(st.integers(1, 40), label="n_bins")
+        n = data.draw(st.integers(2, 600), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        arm = rng.integers(0, 2, n).astype(np.int8)
+        arm[:2] = (0, 1)
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+        preds = rng.normal(size=n)
+        bins = rng.integers(1, n_bins + 1, n)
+        if data.draw(st.booleans(), label="bad bin"):
+            bins[rng.integers(n)] = data.draw(st.sampled_from([0, -1, -7, n_bins + 1]))
+        gl = data.draw(st.one_of(st.none(), st.floats(-1, 1)), label="cached lift")
+        ds = make_dataset(np.zeros(n), y, arm)
+        for given_bins in (bins, bins.tolist()):
+            try:
+                want = reference_keyed_subset_stats(ds, preds, given_bins, n_bins, gl)
+            except ValueError as err:
+                with pytest.raises(type(err)) as got:
+                    subset_stats(ds, preds, given_bins, n_bins, gl)
+                assert str(got.value) == str(err)
+                continue
+            stats = subset_stats(ds, preds, given_bins, n_bins, gl)
+            for field in dataclasses.fields(SubsetStats):
+                a, b = getattr(stats, field.name), getattr(want, field.name)
+                assert type(a) is type(b), field.name
+                if isinstance(a, np.ndarray):
+                    assert (a.dtype, a.strides) == (b.dtype, b.strides), field.name
+                    a, b = a.tobytes(), b.tobytes()
+                assert a == b, field.name
+
+    @pytest.mark.parametrize("bad", [0, 3, -1, -128])
+    @pytest.mark.parametrize("form", ["int8", "intp", "list"])
+    def test_bin_out_of_range_raises(self, bad, form):
+        ds = make_dataset(np.zeros(6), np.arange(6.0), [0, 1] * 3)
+        bins = np.array([1, 1, 2, 2, 1, bad])
+        bins = bins.tolist() if form == "list" else bins.astype(form)
+        with pytest.raises(ValueError, match="^bin index out of range$"):
+            subset_stats(ds, np.linspace(0.0, 1.0, 6), bins, 2)
+
+    def test_float_bins_raise_type_error(self):
+        ds = make_dataset(np.zeros(4), np.arange(4.0), [0, 1] * 2)
+        with pytest.raises(TypeError):
+            subset_stats(ds, np.zeros(4), np.array([1.0, 1.0, 2.0, 2.0]), 2)
+
+    def test_int8_bins_past_64_do_not_wrap(self):
+        # bins * 2 overflows int8 from bin 64 on; the key is built in intp
+        n_bins = 100
+        bins = np.repeat(np.arange(1, n_bins + 1), 2)
+        ds = make_dataset(np.zeros(bins.size), np.arange(bins.size, dtype=float),
+                          np.tile([0, 1], n_bins))
+        preds = np.linspace(0.0, 1.0, bins.size)
+        want = subset_stats(ds, preds, bins, n_bins)
+        got = subset_stats(ds, preds, bins.astype(np.int8), n_bins)
+        for field in dataclasses.fields(SubsetStats):
+            np.testing.assert_array_equal(
+                getattr(got, field.name), getattr(want, field.name), err_msg=field.name
             )
 
 

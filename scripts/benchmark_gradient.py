@@ -11,16 +11,25 @@ N-row minibatches with cuts reused every 4 steps, the shape of perfbench's
 timed `minibatch_mlp_1m` op. `--io` times `save_csv` and `load_csv` of a
 generated dataset instead, in µs per row; the file goes to a temporary
 directory. Every mode prints the best, median and worst of `--reps` runs.
+
+`--memory` measures allocations instead of time: tracemalloc's peak in bytes
+per row for `generate` (the dataset it returns included) and for a 4-step
+`train` (above the dataset, per row of a step: full batch on perfbench's
+linear model, or `--model mlp --batch N`), the minor page faults per call
+once warm, and the process's peak RSS (`ru_maxrss`) at the end.
 Set `OPENBLAS_NUM_THREADS=1` to pin BLAS as perfbench does:
 
     OPENBLAS_NUM_THREADS=1 python scripts/benchmark_gradient.py \\
         --model mlp --batch 100000 --sizes 1000000 --reps 15
     python scripts/benchmark_gradient.py --io --sizes 200000 --reps 7
+    python scripts/benchmark_gradient.py --memory --sizes 1000000 --reps 5
 """
 
 import argparse
+import resource
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +51,10 @@ from liftloss import (
     train,
 )
 
-MLP_STEPS = 4  # perfbench's OP_STEPS
+OP_STEPS = 4  # perfbench's OP_STEPS
 MLP_SPEC = ModelSpec(ModelKind.MLP, 2, 32, Activation.TANH)
+LINEAR_SPEC = ModelSpec(ModelKind.LINEAR, 2)
+LINEAR_INIT = (1.0, 0.1, 1.0)  # perfbench's LINEAR_INIT
 
 
 def gradient_call(dataset, n_bins: int, seed: int):
@@ -54,11 +65,14 @@ def gradient_call(dataset, n_bins: int, seed: int):
     return lambda: effective_gradient(dataset, preds, config, cached_global_lift=cached)
 
 
-def mlp_train_call(dataset, n_bins: int, seed: int, batch: int | None):
-    init = random_params(MLP_SPEC, seed)
-    config = TrainConfig(step_size=0.1, steps=MLP_STEPS,
-                         grad=GradConfig(n_bins=n_bins, rebin_every=4), batch=batch, seed=seed)
-    return lambda: train(dataset, MLP_SPEC, init, config)
+def train_call(dataset, model: str, n_bins: int, seed: int, batch: int | None):
+    """A 4-step `train`: the MLP reuses cuts every 4 steps, the linear model re-cuts every step."""
+    if model == "mlp":
+        spec, init, grad = MLP_SPEC, random_params(MLP_SPEC, seed), GradConfig(n_bins, rebin_every=4)
+    else:
+        spec, init, grad = LINEAR_SPEC, LINEAR_INIT, GradConfig(n_bins)
+    config = TrainConfig(step_size=0.1, steps=OP_STEPS, grad=grad, batch=batch, seed=seed)
+    return lambda: train(dataset, spec, init, config)
 
 
 def time_reps(call, reps: int) -> np.ndarray:
@@ -69,6 +83,43 @@ def time_reps(call, reps: int) -> np.ndarray:
         call()
         walls.append(time.perf_counter() - t0)
     return np.array(walls)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees above its start level while `call()` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def minor_faults(call) -> int:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def run_memory(sizes: list[int], bin_counts: list[int], model: str, batch: int | None,
+               reps: int, seed: int) -> None:
+    print(f"{'op':>9} {'bins':>5} {'rows':>10} {'best':>8} {'median':>8} {'worst':>8} "
+          f"{'faults/op':>10}  (B/row of {reps}; faults median, warm)")
+    for n in sizes:
+        config = DataGenConfig(n_rows=n, seed=seed)
+        dataset = generate(config)
+        ops = [("generate", "", n, lambda: generate(config))]
+        ops += [("train", n_bins, min(batch or n, n), train_call(dataset, model, n_bins, seed, batch))
+                for n_bins in bin_counts]
+        for name, n_bins, rows, call in ops:
+            call()  # warm up: lazy imports, the cached subsample draw, the heap's size
+            peaks = np.array([traced_peak(call) for _ in range(reps)]) / rows
+            faults = np.median([minor_faults(call) for _ in range(reps)])
+            print(f"{name:>9} {n_bins:>5} {n:>10} {peaks.min():>8.1f} {np.median(peaks):>8.1f} "
+                  f"{peaks.max():>8.1f} {faults:>10.0f}")
+    maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    print(f"process peak RSS (ru_maxrss): {maxrss_kb / 1024:.1f} MB")
 
 
 def run_io(sizes: list[int], reps: int, seed: int) -> None:
@@ -90,10 +141,13 @@ def main() -> None:
                     help="comma-separated row counts")
     ap.add_argument("--bins", default="10", help="comma-separated bin counts")
     ap.add_argument("--model", choices=("linear", "mlp"), default="linear",
-                    help="linear: one effective_gradient call on linear predictions; "
-                         f"mlp: a {MLP_STEPS}-step MLP train")
+                    help="linear: one effective_gradient call on linear predictions "
+                         f"(with --memory, a {OP_STEPS}-step linear train); "
+                         f"mlp: a {OP_STEPS}-step MLP train")
     ap.add_argument("--io", action="store_true",
                     help="time save_csv and load_csv instead of a training computation")
+    ap.add_argument("--memory", action="store_true",
+                    help="measure peak allocations and page faults of generate and train")
     ap.add_argument("--batch", type=int, default=None,
                     help="minibatch rows of the mlp train (default: full batch)")
     ap.add_argument("--seed", type=int, default=3)
@@ -103,12 +157,17 @@ def main() -> None:
         ap.error("--batch applies to --model mlp only")
     if args.io and args.model != "linear":
         ap.error("--io times CSV I/O and takes no --model")
+    if args.io and args.memory:
+        ap.error("--io and --memory are separate modes")
 
     sizes = [int(s) for s in args.sizes.split(",")]
     if args.io:
         run_io(sizes, args.reps, args.seed)
         return
     bin_counts = [int(b) for b in args.bins.split(",")]
+    if args.memory:
+        run_memory(sizes, bin_counts, args.model, args.batch, args.reps, args.seed)
+        return
     print(f"{'bins':>5} {'rows':>10} {'best':>10} {'median':>10} {'worst':>10} "
           f"{'ns/row':>8}  (of {args.reps})")
     for n_bins in bin_counts:
@@ -116,8 +175,8 @@ def main() -> None:
         for n in sizes:
             dataset = generate(DataGenConfig(n_rows=n, seed=args.seed))
             if args.model == "mlp":
-                call = mlp_train_call(dataset, n_bins, args.seed, args.batch)
-                rows = min(args.batch or n, n) * (MLP_STEPS + 1)
+                call = train_call(dataset, "mlp", n_bins, args.seed, args.batch)
+                rows = min(args.batch or n, n) * (OP_STEPS + 1)
             else:
                 call = gradient_call(dataset, n_bins, args.seed)
                 rows = n

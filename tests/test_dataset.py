@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from liftloss import (
     ABDataset,
@@ -32,6 +33,33 @@ class TestDatasetInvariants:
     def test_rejects_bad_arm(self):
         with pytest.raises(ValueError, match="arm values"):
             make_dataset([1.0, 2.0], [0.1, 0.2], [1, 2])
+
+    @pytest.mark.parametrize("arm", [[0.5, 1.0, 0.0], [257, 1, 0], [-255, 1, 0]])
+    def test_rejects_arms_an_int8_cast_would_rewrite(self, arm):
+        # as int8 these read [0, 1, 0] and [1, 1, 0]
+        with pytest.raises(ValueError, match="arm values"):
+            make_dataset([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], arm)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_accepts_arm_iff_every_value_is_0_or_1(self, data):
+        dtype = data.draw(st.sampled_from(
+            [np.bool_, np.int8, np.int16, np.int64, np.uint8, np.uint64,
+             np.float16, np.float32, np.float64]
+        ))
+        elements = st.one_of(st.sampled_from([0, 1]), hnp.from_dtype(np.dtype(dtype)))
+        arm = data.draw(hnp.arrays(dtype, st.integers(2, 8), elements=elements))
+        values = arm.tolist()
+        n = len(values)
+        if not all(v in (0, 1) for v in values):
+            with pytest.raises(ValueError, match="arm values must be 0"):
+                make_dataset(np.zeros(n), np.zeros(n), arm)
+        elif 0 < sum(values) < n:
+            ds = make_dataset(np.zeros(n), np.zeros(n), arm)
+            assert ds.arm.dtype == np.int8 and ds.arm.tolist() == [int(v) for v in values]
+        else:
+            with pytest.raises(ValueError, match="no (treatment|control) rows"):
+                make_dataset(np.zeros(n), np.zeros(n), arm)
 
     def test_counts(self):
         ds = make_dataset([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], [1, 0, 1], [0.5, 0.0, 0.5])

@@ -13,10 +13,13 @@ generated dataset instead, in µs per row; the file goes to a temporary
 directory. Every mode prints the best, median and worst of `--reps` runs.
 
 `--memory` measures allocations instead of time: tracemalloc's peak in bytes
-per row for `generate` (the dataset it returns included) and for a 4-step
-`train` (above the dataset, per row of a step: full batch on perfbench's
-linear model, or `--model mlp --batch N`), the minor page faults per call
-once warm, and the process's peak RSS (`ru_maxrss`) at the end.
+per row for `generate` (the dataset it returns included), for one
+`effective_gradient` call and for a 4-step `train` (above the dataset, per
+row of a step: full batch on perfbench's linear model, or `--model mlp
+--batch N`), the minor page faults per call once warm, and the process's
+peak RSS (`ru_maxrss`). The `train (csv)` rows then run the same `train` on
+the dataset saved and read back through `load_csv`, the data `liftloss
+train --data` trains on, and print the peak RSS again with `load_csv`'s.
 Set `OPENBLAS_NUM_THREADS=1` to pin BLAS as perfbench does:
 
     OPENBLAS_NUM_THREADS=1 python scripts/benchmark_gradient.py \\
@@ -102,24 +105,48 @@ def minor_faults(call) -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
+def csv_round_trip(dataset):
+    """`dataset` saved and read back through `load_csv`, as `liftloss train --data` reads it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_csv(dataset, path)
+        return load_csv(path)
+
+
+def memory_row(name: str, n_bins, n: int, rows: int, call, reps: int) -> None:
+    call()  # warm up: lazy imports, the cached subsample draw, the heap's size
+    peaks = np.array([traced_peak(call) for _ in range(reps)]) / rows
+    faults = np.median([minor_faults(call) for _ in range(reps)])
+    print(f"{name:>18} {n_bins:>5} {n:>10} {peaks.min():>8.1f} {np.median(peaks):>8.1f} "
+          f"{peaks.max():>8.1f} {faults:>10.0f}")
+
+
+def print_maxrss(label: str) -> None:
+    maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    print(f"process peak RSS (ru_maxrss){label}: {maxrss_kb / 1024:.1f} MB")
+
+
 def run_memory(sizes: list[int], bin_counts: list[int], model: str, batch: int | None,
                reps: int, seed: int) -> None:
-    print(f"{'op':>9} {'bins':>5} {'rows':>10} {'best':>8} {'median':>8} {'worst':>8} "
+    print(f"{'op':>18} {'bins':>5} {'rows':>10} {'best':>8} {'median':>8} {'worst':>8} "
           f"{'faults/op':>10}  (B/row of {reps}; faults median, warm)")
     for n in sizes:
         config = DataGenConfig(n_rows=n, seed=seed)
         dataset = generate(config)
-        ops = [("generate", "", n, lambda: generate(config))]
-        ops += [("train", n_bins, min(batch or n, n), train_call(dataset, model, n_bins, seed, batch))
-                for n_bins in bin_counts]
-        for name, n_bins, rows, call in ops:
-            call()  # warm up: lazy imports, the cached subsample draw, the heap's size
-            peaks = np.array([traced_peak(call) for _ in range(reps)]) / rows
-            faults = np.median([minor_faults(call) for _ in range(reps)])
-            print(f"{name:>9} {n_bins:>5} {n:>10} {peaks.min():>8.1f} {np.median(peaks):>8.1f} "
-                  f"{peaks.max():>8.1f} {faults:>10.0f}")
-    maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-    print(f"process peak RSS (ru_maxrss): {maxrss_kb / 1024:.1f} MB")
+        memory_row("generate", "", n, n, lambda: generate(config), reps)
+        for n_bins in bin_counts:
+            memory_row("effective_gradient", n_bins, n, n,
+                       gradient_call(dataset, n_bins, seed), reps)
+            memory_row("train", n_bins, n, min(batch or n, n),
+                       train_call(dataset, model, n_bins, seed, batch), reps)
+    print_maxrss("")
+    # last, since load_csv's row lists set the process's peak RSS
+    for n in sizes:
+        loaded = csv_round_trip(generate(DataGenConfig(n_rows=n, seed=seed)))
+        for n_bins in bin_counts:
+            memory_row("train (csv)", n_bins, n, min(batch or n, n),
+                       train_call(loaded, model, n_bins, seed, batch), reps)
+    print_maxrss(" after load_csv")
 
 
 def run_io(sizes: list[int], reps: int, seed: int) -> None:

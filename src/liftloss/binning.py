@@ -107,9 +107,10 @@ def _subsample_rows(n: int, size: int, seed: int) -> np.ndarray:
     """The seeded rows `compute_cuts` quantiles when it has more than `size`.
 
     The draw depends only on its arguments, and a training run asks for the
-    same one at every step, so the last one is kept (read-only).
+    same one at every step, so the last one is kept, as a read-only view
+    whose `base` is the writeable draw.
     """
-    rows = np.random.default_rng(seed).choice(n, size=size, replace=False)
+    rows = np.random.default_rng(seed).choice(n, size=size, replace=False).view()
     rows.setflags(write=False)
     return rows
 
@@ -139,7 +140,8 @@ def compute_cuts(
     if max_sort < n_bins:
         raise BinningError(f"max_sort ({max_sort}) must be at least n_bins ({n_bins})")
     if p.size > max_sort:
-        s = p.take(_subsample_rows(p.size, max_sort, seed))
+        # the writeable draw: `take` copies an index array that is not writeable
+        s = p.take(_subsample_rows(p.size, max_sort, seed).base)
         s.sort()  # a fresh gather, so sorting it in place leaves the caller's array alone
     else:
         s = np.sort(p)

@@ -68,7 +68,8 @@ class ABDataset:
             raise ValueError("features contain non-finite values")
         if not np.isfinite(y).all():
             raise ValueError("outcome contains non-finite values")
-        if not np.isin(arm, (0, 1)).all():  # before the cast, which would wrap 257 to 1
+        # before the cast, which would wrap 257 to 1; `isin` would take 12 B/row
+        if arm.dtype != bool and not ((arm == 0) | (arm == 1)).all():
             raise ValueError("arm values must be 0 (control) or 1 (treatment)")
         arm = arm.astype(np.int8)
         _require_both_arms(arm)
@@ -82,7 +83,12 @@ class ABDataset:
         self._freeze(feats, y, arm, lift)
 
     def _freeze(self, feats, y, arm, lift) -> None:
-        """Store the columns, read-only."""
+        """Store the columns, read-only, and a writeable view of the outcome.
+
+        `np.bincount` copies a `weights` array that is not writeable, so
+        `subset_stats` weighs its rows by the view, which shares the bytes.
+        """
+        object.__setattr__(self, "_outcome_weights", y.view())
         for name, arr in zip(("features", "outcome", "arm", "true_lift"), (feats, y, arm, lift)):
             if arr is not None:
                 arr.setflags(write=False)
@@ -163,9 +169,10 @@ def generate(config: DataGenConfig) -> ABDataset:
     Deterministic given `config.seed`. Arm labels are i.i.d.
     Bernoulli(treatment_fraction), independent of the features. Note that for
     very small n_rows a draw can land all rows in one arm, which fails the
-    dataset invariant and raises. Peak memory is about 70–74 B/row
-    (tracemalloc, 1M–200k rows), the returned 33 B/row dataset included:
-    the raw (n, 3) draw is released before the dataset copies its columns.
+    dataset invariant and raises. Peak memory is about 67 B/row
+    (tracemalloc, 200k–1M rows; up to 71 on a process's first call), the
+    returned 33 B/row dataset included: the raw (n, 3) draw is released
+    before the dataset copies its columns.
     """
     rng = np.random.default_rng(config.seed)
     if config.noise_distribution is NoiseDistribution.UNIFORM01:

@@ -131,9 +131,9 @@ def subset_stats(
     if counts.size > n_keys or counts[0] or counts[1]:
         raise ValueError("bin index out of range")
     count_c, count_t = counts[2:].reshape(n_bins, 2).T
-    sum_y_c, sum_y_t = (
-        np.bincount(key, weights=dataset.outcome, minlength=n_keys)[2:].reshape(n_bins, 2).T
-    )
+    # the writeable view of the outcome: bincount would copy the read-only column
+    y = dataset._outcome_weights
+    sum_y_c, sum_y_t = np.bincount(key, weights=y, minlength=n_keys)[2:].reshape(n_bins, 2).T
     sum_pred = np.bincount(bins, weights=p, minlength=n_bins + 1)[1:]
     count = count_c + count_t
     for arm_count, arm_name in ((count_t, "treatment"), (count_c, "control")):

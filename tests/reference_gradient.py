@@ -18,7 +18,9 @@ kept verbatim so property tests can compare the two on random instances:
   with `bins - 1`;
 - `bias_gradient`, `loss_partials`, `_lift_deltas`, `_delta_loss` and
   `_migration_gradient`: the bias channel plus the per-row migration slope
-  with its 4-way `np.where`.
+  with its 4-way `np.where`;
+- `reference_whole_gather_gradient`: `effective_gradient` with its
+  coefficient tables gathered over all rows at once.
 """
 
 from __future__ import annotations
@@ -35,9 +37,13 @@ from liftloss.binning import (
     Segment,
     _check_predictions,
     assign_bins,
+    assign_segments,
+    compute_cuts,
     inner_cuts,
 )
-from liftloss.loss import EmptyArmInBinError, SubsetStats
+from liftloss.gradient import EffectiveGradient, _migration_tables
+from liftloss.gradient import bias_gradient as table_bias_gradient
+from liftloss.loss import EmptyArmInBinError, SubsetStats, subset_stats
 
 
 def reference_compute_cuts(
@@ -298,3 +304,30 @@ def reference_effective_gradient(dataset, predictions, cuts, cached_global_lift,
         stats, cuts, inner, dataset.outcome, dataset.is_treatment, bins, segments, scale
     )
     return grad, segments
+
+
+def reference_whole_gather_gradient(
+    dataset, predictions, config, cached_global_lift=None, cuts=None
+) -> EffectiveGradient:
+    """`effective_gradient` with the index and migration arrays spanning all rows."""
+    p = np.asarray(predictions, dtype=np.float64)
+    if p.shape != (len(dataset),):
+        raise ValueError("predictions must align with the dataset rows")
+    if cuts is None:
+        cuts = compute_cuts(p, config.n_bins, max_sort=config.max_sort)
+    bins = assign_bins(p, cuts)
+    stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
+    inner = inner_cuts(cuts, p)
+    segments = assign_segments(p, inner, bins)
+    a, b = _migration_tables(stats, cuts, inner, config.migration_step_scale)
+    a += table_bias_gradient(stats, np.arange(1, cuts.n_bins + 1))[:, None, None]
+    # idx = (bin - 1) * 6 + segment * 2 + arm; the small terms stay int8
+    idx = bins * 6
+    idx += segments * 2 + dataset.arm - 6
+    grad = a.take(idx)
+    migration = b.take(idx)
+    migration *= dataset.outcome
+    grad += migration
+    if not np.isfinite(grad).all():
+        raise FloatingPointError("effective gradient produced non-finite values")
+    return EffectiveGradient(grad, stats, cuts, inner, bins, segments)

@@ -8,11 +8,20 @@ from liftloss import (
     ABDataset,
     CsvFormatError,
     DataGenConfig,
+    GradConfig,
+    ModelKind,
+    ModelSpec,
     NoiseDistribution,
+    assign_bins,
+    compute_cuts,
+    effective_gradient,
     generate,
     load_csv,
+    predict,
     save_csv,
+    subset_stats,
 )
+from liftloss.binning import _subsample_rows
 
 from dataset_helpers import make_dataset
 
@@ -313,3 +322,45 @@ class TestCsv:
         np.testing.assert_array_equal(ds.features, back.features)
         np.testing.assert_array_equal(ds.outcome, back.outcome)
         np.testing.assert_array_equal(ds.arm, back.arm)
+
+
+class TestReadOnlyContract:
+    """Public columns stay read-only however a dataset is made, and the step's
+    functions write neither to them nor to the caller's arrays."""
+
+    COLUMNS = ("features", "outcome", "arm", "true_lift")
+
+    @pytest.mark.parametrize("source", ["constructor", "generate", "load_csv", "take"])
+    def test_every_public_column_is_read_only(self, tmp_path, source):
+        ds = generate(DataGenConfig(n_rows=300, seed=4))
+        if source == "constructor":
+            ds = ABDataset(*(getattr(ds, k).copy() for k in self.COLUMNS))
+        elif source == "load_csv":
+            save_csv(ds, tmp_path / "d.csv")
+            ds = load_csv(tmp_path / "d.csv")
+        elif source == "take":
+            ds = ds.take(np.arange(0, 300, 2))
+        for name in self.COLUMNS:
+            col = getattr(ds, name)
+            assert not col.flags.writeable, name
+            with pytest.raises(ValueError):
+                col[0] = 0
+
+    def test_step_functions_leave_inputs_unchanged(self):
+        n, max_sort = 5000, 1000  # more rows than max_sort: cuts come from the cached draw
+        ds = generate(DataGenConfig(n_rows=n, seed=6))
+        preds = predict(ModelSpec(ModelKind.LINEAR, 2), [0.4, -0.3, 0.1], ds)
+        preds.setflags(write=False)
+        cuts = compute_cuts(preds, 8, max_sort=max_sort)
+        bins = assign_bins(preds, cuts)
+        draw = _subsample_rows(n, max_sort, 0)
+        before = [a.tobytes() for a in (preds, bins, draw, *(getattr(ds, k) for k in self.COLUMNS))]
+        subset_stats(ds, preds, bins, 8)
+        compute_cuts(preds, 8, max_sort=max_sort)
+        effective_gradient(ds, preds, GradConfig(n_bins=8, max_sort=max_sort))
+        after = [a.tobytes() for a in (preds, bins, draw, *(getattr(ds, k) for k in self.COLUMNS))]
+        assert after == before
+        assert _subsample_rows(n, max_sort, 0) is draw and not draw.flags.writeable
+        fresh = np.random.default_rng(0).choice(n, size=max_sort, replace=False)
+        assert draw.tobytes() == fresh.tobytes()
+        assert not any(getattr(ds, k).flags.writeable for k in self.COLUMNS)

@@ -23,6 +23,7 @@ from liftloss import (
     subset_stats,
     true_lift_loss,
 )
+from liftloss.binning import BIN_BLOCK_ROWS
 from liftloss.checks import (
     BIAS_TOLERANCE,
     MIGRATION_TOLERANCE,
@@ -35,7 +36,7 @@ from liftloss.gradient import _migration_tables
 from liftloss.models import ModelKind, ModelSpec
 
 from dataset_helpers import make_dataset
-from reference_gradient import reference_effective_gradient
+from reference_gradient import reference_effective_gradient, reference_whole_gather_gradient
 
 
 def recompute_loss_slope(stats, dp, y, treated, from0, to0):
@@ -433,6 +434,30 @@ class TestTableMatchesReference:
         np.testing.assert_array_equal(
             result.point_grad[middle], bias_gradient(result.stats, result.bins[middle])
         )
+
+
+class TestBlockedGather:
+    """The coefficient tables are gathered `BIN_BLOCK_ROWS` rows at a time."""
+
+    @pytest.mark.parametrize("n_bins", [2, 10, 65])
+    @pytest.mark.parametrize(
+        "n", [BIN_BLOCK_ROWS - 1, BIN_BLOCK_ROWS, BIN_BLOCK_ROWS + 1, 2 * BIN_BLOCK_ROWS + 1]
+    )
+    def test_matches_whole_vector_gather_across_block_edges(self, n, n_bins):
+        rng = np.random.default_rng(n + n_bins)
+        preds = rng.normal(size=n)
+        arm = (rng.random(n) < 0.6).astype(np.int8)
+        y = rng.normal(0.5 * arm + 0.3 * preds, 1.0)
+        cuts = compute_cuts(preds, n_bins)
+        preds = place_ties(preds, cuts, rng)  # rows on every cut, minus and plus
+        ds = make_dataset(preds, y, arm)
+        config = GradConfig(n_bins=n_bins)
+        got = effective_gradient(ds, preds, config, cuts=cuts)
+        want = reference_whole_gather_gradient(ds, preds, config, cuts=cuts)
+        for name in ("point_grad", "bins", "segments"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert (got.segments != Segment.MIDDLE).any()
 
 
 class TestDegeneratePredictions:

@@ -1,10 +1,13 @@
-"""Peak allocations of `generate` and of a training run, seen through tracemalloc.
+"""Peak allocations of `generate`, a training run and its parts, seen through tracemalloc.
 
 numpy registers its array buffers with tracemalloc, so the traced peak counts
-every row-sized array a call holds at once. The bounds sit about halfway
-between the peaks with and without the releases they guard: `train` drops
-each step's gradient arrays before the next step, and `generate` drops its
-raw draw before the dataset copies its columns.
+every row-sized array a call holds at once. Each bound sits about halfway
+between the peaks with and without what it guards: `train` drops each
+step's gradient arrays before the next step, and `generate` drops its raw
+draw before the dataset copies its columns; `effective_gradient` gathers its
+coefficient tables a block of rows at a time; `subset_stats` weighs by a
+writeable view of the outcome, which `np.bincount` does not copy; and the
+dataset constructor checks the arm values without `np.isin`.
 """
 
 import tracemalloc
@@ -12,16 +15,25 @@ import tracemalloc
 import numpy as np
 
 from liftloss import (
+    ABDataset,
     DataGenConfig,
     GradConfig,
     ModelKind,
     ModelSpec,
     TrainConfig,
+    assign_bins,
+    compute_cuts,
+    effective_gradient,
     generate,
+    global_lift,
+    predict,
+    subset_stats,
     train,
 )
 
 N_ROWS = 200_000
+LINEAR = ModelSpec(ModelKind.LINEAR, 2)
+INIT = np.array([1.0, 0.1, 1.0])
 
 
 def traced_peak(call) -> int:
@@ -39,17 +51,47 @@ def traced_peak(call) -> int:
             tracemalloc.stop()
 
 
-def test_full_batch_train_holds_one_steps_arrays():
-    # 42.1 B/row above the dataset; 59.1 while step t-1's gradient outlived step t's
+def step_inputs():
+    """A 200k-row dataset and the linear model's predictions on it."""
     ds = generate(DataGenConfig(n_rows=N_ROWS, seed=3))
-    spec = ModelSpec(ModelKind.LINEAR, 2)
+    return ds, predict(LINEAR, INIT, ds)
+
+
+def test_full_batch_train_holds_one_steps_arrays():
+    # 31.3 B/row above the dataset; 42.1 with whole-vector gathers and a copied
+    # outcome, 59.1 while step t-1's gradient outlived step t's
+    ds = generate(DataGenConfig(n_rows=N_ROWS, seed=3))
     config = TrainConfig(step_size=0.1, steps=3, grad=GradConfig(n_bins=10))
-    init = np.array([1.0, 0.1, 1.0])
-    train(ds, spec, init, config)  # fills the cached quantile subsample draw first
-    assert traced_peak(lambda: train(ds, spec, init, config)) / N_ROWS < 51.0
+    train(ds, LINEAR, INIT, config)  # fills the cached quantile subsample draw first
+    assert traced_peak(lambda: train(ds, LINEAR, INIT, config)) / N_ROWS < 37.0
+
+
+def test_effective_gradient_gathers_in_row_blocks():
+    # 23.3 B/row; 34.0 with the index and migration arrays spanning all rows
+    ds, preds = step_inputs()
+    config = GradConfig(n_bins=10)
+    gl = global_lift(ds)
+    effective_gradient(ds, preds, config, gl)  # fills the cached quantile subsample draw
+    assert traced_peak(lambda: effective_gradient(ds, preds, config, gl)) / N_ROWS < 29.0
+
+
+def test_subset_stats_does_not_copy_the_outcome():
+    # 8.3 B/row (its intp key); 16.0 while bincount copied the read-only outcome
+    ds, preds = step_inputs()
+    bins = assign_bins(preds, compute_cuts(preds, 10))
+    assert traced_peak(lambda: subset_stats(ds, preds, bins, 10)) / N_ROWS < 12.0
+
+
+def test_dataset_checks_an_int64_arm_without_isin():
+    # 34.0 B/row, the 33 B/row dataset included; 43.0 with `np.isin`
+    ds = generate(DataGenConfig(n_rows=N_ROWS, seed=3))
+    arm = ds.arm.astype(np.int64)
+    call = lambda: ABDataset(ds.features, ds.outcome, arm, ds.true_lift)  # noqa: E731
+    assert traced_peak(call) / N_ROWS < 38.5
 
 
 def test_generate_holds_one_copy_of_the_data():
-    # 73.8 B/row, the 33 B/row dataset included; 98.8 while the (n, 3) draw outlived the copies
+    # 67.0 B/row warm (70.8 on a first call), the 33 B/row dataset included;
+    # 95.0 while the (n, 3) draw outlived the copies
     config = DataGenConfig(n_rows=N_ROWS, seed=3)
     assert traced_peak(lambda: generate(config)) / N_ROWS < 86.0

@@ -52,10 +52,14 @@ class Segment(enum.IntEnum):
 
 @dataclass(frozen=True)
 class CutPoints:
-    """Strictly increasing bin boundaries; `cuts` has length `n_bins - 1`."""
+    """Strictly increasing bin boundaries; `cuts` has length `n_bins - 1`.
+
+    `spread` from `compute_cuts` is its sample's interquartile range, or range if that is 0.
+    """
 
     cuts: np.ndarray
     n_bins: int
+    spread: float | None = None
 
     def __post_init__(self) -> None:
         cuts = np.array(self.cuts, dtype=np.float64)
@@ -69,6 +73,8 @@ class CutPoints:
             raise BinningError("cut values must be finite")
         if cuts.size > 1 and not (np.diff(cuts) > 0).all():
             raise BinningError("cut values must be strictly increasing")
+        if self.spread is not None and not 0 < self.spread < np.inf:
+            raise BinningError(f"spread must be finite and positive, got {self.spread}")
         cuts.setflags(write=False)
         object.__setattr__(self, "cuts", cuts)
 
@@ -128,9 +134,9 @@ def compute_cuts(
     boundary). Inputs longer than `max_sort` are quantiled on a seeded
     uniform subsample of `max_sort` points instead of a full sort; the
     subsample's row indices are drawn once per `(len, max_sort, seed)` and
-    reused. The (sub)sample is sorted once, and each quantile is read from
-    it by index with `np.quantile(method="midpoint")`'s own arithmetic, so
-    the cuts equal that call's bit for bit.
+    reused. The (sub)sample is sorted once, and the cuts and the quartiles
+    behind `spread` are read from it by index with `np.quantile`'s own
+    arithmetic (midpoint and linear rule), so they equal its bit for bit.
     """
     p = _check_predictions(predictions)
     if n_bins < 1:
@@ -151,18 +157,20 @@ def compute_cuts(
             f"degenerate predictions: need at least {n_bins} distinct values "
             f"to form {n_bins} bins"
         )
-    # np.quantile's midpoint rule: the order statistics flanking the virtual
-    # index v, and the lower one alone (as a + (b - a) * 0) where v is whole
-    v = (s.size - 1) * (np.arange(1, n_bins) / n_bins)
+    # np.quantile's lerp between the order statistics flanking v < s.size - 1:
+    # t = frac(v) for the quartiles (linear rule), 1/2 or 0 at whole v for the cuts (midpoint)
+    v = (s.size - 1) * np.concatenate(([0.25, 0.75], np.arange(1, n_bins) / n_bins))
     lo = np.floor(v).astype(np.intp)
-    a = s[lo]
-    b = s[np.minimum(lo + 1, s.size - 1)]
-    cuts = np.where(v == lo, a + (b - a) * 0.0, b - (b - a) * 0.5)
+    t = v - lo
+    t[2:] = np.where(t[2:] > 0, 0.5, 0.0)
+    a, b = s[lo], s[lo + 1]
+    q = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    cuts = q[2:]
     if cuts.size > 1 and not (np.diff(cuts) > 0).all():
         raise DegeneratePredictionsError(
             "degenerate predictions: tied quantiles, reduce n_bins"
         )
-    return CutPoints(cuts, n_bins)
+    return CutPoints(cuts, n_bins, float(q[1] - q[0] or s[-1] - s[0]))
 
 
 def assign_bins(predictions, cuts: CutPoints) -> np.ndarray:
@@ -193,29 +201,23 @@ def assign_bins(predictions, cuts: CutPoints) -> np.ndarray:
     return bins
 
 
-def inner_cuts(cuts: CutPoints, predictions) -> InnerCuts:
+def inner_cuts(cuts: CutPoints) -> InnerCuts:
     """Place segment boundaries one third of the way into each neighboring bin.
 
     Interior boundaries blend with their neighbors (2/3 own cut + 1/3
     neighbor); the outermost boundaries extrapolate the same one-third-of-gap
     width outward. With a single cut there is no neighboring gap at all, so
-    the offset falls back to one sixth of the interquartile range of
-    `predictions`.
+    the offset is one sixth of `cuts.spread`, which comes from the sample
+    the cut was read from: reused cuts keep their segments.
     """
     k = cuts.n_bins - 1
     if k < 1:
         raise BinningError("no boundaries: need at least 2 bins for inner cuts")
     c = cuts.cuts
     if k == 1:
-        p = _check_predictions(predictions)
-        q1, q3 = np.quantile(p, [0.25, 0.75])
-        width = float(q3 - q1)
-        if width == 0.0:
-            width = float(np.ptp(p))
-        if width == 0.0:
-            raise DegeneratePredictionsError("cannot size segments: predictions are constant")
-        offset = width / 6.0
-        return InnerCuts(c - offset, c + offset)
+        if cuts.spread is None:
+            raise BinningError("a single cut needs its sample's spread to size segments")
+        return InnerCuts(c - cuts.spread / 6.0, c + cuts.spread / 6.0)
     minus = np.empty(k)
     plus = np.empty(k)
     minus[1:] = (2.0 / 3.0) * c[1:] + (1.0 / 3.0) * c[:-1]
@@ -229,7 +231,7 @@ def assign_segments(predictions, inner: InnerCuts, bins: np.ndarray) -> np.ndarr
     """Label each row bottom / middle / top within its bin.
 
     `bins` is `assign_bins(predictions, cuts)` and `inner` is
-    `inner_cuts(cuts, predictions)`. Top means within one segment of the
+    `inner_cuts(cuts)`. Top means within one segment of the
     bin's upper cut (candidates to migrate up), bottom within one segment of
     the lower cut (candidates to migrate down). The first bin has no bottom
     segment and the last no top segment; their outer regions stay middle, so

@@ -161,10 +161,10 @@ def effective_gradient(
 ) -> EffectiveGradient:
     """Full per-row gradient: bias channel plus boundary migrations.
 
-    Pass `cuts` to reuse boundaries from an earlier step instead of
-    recomputing quantiles (the trainer does this on its `rebin_every`
-    cadence). Raises EmptyArmInBinError when a bin lacks an arm and
-    DegeneratePredictionsError when the predictions cannot fill the bins.
+    Pass `cuts` to reuse an earlier step's boundaries and segment widths
+    instead of recomputing quantiles (the trainer does this on its
+    `rebin_every` cadence). Raises EmptyArmInBinError when a bin lacks an
+    arm and DegeneratePredictionsError when the predictions cannot fill the bins.
     The tables are gathered `BIN_BLOCK_ROWS` rows at a time, so the call
     peaks at about 19 B/row beyond its inputs at 1M rows and 23 at 200k
     (tracemalloc, 10 bins): bins, segments, the gradient and its
@@ -177,7 +177,7 @@ def effective_gradient(
         cuts = compute_cuts(p, config.n_bins, max_sort=config.max_sort)
     bins = assign_bins(p, cuts)
     stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
-    inner = inner_cuts(cuts, p)
+    inner = inner_cuts(cuts)
     segments = assign_segments(p, inner, bins)
     a, b = _migration_tables(stats, cuts, inner, config.migration_step_scale)
     a += bias_gradient(stats, np.arange(1, cuts.n_bins + 1))[:, None, None]

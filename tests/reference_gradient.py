@@ -2,12 +2,17 @@
 
 These are the per-row forms that the coefficient-table gradient in
 `liftloss.gradient` and the fused statistics in `liftloss.loss` replace,
-kept verbatim so property tests can compare the two on random instances:
+kept verbatim, plus written-out forms of the binning steps, so property
+tests can compare the two on random instances:
 
+- `reference_cut_sample`: the rows `compute_cuts` reads, drawn afresh;
 - `reference_compute_cuts`: an `np.unique` distinct-value count, then
   `np.quantile` on the unsorted sample;
-- `reference_single_cut_inner_cuts`: the 2-bin segment width from two
-  separate `np.quantile` calls;
+- `reference_spread` and `reference_single_cut_inner_cuts`: the 2-bin
+  segment width from two separate `np.quantile` calls, with an `np.ptp`
+  fallback, on the sample the cut was read from;
+- `reference_inner_cuts`: the blend rule written out per boundary, or the
+  single cut's width above;
 - `reference_subset_stats`: five masked `bincount`s per call;
 - `reference_keyed_subset_stats`: one `bins0 * 2 + arm` key after a
   min/max range check on `bins0 = bins - 1`;
@@ -19,6 +24,8 @@ kept verbatim so property tests can compare the two on random instances:
 - `bias_gradient`, `loss_partials`, `_lift_deltas`, `_delta_loss` and
   `_migration_gradient`: the bias channel plus the per-row migration slope
   with its 4-way `np.where`;
+- `reference_effective_gradient`: the per-row gradient from the reference
+  bins, inner cuts, statistics and segments above;
 - `reference_whole_gather_gradient`: `effective_gradient` with its
   coefficient tables gathered over all rows at once.
 """
@@ -59,11 +66,7 @@ def reference_compute_cuts(
         return CutPoints(np.empty(0), 1)
     if max_sort < n_bins:
         raise BinningError(f"max_sort ({max_sort}) must be at least n_bins ({n_bins})")
-    if p.size > max_sort:
-        rng = np.random.default_rng(seed)
-        sample = p[rng.choice(p.size, size=max_sort, replace=False)]
-    else:
-        sample = p
+    sample = reference_cut_sample(p, max_sort, seed)
     if np.unique(sample).size < n_bins:
         raise DegeneratePredictionsError(
             f"degenerate predictions: need at least {n_bins} distinct values "
@@ -75,21 +78,57 @@ def reference_compute_cuts(
         raise DegeneratePredictionsError(
             "degenerate predictions: tied quantiles, reduce n_bins"
         )
-    return CutPoints(cuts, n_bins)
+    return CutPoints(cuts, n_bins, reference_spread(sample))
 
 
-def reference_single_cut_inner_cuts(cuts: CutPoints, predictions) -> InnerCuts:
-    """Segment bounds of a single cut, one sixth of the IQR on each side."""
-    assert cuts.n_bins == 2
-    p = _check_predictions(predictions)
-    c = cuts.cuts
-    width = float(np.quantile(p, 0.75) - np.quantile(p, 0.25))
+def reference_cut_sample(predictions, max_sort: int = DEFAULT_MAX_SORT, seed: int = 0):
+    """The predictions, or above `max_sort` of them the seeded subsample."""
+    p = np.asarray(predictions, dtype=np.float64)
+    if p.size <= max_sort:
+        return p
+    return p[np.random.default_rng(seed).choice(p.size, size=max_sort, replace=False)]
+
+
+def reference_spread(sample) -> float:
+    """Interquartile range of `sample`, or its range where that is 0."""
+    width = float(np.quantile(sample, 0.75) - np.quantile(sample, 0.25))
     if width == 0.0:
-        width = float(np.ptp(p))
+        width = float(np.ptp(sample))
+    return width
+
+
+def reference_single_cut_inner_cuts(cuts: CutPoints, sample) -> InnerCuts:
+    """Segment bounds of a single cut, one sixth of the spread of `sample`,
+    the predictions the cut was read from, on each side."""
+    assert cuts.n_bins == 2
+    width = reference_spread(_check_predictions(sample))
     if width == 0.0:
         raise DegeneratePredictionsError("cannot size segments: predictions are constant")
     offset = width / 6.0
-    return InnerCuts(c - offset, c + offset)
+    return InnerCuts(cuts.cuts - offset, cuts.cuts + offset)
+
+
+def reference_inner_cuts(cuts: CutPoints, sample) -> InnerCuts:
+    """Segment bounds one third of the way to each neighbouring cut, one
+    boundary at a time; the outermost bounds mirror their inner gap. A
+    single cut takes its width from `sample`, the predictions it was read
+    from."""
+    c = cuts.cuts
+    k = c.size
+    if k == 1:
+        return reference_single_cut_inner_cuts(cuts, sample)
+    minus = np.empty(k)
+    plus = np.empty(k)
+    for j in range(k):
+        if j == 0:
+            minus[j] = c[0] - (c[1] - c[0]) / 3.0
+        else:
+            minus[j] = (2.0 / 3.0) * c[j] + (1.0 / 3.0) * c[j - 1]
+        if j == k - 1:
+            plus[j] = c[k - 1] + (c[k - 1] - c[k - 2]) / 3.0
+        else:
+            plus[j] = (2.0 / 3.0) * c[j] + (1.0 / 3.0) * c[j + 1]
+    return InnerCuts(minus, plus)
 
 
 def reference_subset_stats(bins, predictions, outcome, arm, n_bins, cached_global_lift=None):
@@ -287,17 +326,18 @@ def _migration_gradient(
     return out
 
 
-def reference_effective_gradient(dataset, predictions, cuts, cached_global_lift, scale):
+def reference_effective_gradient(dataset, predictions, cuts, sample, cached_global_lift, scale):
     """Per-row gradient built only from the reference helpers above.
 
-    Returns (point_grad, segments).
+    `sample` is the predictions `cuts` were read from (`reference_cut_sample`
+    of the ones passed to `compute_cuts`). Returns (point_grad, segments).
     """
     p = np.asarray(predictions, dtype=np.float64)
-    bins = assign_bins(p, cuts)
+    bins = reference_assign_bins(p, cuts)
     stats = reference_subset_stats(
         bins, p, dataset.outcome, dataset.arm, cuts.n_bins, cached_global_lift
     )
-    inner = inner_cuts(cuts, p)
+    inner = reference_inner_cuts(cuts, sample)
     segments = reference_assign_segments(p, cuts, inner, bins)
     grad = bias_gradient(stats, bins)
     grad += _migration_gradient(
@@ -317,7 +357,7 @@ def reference_whole_gather_gradient(
         cuts = compute_cuts(p, config.n_bins, max_sort=config.max_sort)
     bins = assign_bins(p, cuts)
     stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
-    inner = inner_cuts(cuts, p)
+    inner = inner_cuts(cuts)
     segments = assign_segments(p, inner, bins)
     a, b = _migration_tables(stats, cuts, inner, config.migration_step_scale)
     a += table_bias_gradient(stats, np.arange(1, cuts.n_bins + 1))[:, None, None]

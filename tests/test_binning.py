@@ -20,6 +20,7 @@ from reference_gradient import (
     reference_assign_bins,
     reference_assign_segments,
     reference_compute_cuts,
+    reference_cut_sample,
     reference_fancy_assign_segments,
     reference_single_cut_inner_cuts,
 )
@@ -80,7 +81,8 @@ class TestComputeCuts:
         self, n, n_bins, distinct, max_sort, signed_zeros, whole_index, seed
     ):
         # cuts are bit-identical to the np.unique + unsorted np.quantile form,
-        # with and without subsampling, and every error matches it too; with
+        # with and without subsampling, and so is the spread of the quartiles
+        # read with them; every error matches the reference too; with
         # whole_index the sample size m has (m - 1) * k / n_bins integral, so
         # every cut is a single order statistic rather than a midpoint
         if whole_index:
@@ -103,6 +105,8 @@ class TestComputeCuts:
         else:
             got = compute_cuts(preds, n_bins, **kwargs)
             assert got.n_bins == expected.n_bins
+            # the spread is never 0, so its sign cannot hide from ==
+            assert got.spread == expected.spread
             if not signed_zeros:
                 assert got.cuts.tobytes() == expected.cuts.tobytes()
             else:
@@ -114,7 +118,7 @@ class TestComputeCuts:
                     assign_bins(preds, got), assign_bins(preds, expected)
                 )
                 if n_bins > 1:
-                    a, b = inner_cuts(got, preds), inner_cuts(expected, preds)
+                    a, b = inner_cuts(got), inner_cuts(expected)
                     assert a.minus.tobytes() == b.minus.tobytes()
                     assert a.plus.tobytes() == b.plus.tobytes()
         assert preds.tobytes() == before.tobytes()
@@ -276,61 +280,108 @@ class TestAssignBins:
 
 class TestInnerCuts:
     def test_interior_blend(self):
-        inner = inner_cuts(CutPoints(np.array([0.0, 3.0]), 3), np.array([-1.0, 4.0]))
+        inner = inner_cuts(CutPoints(np.array([0.0, 3.0]), 3))
         # boundary 1's upper inner cut blends toward its neighbor at 3
         assert inner.plus[0] == pytest.approx(1.0)
 
     def test_edge_extrapolation_low(self):
-        inner = inner_cuts(CutPoints(np.array([1.0, 2.0]), 3), np.array([0.0, 3.0]))
+        inner = inner_cuts(CutPoints(np.array([1.0, 2.0]), 3))
         assert inner.minus[0] == pytest.approx(2.0 / 3.0)
 
     def test_edge_extrapolation_high(self):
         # the top boundary mirrors the bottom rule, extending one third of the
         # last gap beyond the final cut
-        inner = inner_cuts(CutPoints(np.array([1.0, 2.0]), 3), np.array([0.0, 3.0]))
+        inner = inner_cuts(CutPoints(np.array([1.0, 2.0]), 3))
         assert inner.plus[1] == pytest.approx(7.0 / 3.0)
 
     def test_single_boundary_uses_iqr(self):
         preds = np.arange(0.0, 1.01, 0.01)
         cuts = compute_cuts(preds, 2)
-        inner = inner_cuts(cuts, preds)
+        inner = inner_cuts(cuts)
         iqr = np.quantile(preds, 0.75) - np.quantile(preds, 0.25)
         assert cuts.cuts[0] - inner.minus[0] == pytest.approx(iqr / 6)
         assert inner.plus[0] - cuts.cuts[0] == pytest.approx(iqr / 6)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        n=st.integers(1, 3000),
-        distinct=st.one_of(st.none(), st.integers(1, 6)),
-        cut=st.floats(-2.0, 2.0),
+        n=st.integers(2, 3000),
+        kind=st.sampled_from(["normal", "few values", "tied quartiles", "jitter"]),
+        distinct=st.integers(1, 6),
+        scale=st.sampled_from([1.0, 1e300, -1e300, 1e-300]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_single_boundary_matches_two_quantile_reference(self, n, distinct, cut, seed):
-        # one np.quantile call for both quartiles gives the two-call IQR bit
-        # for bit, ties and constant input included
+    def test_single_boundary_matches_two_quantile_reference(
+        self, n, kind, distinct, scale, seed
+    ):
+        # the quartiles compute_cuts reads from its sorted sample give the
+        # two-call IQR bit for bit, and the range where the quartiles tie;
+        # only constant input cannot be cut
         rng = np.random.default_rng(seed)
-        preds = rng.normal(size=n) if distinct is None else rng.integers(0, distinct, n) * 0.25
-        cuts = CutPoints(np.array([cut]), 2)
-        try:
-            want = reference_single_cut_inner_cuts(cuts, preds)
-        except DegeneratePredictionsError as err:
-            with pytest.raises(DegeneratePredictionsError, match=str(err)):
-                inner_cuts(cuts, preds)
+        if kind == "normal":
+            preds = rng.normal(size=n)
+        elif kind == "few values":
+            preds = rng.integers(0, distinct, n) * 0.25
+        elif kind == "jitter":
+            preds = 1.0 + 1e-12 * rng.normal(size=n)
+        else:
+            # a fifth of the rows off one shared value, at most a quarter on
+            # either side of it, so both quartiles read that value
+            preds = np.zeros(n)
+            off = rng.choice(n, (n - 1) // 5, replace=False)
+            preds[off] = rng.normal(size=off.size)
+        preds = preds * scale
+        if np.unique(preds).size < 2:
+            with pytest.raises(DegeneratePredictionsError, match="distinct values"):
+                compute_cuts(preds, 2)
             return
-        got = inner_cuts(cuts, preds)
+        if kind == "tied quartiles":
+            assert np.quantile(preds, 0.25) == np.quantile(preds, 0.75)
+        cuts = compute_cuts(preds, 2)
+        got = inner_cuts(cuts)
+        want = reference_single_cut_inner_cuts(cuts, preds)
         assert got.minus.tobytes() == want.minus.tobytes()
         assert got.plus.tobytes() == want.plus.tobytes()
 
+    @pytest.mark.parametrize("tied", [False, True], ids=["normal", "tied quartiles"])
+    def test_single_boundary_above_max_sort_reads_the_subsample(self, tied):
+        # above max_sort the width is the subsample's, exactly as np.quantile
+        # reads it from the rows a fresh seeded draw picks
+        rng = np.random.default_rng(41)
+        preds = rng.normal(size=5000)
+        if tied:
+            preds[rng.random(5000) < 0.8] = 0.5
+        cuts = compute_cuts(preds, 2, max_sort=1000, seed=3)
+        sample = reference_cut_sample(preds, 1000, 3)
+        assert sample.size == 1000
+        q1, q3 = np.quantile(sample, [0.25, 0.75])
+        assert (q1 == q3) == tied
+        assert cuts.spread == (np.ptp(sample) if tied else q3 - q1)
+        got = inner_cuts(cuts)
+        want = reference_single_cut_inner_cuts(cuts, sample)
+        assert got.minus.tobytes() == want.minus.tobytes()
+        assert got.plus.tobytes() == want.plus.tobytes()
+
+    def test_hand_built_single_cut_needs_a_spread(self):
+        with pytest.raises(BinningError, match="spread"):
+            inner_cuts(CutPoints(np.array([0.5]), 2))
+        inner = inner_cuts(CutPoints(np.array([0.5]), 2, spread=0.6))
+        np.testing.assert_allclose([inner.minus[0], inner.plus[0]], [0.4, 0.6])
+
+    @pytest.mark.parametrize("spread", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_spread_not_finite_and_positive(self, spread):
+        with pytest.raises(BinningError, match="spread must be finite and positive"):
+            CutPoints(np.array([0.5]), 2, spread=spread)
+
     def test_no_boundaries(self):
         with pytest.raises(BinningError, match="no boundaries"):
-            inner_cuts(CutPoints(np.empty(0), 1), np.array([0.0, 1.0]))
+            inner_cuts(CutPoints(np.empty(0), 1))
 
     @pytest.mark.parametrize("n_bins", [3, 5, 9])
     def test_segments_ordered_and_disjoint(self, n_bins):
         rng = np.random.default_rng(n_bins)
         preds = np.sort(rng.random(2000)) ** 2  # uneven spacing
         cuts = compute_cuts(preds, n_bins)
-        inner = inner_cuts(cuts, preds)
+        inner = inner_cuts(cuts)
         assert ((inner.minus < cuts.cuts) & (cuts.cuts < inner.plus)).all()
         assert (inner.minus[1:] > inner.plus[:-1]).all()
 
@@ -340,14 +391,14 @@ class TestAssignSegments:
         # bin 2's lower region sits between the cut at 0 and the inner cut at 1
         cuts = CutPoints(np.array([0.0, 3.0]), 3)
         p = np.array([0.5])
-        inner = inner_cuts(cuts, p)
+        inner = inner_cuts(cuts)
         seg = assign_segments(p, inner, assign_bins(p, cuts))
         assert seg[0] == Segment.BOTTOM
 
     def test_deep_interior_is_middle(self):
         cuts = CutPoints(np.array([0.0, 3.0]), 3)
         p = np.array([1.5])  # between plus[0]=1 and minus[1]=2
-        inner = inner_cuts(cuts, p)
+        inner = inner_cuts(cuts)
         seg = assign_segments(p, inner, assign_bins(p, cuts))
         assert seg[0] == Segment.MIDDLE
 
@@ -355,7 +406,7 @@ class TestAssignSegments:
         cuts = CutPoints(np.array([0.0, 3.0]), 3)
         p = np.array([0.0])
         bins = assign_bins(p, cuts)
-        seg = assign_segments(p, inner_cuts(cuts, p), bins)
+        seg = assign_segments(p, inner_cuts(cuts), bins)
         assert bins[0] == 1
         assert seg[0] == Segment.TOP
 
@@ -364,7 +415,7 @@ class TestAssignSegments:
         preds = rng.random(5000)
         n_bins = 5
         cuts = compute_cuts(preds, n_bins)
-        inner = inner_cuts(cuts, preds)
+        inner = inner_cuts(cuts)
         bins = assign_bins(preds, cuts)
         seg = assign_segments(preds, inner, bins)
         assert not ((bins == 1) & (seg == Segment.BOTTOM)).any()
@@ -375,7 +426,7 @@ class TestAssignSegments:
         rng = np.random.default_rng(17)
         preds = rng.normal(size=4000)
         cuts = compute_cuts(preds, 7)
-        inner = inner_cuts(cuts, preds)
+        inner = inner_cuts(cuts)
         bins = assign_bins(preds, cuts)
         seg = assign_segments(preds, inner, bins)
         order = np.argsort(preds, kind="stable")
@@ -386,7 +437,7 @@ class TestAssignSegments:
         rng = np.random.default_rng(23)
         preds = rng.random(3000)
         cuts = compute_cuts(preds, 4)
-        inner = inner_cuts(cuts, preds)
+        inner = inner_cuts(cuts)
         bins = assign_bins(preds, cuts)
         seg = assign_segments(preds, inner, bins)
         top = seg == Segment.TOP
@@ -400,7 +451,7 @@ class TestAssignSegments:
         p = np.linspace(0.0, 1.0, 12)
         cuts = compute_cuts(p, 4)
         with pytest.raises(ValueError, match="bins shape"):
-            assign_segments(p, inner_cuts(cuts, p), bins)
+            assign_segments(p, inner_cuts(cuts), bins)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -422,7 +473,7 @@ class TestAssignSegments:
                     cuts.cuts + rng.uniform(0.01, 0.5, n_bins - 1) * spread,
                 )
             else:
-                inner = inner_cuts(cuts, preds)
+                inner = inner_cuts(cuts)
             ties = np.concatenate([cuts.cuts, inner.minus, inner.plus, [-1e9, 1e9]])
             preds[rng.choice(preds.size, ties.size, replace=False)] = ties
         bins = assign_bins(preds, cuts)

@@ -36,7 +36,11 @@ from liftloss.gradient import _migration_tables
 from liftloss.models import ModelKind, ModelSpec
 
 from dataset_helpers import make_dataset
-from reference_gradient import reference_effective_gradient, reference_whole_gather_gradient
+from reference_gradient import (
+    reference_cut_sample,
+    reference_effective_gradient,
+    reference_whole_gather_gradient,
+)
 
 
 def recompute_loss_slope(stats, dp, y, treated, from0, to0):
@@ -76,7 +80,7 @@ def full_structure(ds, preds, n_bins):
     cuts = compute_cuts(preds, n_bins)
     bins = assign_bins(preds, cuts)
     stats = subset_stats(ds, preds, bins, n_bins)
-    inner = inner_cuts(cuts, preds)
+    inner = inner_cuts(cuts)
     segments = assign_segments(preds, inner, bins)
     return cuts, bins, stats, inner, segments
 
@@ -155,7 +159,7 @@ class TestMigrationTerms:
         )
         # brackets: (0.3)^2 - (0.1)^2 in both bins; treated row at the arm mean
         cuts = compute_cuts(np.linspace(0, 1, 20), 2)
-        inner = inner_cuts(cuts, np.linspace(0, 1, 20))
+        inner = inner_cuts(cuts)
         a, b = _migration_tables(stats, cuts, inner, 0.5)
         cell = (0, Segment.TOP, 1)  # bin 1, top segment, treated
         assert a[cell] + b[cell] * 1.0 == pytest.approx(0.0, abs=1e-12)
@@ -254,6 +258,22 @@ class TestEffectiveGradient:
         shifted = preds + 0.01
         second = effective_gradient(ds, shifted, GradConfig(n_bins=3), cuts=first.cuts)
         assert second.cuts is first.cuts
+
+    def test_reused_cuts_keep_their_segment_width(self):
+        # at 2 bins the width comes from the spread of the predictions the
+        # cut was read from, not from the predictions it is reused on
+        ds = generate(DataGenConfig(n_rows=2000, seed=50))
+        preds = ds.features[:, 1]
+        config = GradConfig(n_bins=2)
+        cuts = effective_gradient(ds, preds, config).cuts
+        q1, q3 = np.quantile(preds, [0.25, 0.75])
+        assert cuts.spread == q3 - q1
+        moved = 3.0 * preds + 0.05
+        assert compute_cuts(moved, 2).spread != cuts.spread
+        result = effective_gradient(ds, moved, config, cuts=cuts)
+        want = inner_cuts(cuts)
+        assert result.inner.minus.tobytes() == want.minus.tobytes()
+        assert result.inner.plus.tobytes() == want.plus.tobytes()
 
     def test_bias_fd_invariant(self):
         # frozen-structure finite differences reproduce the bias channel
@@ -376,28 +396,12 @@ def sabotaged_migration_err(ds, eg, config, row):
 
 
 def place_ties(preds, cuts, rng):
-    """Put a few rows exactly on each cut, minus and plus of `cuts`.
-
-    With a single cut the segment width comes from the interquartile range,
-    so only rows strictly inside the order statistics that the quartiles
-    read are moved, onto targets inside the same range: the quartiles, and
-    with them the inner cuts, stay as they were.
-    """
-    inner = inner_cuts(cuts, preds)
+    """Put a few rows exactly on each cut, minus and plus of `cuts`."""
+    inner = inner_cuts(cuts)
     targets = np.concatenate([cuts.cuts, inner.minus, inner.plus])
-    movable = np.ones(preds.size, dtype=bool)
-    if cuts.n_bins == 2:
-        s = np.sort(preds)
-        lo = s[int(np.floor((s.size - 1) * 0.25)) + 1]
-        hi = s[int(np.floor((s.size - 1) * 0.75))]
-        movable = (preds > lo) & (preds < hi)
-        targets = targets[(targets > lo) & (targets < hi)]
-    rows = rng.permutation(np.flatnonzero(movable))[: 3 * targets.size]
+    rows = rng.permutation(preds.size)[: 3 * targets.size]
     out = preds.copy()
     out[rows] = np.resize(targets, rows.size)
-    after = inner_cuts(cuts, out)
-    np.testing.assert_array_equal(after.minus, inner.minus)
-    np.testing.assert_array_equal(after.plus, inner.plus)
     return out
 
 
@@ -415,13 +419,14 @@ class TestTableMatchesReference:
         arm = (rng.random(n) < frac).astype(np.int8)
         arm[:2] = (0, 1)
         y = rng.normal(0.5 * arm + 0.3 * preds, 1.0)
-        cuts = compute_cuts(preds if shift is None else preds + shift, n_bins)
+        sample = preds if shift is None else preds + shift
+        cuts = compute_cuts(sample, n_bins)
         preds = place_ties(preds, cuts, rng)
         ds = make_dataset(preds, y, arm)
         gl = global_lift(ds) if data.draw(st.booleans(), label="cached lift") else None
         config = GradConfig(n_bins=n_bins, migration_step_scale=scale)
         try:
-            ref, ref_segments = reference_effective_gradient(ds, preds, cuts, gl, scale)
+            ref, ref_segments = reference_effective_gradient(ds, preds, cuts, sample, gl, scale)
         except EmptyArmInBinError as err:
             with pytest.raises(EmptyArmInBinError) as got:
                 effective_gradient(ds, preds, config, gl, cuts)
@@ -482,11 +487,13 @@ class TestDegeneratePredictions:
         config = GradConfig(n_bins=n_bins, max_sort=max_sort)
         gl = global_lift(ds) if data.draw(st.booleans(), label="cached lift") else None
         cuts = None
+        sample = reference_cut_sample(preds, max_sort)
         if data.draw(st.booleans(), label="reuse cuts of moved predictions"):
-            cuts = compute_cuts(rng.normal(preds.mean(), 0.5, 50), n_bins)
+            sample = rng.normal(preds.mean(), 0.5, 50)
+            cuts = compute_cuts(sample, n_bins)
         try:
             want_cuts = compute_cuts(preds, n_bins, max_sort=max_sort) if cuts is None else cuts
-            ref, ref_segments = reference_effective_gradient(ds, preds, want_cuts, gl, 0.5)
+            ref, ref_segments = reference_effective_gradient(ds, preds, want_cuts, sample, gl, 0.5)
         except (DegeneratePredictionsError, EmptyArmInBinError) as err:
             with pytest.raises(type(err)) as got:
                 effective_gradient(ds, preds, config, gl, cuts)

@@ -1,13 +1,13 @@
 """Independent numerical checks of the effective gradient.
 
 `run_gradcheck` evaluates `effective_gradient` once and checks that output,
-the same per-row gradient the trainer descends. Neither check reuses the
-gradient module's coefficient arithmetic: the bias channel (all of a middle
-row's point gradient) is compared against central finite differences of the
-loss with the bin structure frozen, and each boundary row's migration part
-(its point gradient minus the bias channel) against a re-evaluation of the
-loss after moving that row between bins, with the lifts updated from the
-pre-move arm counts.
+the same per-row gradient the trainer descends, on every row. Neither check
+reuses the gradient module's coefficient arithmetic: the bias channel (all
+of a middle row's point gradient) is compared against one central finite
+difference of the loss per frozen bin, and each boundary row's migration
+part (its point gradient minus the bias channel) against a re-evaluation of
+the loss after moving that row between bins, with the lifts updated from
+the pre-move arm counts. Neither error grows with the row count.
 """
 
 from __future__ import annotations
@@ -30,50 +30,40 @@ __all__ = [
 
 BIAS_TOLERANCE = 1e-6
 MIGRATION_TOLERANCE = 1e-10
+# decimal digits of the migration oracle's np.longdouble: 18 on x86-64, 15 under MSVC
+MIGRATION_DIGITS = np.finfo(np.longdouble).precision
 
 
-def _rel_err(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return abs(a - b) / scale
+def bias_fd_check(eg: EffectiveGradient) -> float:
+    """Max relative error of the bias channel vs frozen-structure central FD.
 
-
-def bias_fd_check(
-    eg: EffectiveGradient, predictions: np.ndarray, sample_rows: int = 100, seed: int = 0
-) -> float:
-    """Max relative error of the bias gradient vs frozen-structure central FD.
-
-    Freezes bin membership and every statistic except the perturbed bin's
-    mean prediction, then differences the loss around +/- eps shifts of a
-    single row's prediction. A middle row's gradient is the bias channel
-    alone, so its FD is compared with the row's `point_grad`; a boundary
-    row's with `bias_gradient`, since its point gradient adds the migration
-    part that `migration_recompute_check` covers.
+    Freezes bin membership and every statistic but one bin's mean
+    prediction, and differences the loss at +/- h around it, one bin at a
+    time. The loss is exactly quadratic in each mean prediction, so the
+    difference has no truncation error, and h can be 1% of their spread,
+    which keeps rounding flat in the row count. Over the bin size it is the
+    derivative for every row of the bin, compared with each middle row's
+    point gradient (the bias channel alone) and with `bias_gradient` of
+    every bin (a boundary row's bias part; `migration_recompute_check`
+    covers the rest).
     """
-    if sample_rows < 1:
-        raise ValueError(f"sample_rows must be at least 1, got {sample_rows}")
-    stats, bins = eg.stats, eg.bins
-    rng = np.random.default_rng(seed)
-    rows = rng.choice(bins.size, size=min(sample_rows, bins.size), replace=False)
-    worst = 0.0
-    for i in rows:
-        b0 = bins[i] - 1
-        eps = 1e-4 * max(1.0, abs(float(predictions[i])))
-        shift = eps / stats.size[b0]
-        hi = stats.mean_pred.copy()
-        hi[b0] += shift
-        lo = stats.mean_pred.copy()
-        lo[b0] -= shift
-        loss_hi = true_lift_loss(replace(stats, mean_pred=hi)).loss
-        loss_lo = true_lift_loss(replace(stats, mean_pred=lo)).loss
-        fd = (loss_hi - loss_lo) / (2.0 * eps)
-        if eg.segments[i] == Segment.MIDDLE:
-            analytic = eg.point_grad[i]
-        else:
-            analytic = bias_gradient(stats, int(bins[i]))
-        worst = max(worst, _rel_err(fd, analytic))
-    return worst
+    s = eg.stats
+    h = 1e-2 * float(np.ptp(s.mean_pred))  # > 0: strictly increasing cuts separate the bins
+
+    def loss_at(b, value):
+        mean_pred = s.mean_pred.copy()
+        mean_pred[b] = value
+        return true_lift_loss(replace(s, mean_pred=mean_pred)).loss
+
+    per_row = np.empty(s.n_bins)
+    for b, m in enumerate(s.mean_pred):
+        hi, lo = m + h, m - h
+        per_row[b] = (loss_at(b, hi) - loss_at(b, lo)) / (hi - lo) / s.size[b]
+    middle = eg.segments == Segment.MIDDLE
+    analytic = np.concatenate([bias_gradient(s, np.arange(1, s.n_bins + 1)), eg.point_grad[middle]])
+    oracle = np.concatenate([per_row, per_row[eg.bins[middle] - 1]])
+    denom = np.maximum(np.abs(analytic), np.abs(oracle))
+    return float((np.abs(analytic - oracle) / np.maximum(denom, 1e-300)).max())
 
 
 def migration_recompute_check(
@@ -95,25 +85,29 @@ def migration_recompute_check(
     k = np.minimum(src, dst)  # the boundary crossed
     inner_edge = np.where(up, inner.minus[k], inner.plus[k])
     dp = config.migration_step_scale * (cuts.cuts[k] - inner_edge)
+    # the loss change is about 1/size of the loss terms it differences, so it
+    # is taken in extended precision to keep its rounding flat in the rows
+    ld = np.longdouble
     # each lift moves by the row's own-arm (mean - y) over the pre-move arm
     # count: with the arm mean for a treated row, against it for a control row
-    arm, y = dataset.arm[rows], dataset.outcome[rows]
-    mean_y = np.stack([s.mean_y_c, s.mean_y_t], axis=1)
+    arm, y = dataset.arm[rows], dataset.outcome[rows].astype(ld)
+    mean_y = np.stack([s.mean_y_c, s.mean_y_t], axis=1).astype(ld)
     size_arm = np.stack([s.size_c, s.size_t], axis=1)
     sign = 2.0 * arm - 1.0
-    lift_src = s.lift[src] + sign * (mean_y[src, arm] - y) / size_arm[src, arm]
-    lift_dst = s.lift[dst] - sign * (mean_y[dst, arm] - y) / size_arm[dst, arm]
+    lifts, mean_pred = s.lift.astype(ld), s.mean_pred.astype(ld)
+    lift_src = lifts[src] + sign * (mean_y[src, arm] - y) / size_arm[src, arm]
+    lift_dst = lifts[dst] - sign * (mean_y[dst, arm] - y) / size_arm[dst, arm]
 
     def contribution(bin0, lift, grow=0):
-        gap, sep = s.mean_pred[bin0] - lift, lift - s.global_lift
-        return (s.size[bin0] + grow) / s.total_size * (gap**2 - sep**2)
+        gap, sep = mean_pred[bin0] - lift, lift - ld(s.global_lift)
+        return (s.size[bin0] + grow) / ld(s.total_size) * (gap**2 - sep**2)
 
     # only the two affected bins change, so the loss difference reduces to
     # them; summing the untouched bins would just add cancellation noise
-    before = contribution(src, s.lift[src]) + contribution(dst, s.lift[dst])
+    before = contribution(src, lifts[src]) + contribution(dst, lifts[dst])
     after = contribution(src, lift_src, -1) + contribution(dst, lift_dst, +1)
     a = eg.point_grad[rows] - bias_gradient(s, eg.bins[rows])
-    b = (after - before) / dp
+    b = ((after - before) / dp).astype(np.float64)
     # normalize each row against its own magnitude or the instance's largest
     # slope, whichever is bigger: rows whose terms cancel to nearly zero would
     # otherwise amplify double-precision noise into spurious relative error
@@ -143,14 +137,10 @@ class GradCheckResult:
 
 
 def run_gradcheck(
-    dataset: ABDataset,
-    predictions: np.ndarray,
-    config: GradConfig,
-    sample_rows: int = 100,
-    seed: int = 0,
+    dataset: ABDataset, predictions: np.ndarray, config: GradConfig
 ) -> GradCheckResult:
-    """Check one `effective_gradient` evaluation against both oracles."""
+    """Check one `effective_gradient` evaluation against both oracles, every row included."""
     eg = effective_gradient(dataset, predictions, config)
-    bias_err = bias_fd_check(eg, predictions, sample_rows, seed)
+    bias_err = bias_fd_check(eg)
     mig_err, checked = migration_recompute_check(dataset, eg, config)
     return GradCheckResult(bias_err, mig_err, checked)

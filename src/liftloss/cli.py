@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .binning import BinningError, DegeneratePredictionsError, assign_bins, compute_cuts
-from .checks import BIAS_TOLERANCE, MIGRATION_TOLERANCE, run_gradcheck
+from .checks import BIAS_TOLERANCE, MIGRATION_DIGITS, MIGRATION_TOLERANCE, run_gradcheck
 from .dataset import (
     CsvFormatError,
     DataGenConfig,
@@ -249,14 +249,15 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     model = ModelSpec(ModelKind.LINEAR, dataset.d)
     predictions = predict(model, rng.standard_normal(dataset.d + 1), dataset)
-    result = run_gradcheck(dataset, predictions, config, args.sample_rows, args.seed)
+    result = run_gradcheck(dataset, predictions, config)
     print(
         f"bias gradient vs frozen-structure finite differences: "
         f"max relative error {result.bias_max_rel_err:.3e} "
         f"(tolerance {BIAS_TOLERANCE:.0e}) {'PASS' if result.bias_passed else 'FAIL'}"
     )
     print(
-        f"migration terms vs recompute oracle over {result.migration_rows_checked} rows: "
+        f"migration terms vs recompute oracle over {result.migration_rows_checked} rows "
+        f"in {MIGRATION_DIGITS}-digit arithmetic: "
         f"max relative error {result.migration_max_rel_err:.3e} "
         f"(tolerance {MIGRATION_TOLERANCE:.0e}) {'PASS' if result.migration_passed else 'FAIL'}"
     )
@@ -359,7 +360,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--migration-scale", type=float, default=GradConfig.migration_step_scale)
     p.add_argument("--max-sort", type=int, default=GradConfig.max_sort)
-    p.add_argument("--sample-rows", type=int, default=100, help="rows sampled for the bias check")
     _add_config_flag(p)
     p.set_defaults(func=cmd_gradcheck)
 

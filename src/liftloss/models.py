@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binning import DegeneratePredictionsError
 from .dataset import ABDataset
 from .gradient import GradConfig, effective_gradient
 from .loss import EmptyArmInBinError, LossReport, global_lift, true_lift_loss
@@ -202,7 +203,7 @@ class TrainTrace:
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss or parameters became non-finite; carries the trace so far."""
+    """Loss, parameters or predictions degenerated mid-run; carries the trace so far."""
 
     def __init__(self, message: str, trace: TrainTrace):
         super().__init__(message)
@@ -224,9 +225,11 @@ def train(
     halved and training continues; at step 0 this is raised instead, with a
     hint to use fewer bins. At 2 bins, the fewest `GradConfig` allows, it is
     raised at any step, naming the step and advising more rows or a larger
-    batch. A minibatch that draws rows of one arm only raises ValueError
-    naming the step and the batch size. Each step builds the MLP hidden
-    layer once, for the forward pass, and hands it to the backward pass.
+    batch. Predictions that collapse mid-run raise TrainingDivergedError
+    naming the step (DegeneratePredictionsError at step 0). A minibatch that
+    draws rows of one arm only raises ValueError naming the step and the
+    batch size. Each step builds the MLP hidden layer once, for the forward
+    pass, and hands it to the backward pass.
     Each step's arrays (the effective gradient's, an MLP's hidden layer)
     are released before the next step builds its own, so a full-batch step
     peaks at about 27 B/row above the dataset at 1M rows and 31 at 200k
@@ -263,6 +266,10 @@ def train(
                 )
                 break
             except FloatingPointError as err:
+                raise TrainingDivergedError(f"{err} at step {t}", trace) from err
+            except DegeneratePredictionsError as err:
+                if t == 0:
+                    raise  # the caller's own predictions cannot fill the bins
                 raise TrainingDivergedError(f"{err} at step {t}", trace) from err
             except EmptyArmInBinError as err:
                 if reuse is not None:

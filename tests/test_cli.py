@@ -301,9 +301,14 @@ class TestGradcheck:
         assert code == 1
         assert capsys.readouterr().err == train_err
 
-    def test_sample_rows_below_one_rejected(self, capsys):
-        assert main(["gradcheck", "--rows", "200", "--sample-rows", "0"]) == 1
-        assert "sample_rows" in capsys.readouterr().err
+    @pytest.mark.parametrize("bins,seed", [(3, 2), (5, 3), (10, 1)])
+    def test_correct_gradient_passes_at_a_million_rows(self, capsys, bins, seed):
+        assert main(["gradcheck", "--rows", "1000000", "--bins", str(bins),
+                     "--seed", str(seed)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        errors = [float(line.split("max relative error ")[1].split()[0])
+                  for line in lines if "max relative error" in line]
+        assert len(errors) == 2 and max(errors) < 1e-12
 
 
 class TestPlotData:

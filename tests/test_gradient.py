@@ -334,13 +334,55 @@ class TestGradcheckOracles:
         preds = predict(ModelSpec(ModelKind.LINEAR, 2), rng.normal(0, 1, 3), ds)
         config = GradConfig(n_bins=5)
         eg = effective_gradient(ds, preds, config)
-        assert bias_fd_check(eg, preds) <= BIAS_TOLERANCE
+        assert bias_fd_check(eg) <= BIAS_TOLERANCE
         middle = eg.segments == Segment.MIDDLE
         broken = dataclasses.replace(
             eg, point_grad=np.where(middle, 1.5 * eg.point_grad, eg.point_grad)
         )
-        assert bias_fd_check(broken, preds) > 0.3
+        assert bias_fd_check(broken) > 0.3
         assert migration_recompute_check(ds, broken, config)[0] <= MIGRATION_TOLERANCE
+
+    def test_bias_check_sees_one_middle_row(self):
+        # every row is checked, so one middle row off by 1e-5 of itself fails
+        ds = generate(DataGenConfig(n_rows=400, seed=49))
+        rng = np.random.default_rng(49)
+        preds = predict(ModelSpec(ModelKind.LINEAR, 2), rng.normal(0, 1, 3), ds)
+        eg = effective_gradient(ds, preds, GradConfig(n_bins=5))
+        assert eg.segments[399] == Segment.MIDDLE
+        assert bias_fd_check(eg) <= BIAS_TOLERANCE
+        assert bias_fd_check(sabotaged_bias(eg, 399)) > BIAS_TOLERANCE
+
+    def test_one_sabotaged_row_fails_at_a_million_rows(self, million_rows):
+        ds, eg, config = million_rows
+        assert bias_fd_check(eg) <= BIAS_TOLERANCE
+        assert migration_recompute_check(ds, eg, config)[0] <= MIGRATION_TOLERANCE
+        middle = np.flatnonzero(eg.segments == Segment.MIDDLE)
+        for row in middle[[0, -1]]:
+            assert bias_fd_check(sabotaged_bias(eg, row)) > BIAS_TOLERANCE
+        for segment, arm in ((Segment.BOTTOM, 0), (Segment.TOP, 1)):
+            row = np.flatnonzero((eg.segments == segment) & (ds.arm == arm))[-1]
+            assert sabotaged_migration_err(ds, eg, config, row) > MIGRATION_TOLERANCE
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bias_check_passes_and_sees_any_middle_row(self, data):
+        n = data.draw(st.integers(20, 3000), label="rows")
+        n_bins = data.draw(st.integers(2, 12), label="n_bins")
+        frac = data.draw(st.floats(0.05, 0.95), label="treated share")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        preds = rng.normal(size=n)
+        arm = (rng.random(n) < frac).astype(np.int8)
+        arm[:2] = (0, 1)
+        ds = make_dataset(preds, rng.normal(0.5 * arm + 0.3 * preds, 1.0), arm)
+        try:
+            eg = effective_gradient(ds, preds, GradConfig(n_bins=n_bins))
+        except (EmptyArmInBinError, DegeneratePredictionsError):
+            return
+        assert bias_fd_check(eg) <= BIAS_TOLERANCE
+        middle = np.flatnonzero(eg.segments == Segment.MIDDLE)
+        if middle.size:
+            row = middle[data.draw(st.integers(0, middle.size - 1), label="middle row")]
+            assert bias_fd_check(sabotaged_bias(eg, row)) > BIAS_TOLERANCE
 
     def test_row_last_of_its_arm_in_its_bin_checked(self, six_row_instance):
         # row 1 made control: row 2, the top segment of bin 1, is then the
@@ -383,6 +425,22 @@ class TestGradcheckOracles:
         except (EmptyArmInBinError, DegeneratePredictionsError):
             return
         assert run_gradcheck(ds, preds, config).migration_passed
+
+
+@pytest.fixture(scope="module")
+def million_rows():
+    """The data and predictions of `gradcheck --rows 1000000 --bins 3 --seed 2`."""
+    ds = generate(DataGenConfig(n_rows=1_000_000, seed=2))
+    preds = predict(ModelSpec(ModelKind.LINEAR, 2), np.random.default_rng(2).standard_normal(3), ds)
+    config = GradConfig(n_bins=3)
+    return ds, effective_gradient(ds, preds, config), config
+
+
+def sabotaged_bias(eg, row):
+    """The gradient with one row's point gradient scaled by 1 + 1e-5."""
+    grad = eg.point_grad.copy()
+    grad[row] *= 1 + 1e-5
+    return dataclasses.replace(eg, point_grad=grad)
 
 
 def sabotaged_migration_err(ds, eg, config, row):

@@ -16,6 +16,7 @@ from liftloss import (
     TrainConfig,
     TrainingDivergedError,
     backprop,
+    effective_gradient,
     generate,
     load_params,
     n_params,
@@ -24,6 +25,7 @@ from liftloss import (
     save_params,
     train,
 )
+from liftloss import models
 from liftloss.dataset import DataGenConfig
 
 from reference_models import (
@@ -283,6 +285,28 @@ class TestTrain:
             with pytest.raises(TrainingDivergedError) as err:
                 train(ds, LINEAR2, np.array([1.0, 0.1, 1.0]), config)
         assert len(err.value.trace.entries) >= 1
+
+    @pytest.mark.parametrize("step", [0, 2])
+    def test_predictions_that_collapse_mid_run_diverge(self, monkeypatch, step):
+        # a collapse at step 0 comes from the caller's inputs and is raised unchanged
+        calls = []
+
+        def collapse_at_step(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > step:
+                raise DegeneratePredictionsError("need at least 5 distinct values")
+            return effective_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(models, "effective_gradient", collapse_at_step)
+        ds, config, init = self.demo_setup(steps=5)
+        expected = DegeneratePredictionsError if step == 0 else TrainingDivergedError
+        with pytest.raises(expected) as err:
+            train(ds, LINEAR2, init, config)
+        if step:
+            assert str(err.value) == f"need at least 5 distinct values at step {step}"
+            assert len(err.value.trace.entries) == step
+        else:
+            assert str(err.value) == "need at least 5 distinct values"
 
     def test_snapshot_steps_recorded(self):
         ds, config, init = self.demo_setup(steps=10)

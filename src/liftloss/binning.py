@@ -2,7 +2,8 @@
 
 Converts a vector of continuous predictions into equal-frequency bins plus,
 for gradient purposes, a three-way split of each bin into bottom / middle /
-top segments around the bin boundaries.
+top segments around the bin boundaries. The cuts depend only on the
+predictions and the bin count.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ __all__ = [
     "Segment",
     "CutPoints",
     "InnerCuts",
-    "DEFAULT_MAX_SORT",
+    "MAX_SORT",
     "compute_cuts",
     "assign_bins",
     "inner_cuts",
     "assign_segments",
 ]
 
-DEFAULT_MAX_SORT = 100_000
+# compute_cuts sorts every row up to this many, and a fixed subsample of this many above
+MAX_SORT = 100_000
 # assign_bins counts cuts up to this many bins; int8 counts would overflow at 128
 COUNT_MAX_BINS = 64
 # rows per block of assign_bins' count: a block of predictions stays in cache
@@ -99,58 +101,55 @@ class InnerCuts:
         object.__setattr__(self, "plus", plus)
 
 
-def _check_predictions(predictions) -> np.ndarray:
+def _check_predictions(predictions, finite: bool = True) -> np.ndarray:
     p = np.asarray(predictions, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise BinningError("predictions must be a non-empty 1-d array")
-    if not np.isfinite(p).all():
+    if finite and not np.isfinite(p).all():
         raise BinningError("predictions contain non-finite values")
     return p
 
 
 @functools.lru_cache(maxsize=1)
-def _subsample_rows(n: int, size: int, seed: int) -> np.ndarray:
-    """The seeded rows `compute_cuts` quantiles when it has more than `size`.
+def _subsample_rows(n: int) -> np.ndarray:
+    """The `MAX_SORT` of `n` rows that `compute_cuts` quantiles, drawn with seed 0.
 
-    The draw depends only on its arguments, and a training run asks for the
-    same one at every step, so the last one is kept, as a read-only view
-    whose `base` is the writeable draw.
+    The draw depends only on `n`, and a training run asks for the same one
+    at every step, so the last one is kept, as a read-only view whose `base`
+    is the writeable draw.
     """
-    rows = np.random.default_rng(seed).choice(n, size=size, replace=False).view()
+    rows = np.random.default_rng(0).choice(n, size=MAX_SORT, replace=False).view()
     rows.setflags(write=False)
     return rows
 
 
-def compute_cuts(
-    predictions,
-    n_bins: int,
-    max_sort: int = DEFAULT_MAX_SORT,
-    seed: int = 0,
-) -> CutPoints:
+def compute_cuts(predictions, n_bins: int) -> CutPoints:
     """Choose cut values so the bins are roughly equal in size.
 
     Cuts are the k/n_bins empirical quantiles (midpoint interpolation, which
     places a cut halfway between the order statistics flanking the quantile
-    boundary). Inputs longer than `max_sort` are quantiled on a seeded
-    uniform subsample of `max_sort` points instead of a full sort; the
-    subsample's row indices are drawn once per `(len, max_sort, seed)` and
-    reused. The (sub)sample is sorted once, and the cuts and the quartiles
-    behind `spread` are read from it by index with `np.quantile`'s own
-    arithmetic (midpoint and linear rule), so they equal its bit for bit.
+    boundary). Inputs longer than `MAX_SORT` are quantiled on a uniform
+    subsample of `MAX_SORT` points instead of a full sort; its row indices
+    are drawn with seed 0, once per row count, and reused. The (sub)sample
+    is sorted once, and the cuts and the quartiles behind `spread` are read
+    from it by index with `np.quantile`'s own arithmetic (midpoint and
+    linear rule), so they equal its bit for bit. Only the values sorted are
+    checked for finiteness: a non-finite row outside the subsample is left
+    to `assign_bins`, which every caller runs next.
     """
-    p = _check_predictions(predictions)
+    # one bin sorts nothing, so its rows are all checked here
+    p = _check_predictions(predictions, finite=n_bins <= 1)
     if n_bins < 1:
         raise BinningError(f"n_bins must be >= 1, got {n_bins}")
     if n_bins == 1:
         return CutPoints(np.empty(0), 1)
-    if max_sort < n_bins:
-        raise BinningError(f"max_sort ({max_sort}) must be at least n_bins ({n_bins})")
-    if p.size > max_sort:
+    if p.size > MAX_SORT:
         # the writeable draw: `take` copies an index array that is not writeable
-        s = p.take(_subsample_rows(p.size, max_sort, seed).base)
+        s = p.take(_subsample_rows(p.size).base)
         s.sort()  # a fresh gather, so sorting it in place leaves the caller's array alone
     else:
         s = np.sort(p)
+    _check_predictions(s[[0, -1]])  # the sort puts NaN last and infinities at the ends
     # one sort serves both the distinct-value count and the quantiles
     if 1 + np.count_nonzero(s[1:] != s[:-1]) < n_bins:
         raise DegeneratePredictionsError(

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .binning import BinningError, DegeneratePredictionsError, assign_bins, compute_cuts
+from .binning import MAX_SORT, BinningError, DegeneratePredictionsError, assign_bins, compute_cuts
 from .checks import BIAS_TOLERANCE, MIGRATION_DIGITS, MIGRATION_TOLERANCE, run_gradcheck
 from .dataset import (
     CsvFormatError,
@@ -159,7 +159,6 @@ def cmd_train(args) -> int:
             n_bins=args.bins,
             migration_step_scale=args.migration_scale,
             rebin_every=args.rebin_every,
-            max_sort=args.max_sort,
         ),
         batch=args.batch,
         snapshot_steps=snapshots,
@@ -198,15 +197,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.bins < 1:
         raise ValueError(f"--bins must be >= 1, got {args.bins}")
-    if args.bins > 1 and args.max_sort < args.bins:  # one bin needs no cuts, so no sort
-        raise ValueError(f"--max-sort ({args.max_sort}) must be at least --bins ({args.bins})")
+    if args.bins > MAX_SORT:
+        raise ValueError(f"--bins must be <= MAX_SORT ({MAX_SORT}), got {args.bins}")
     dataset = load_csv(args.data)
     spec, params = load_params(args.params)
     predictions = predict(spec, params, dataset)
     n_bins = args.bins
     note = None
     try:
-        cuts = compute_cuts(predictions, n_bins, max_sort=args.max_sort, seed=args.seed)
+        cuts = compute_cuts(predictions, n_bins)
     except DegeneratePredictionsError:
         distinct = int(np.unique(predictions).size)
         if distinct >= n_bins:
@@ -214,7 +213,7 @@ def cmd_eval(args) -> int:
         note = f"predictions have only {distinct} distinct values; evaluated with {distinct} bins"
         print(f"warning: {note}", file=sys.stderr)
         n_bins = distinct
-        cuts = compute_cuts(predictions, n_bins, max_sort=args.max_sort, seed=args.seed)
+        cuts = compute_cuts(predictions, n_bins)
     bins = assign_bins(predictions, cuts)
     report = true_lift_loss(subset_stats(dataset, predictions, bins, n_bins))
     out = Path(args.output)
@@ -237,9 +236,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = GradConfig(
-        n_bins=args.bins, migration_step_scale=args.migration_scale, max_sort=args.max_sort
-    )
+    config = GradConfig(n_bins=args.bins, migration_step_scale=args.migration_scale)
     if args.data is not None:
         dataset = load_csv(args.data)
     else:
@@ -337,7 +334,6 @@ def build_parser() -> _Parser:
     p.add_argument("--snapshots", help="comma-separated step indices to snapshot")
     p.add_argument("--rebin-every", type=int, default=GradConfig.rebin_every)
     p.add_argument("--migration-scale", type=float, default=GradConfig.migration_step_scale)
-    p.add_argument("--max-sort", type=int, default=GradConfig.max_sort)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="output prefix")
     _add_config_flag(p)
@@ -347,8 +343,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--params", required=True, help="params JSON from train")
     p.add_argument("--bins", type=int, default=5)
-    p.add_argument("--max-sort", type=int, default=GradConfig.max_sort)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="loss report CSV")
     _add_config_flag(p)
     p.set_defaults(func=cmd_eval)
@@ -359,7 +353,6 @@ def build_parser() -> _Parser:
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--migration-scale", type=float, default=GradConfig.migration_step_scale)
-    p.add_argument("--max-sort", type=int, default=GradConfig.max_sort)
     _add_config_flag(p)
     p.set_defaults(func=cmd_gradcheck)
 

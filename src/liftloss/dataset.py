@@ -231,9 +231,10 @@ def load_csv(path: str | Path) -> ABDataset:
     """Read a dataset CSV with header ``f0,...,f{d-1},y,arm[,true_lift]``.
 
     Parse failures report the offending physical line number (header is
-    line 1).
+    line 1). A leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8"
+    exports write, is skipped.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .binning import (
     BIN_BLOCK_ROWS,
-    DEFAULT_MAX_SORT,
+    MAX_SORT,
     CutPoints,
     InnerCuts,
     Segment,
@@ -60,23 +60,22 @@ class GradConfig:
     `migration_step_scale` sets the probe shift as a fraction of the segment
     width (0.5 probes half a segment, so about half the segment's rows would
     actually cross). `rebin_every` is the cut-refresh cadence used by the
-    trainer; `max_sort` bounds the sample used for quantile cuts.
+    trainer; `n_bins` is at most `MAX_SORT`, the size of the cut sample.
     """
 
     n_bins: int
     migration_step_scale: float = 0.5
     rebin_every: int = 1
-    max_sort: int = DEFAULT_MAX_SORT
 
     def __post_init__(self) -> None:
         if self.n_bins < 2:
             raise ValueError(f"n_bins must be >= 2 for gradient descent, got {self.n_bins}")
-        if not self.migration_step_scale > 0:
-            raise ValueError("migration_step_scale must be positive")
+        if self.n_bins > MAX_SORT:
+            raise ValueError(f"n_bins must be <= MAX_SORT ({MAX_SORT}), got {self.n_bins}")
+        if not 0 < self.migration_step_scale < np.inf:
+            raise ValueError("migration_step_scale must be positive and finite")
         if self.rebin_every < 1:
             raise ValueError("rebin_every must be a positive integer")
-        if self.max_sort < self.n_bins:
-            raise ValueError("max_sort must be at least n_bins")
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def effective_gradient(
     if p.shape != (len(dataset),):
         raise ValueError("predictions must align with the dataset rows")
     if cuts is None:
-        cuts = compute_cuts(p, config.n_bins, max_sort=config.max_sort)
+        cuts = compute_cuts(p, config.n_bins)
     bins = assign_bins(p, cuts)
     stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
     inner = inner_cuts(cuts)

@@ -170,8 +170,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.step_size >= 0:
-            raise ValueError("step_size must be >= 0")
+        if not 0 <= self.step_size < np.inf:
+            raise ValueError("step_size must be finite and >= 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.batch is not None and self.batch < 1:
@@ -226,10 +226,11 @@ def train(
     hint to use fewer bins. At 2 bins, the fewest `GradConfig` allows, it is
     raised at any step, naming the step and advising more rows or a larger
     batch. Predictions that collapse mid-run raise TrainingDivergedError
-    naming the step (DegeneratePredictionsError at step 0). A minibatch that
-    draws rows of one arm only raises ValueError naming the step and the
-    batch size. Each step builds the MLP hidden layer once, for the forward
-    pass, and hands it to the backward pass.
+    naming the step (DegeneratePredictionsError at step 0). Non-finite
+    initial parameters raise ValueError, and so does a minibatch that draws
+    rows of one arm only, naming the step and the batch size. Each step
+    builds the MLP hidden layer once, for the forward pass, and hands it to
+    the backward pass.
     Each step's arrays (the effective gradient's, an MLP's hidden layer)
     are released before the next step builds its own, so a full-batch step
     peaks at about 27 B/row above the dataset at 1M rows and 31 at 200k
@@ -237,6 +238,8 @@ def train(
     Deterministic given the seed, which only drives minibatch sampling.
     """
     params = _check_params(spec, init_params).copy()
+    if not np.isfinite(params).all():
+        raise ValueError("initial parameters must be finite")
     grad_cfg = config.grad
     rng = np.random.default_rng(config.seed)
     cached_lift = global_lift(dataset)
@@ -329,6 +332,8 @@ def load_params(path: str | Path) -> tuple[ModelSpec, np.ndarray]:
             Activation(doc["activation"]) if kind is ModelKind.MLP else None,
         )
         values = np.asarray(doc["values"], dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise ValueError("parameter values must be finite")
     except (KeyError, ValueError, TypeError) as err:
         raise ValueError(f"malformed parameter file {path}: {err}") from err
     return spec, _check_params(spec, values)

@@ -36,7 +36,7 @@ import numpy as np
 
 from liftloss.binning import (
     COUNT_MAX_BINS,
-    DEFAULT_MAX_SORT,
+    MAX_SORT,
     BinningError,
     CutPoints,
     DegeneratePredictionsError,
@@ -56,7 +56,7 @@ from liftloss.loss import EmptyArmInBinError, SubsetStats, subset_stats
 def reference_compute_cuts(
     predictions,
     n_bins: int,
-    max_sort: int = DEFAULT_MAX_SORT,
+    max_sort: int = MAX_SORT,
     seed: int = 0,
 ) -> CutPoints:
     p = _check_predictions(predictions)
@@ -81,7 +81,7 @@ def reference_compute_cuts(
     return CutPoints(cuts, n_bins, reference_spread(sample))
 
 
-def reference_cut_sample(predictions, max_sort: int = DEFAULT_MAX_SORT, seed: int = 0):
+def reference_cut_sample(predictions, max_sort: int = MAX_SORT, seed: int = 0):
     """The predictions, or above `max_sort` of them the seeded subsample."""
     p = np.asarray(predictions, dtype=np.float64)
     if p.size <= max_sort:
@@ -354,7 +354,7 @@ def reference_whole_gather_gradient(
     if p.shape != (len(dataset),):
         raise ValueError("predictions must align with the dataset rows")
     if cuts is None:
-        cuts = compute_cuts(p, config.n_bins, max_sort=config.max_sort)
+        cuts = compute_cuts(p, config.n_bins)
     bins = assign_bins(p, cuts)
     stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
     inner = inner_cuts(cuts)

@@ -6,15 +6,19 @@ from hypothesis import strategies as st
 from liftloss import (
     BinningError,
     CutPoints,
+    DataGenConfig,
     DegeneratePredictionsError,
+    GradConfig,
     InnerCuts,
     Segment,
     assign_bins,
     assign_segments,
     compute_cuts,
+    effective_gradient,
+    generate,
     inner_cuts,
 )
-from liftloss.binning import BIN_BLOCK_ROWS, _subsample_rows
+from liftloss.binning import BIN_BLOCK_ROWS, MAX_SORT, _subsample_rows
 
 from reference_gradient import (
     reference_assign_bins,
@@ -49,6 +53,31 @@ class TestComputeCuts:
         with pytest.raises(BinningError):
             compute_cuts(np.array([1.0, np.nan]), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rows", [40, MAX_SORT + 17])
+    @pytest.mark.parametrize("n_bins", [1, 2, 5])
+    def test_rejects_non_finite_value_it_sorts(self, bad, rows, n_bins):
+        # a sorted value anywhere: NaN sorts last and the infinities to the ends
+        preds = np.random.default_rng(rows).normal(size=rows)
+        at = 3 if rows <= MAX_SORT else _subsample_rows(rows)[3]
+        preds[at] = bad
+        with pytest.raises(BinningError, match="^predictions contain non-finite values$"):
+            compute_cuts(preds, n_bins)
+
+    def test_non_finite_row_outside_the_sample_is_left_to_assign_bins(self):
+        rng = np.random.default_rng(23)
+        n = int(rng.integers(MAX_SORT + 1, 150_001))
+        ds = generate(DataGenConfig(n_rows=n, seed=23))
+        preds = ds.features @ np.array([0.4, -0.3]) + 0.1
+        want = compute_cuts(preds, 5)
+        unread = np.ones(n, dtype=bool)
+        unread[_subsample_rows(n)] = False
+        preds[np.flatnonzero(unread)[rng.integers(n - MAX_SORT)]] = np.nan
+        got = compute_cuts(preds, 5)
+        assert got.cuts.tobytes() == want.cuts.tobytes() and got.spread == want.spread
+        with pytest.raises(BinningError, match="^predictions contain non-finite values$"):
+            effective_gradient(ds, preds, GradConfig(n_bins=5))
+
     @pytest.mark.parametrize("n_bins", [2, 5, 20])
     def test_balanced_bins(self, n_bins):
         rng = np.random.default_rng(31)
@@ -59,10 +88,10 @@ class TestComputeCuts:
 
     def test_subsample_matches_full_sort(self):
         rng = np.random.default_rng(77)
-        preds = rng.random(1_000_000)
+        preds = rng.random(rng.integers(MAX_SORT + 1, 150_001))
         for n_bins in (5, 10):
-            full = compute_cuts(preds, n_bins, max_sort=2_000_000)
-            sub = compute_cuts(preds, n_bins, max_sort=10_000, seed=4)
+            full = reference_compute_cuts(preds, n_bins, max_sort=preds.size)
+            sub = compute_cuts(preds, n_bins)
             share_full = np.bincount(assign_bins(preds, full) - 1, minlength=n_bins) / preds.size
             share_sub = np.bincount(assign_bins(preds, sub) - 1, minlength=n_bins) / preds.size
             assert np.abs(share_full - share_sub).max() < 0.05 / n_bins
@@ -72,38 +101,39 @@ class TestComputeCuts:
         n=st.integers(1, 400),
         n_bins=st.integers(1, 40),
         distinct=st.one_of(st.none(), st.integers(1, 12)),
-        max_sort=st.one_of(st.none(), st.integers(1, 400)),
+        subsampled=st.booleans(),
         signed_zeros=st.booleans(),
         whole_index=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_unique_and_unsorted_quantile_reference(
-        self, n, n_bins, distinct, max_sort, signed_zeros, whole_index, seed
+        self, n, n_bins, distinct, subsampled, signed_zeros, whole_index, seed
     ):
         # cuts are bit-identical to the np.unique + unsorted np.quantile form,
         # with and without subsampling, and so is the spread of the quartiles
         # read with them; every error matches the reference too; with
         # whole_index the sample size m has (m - 1) * k / n_bins integral, so
         # every cut is a single order statistic rather than a midpoint
-        if whole_index:
-            n = n_bins * (n // n_bins + 1) + 1
-            if max_sort is not None:
-                max_sort = n_bins * (max_sort // n_bins + 1) + 1
         rng = np.random.default_rng(seed)
+        if subsampled:
+            n = int(rng.integers(MAX_SORT + 1, 150_001))
+            if whole_index:  # MAX_SORT - 1 = 3 * 3 * 41 * 271
+                n_bins = (1, 3, 9)[n_bins % 3]
+        elif whole_index:
+            n = n_bins * (n // n_bins + 1) + 1
         preds = rng.normal(size=n) if distinct is None else rng.integers(0, distinct, n) * 0.5
         if signed_zeros:
             preds[rng.random(n) < 0.2] = 0.0
             preds[rng.random(n) < 0.2] = -0.0
-        kwargs = {"seed": seed} if max_sort is None else {"seed": seed, "max_sort": max_sort}
         before = preds.copy()
         try:
-            expected = reference_compute_cuts(preds.copy(), n_bins, **kwargs)
+            expected = reference_compute_cuts(preds.copy(), n_bins)
         except BinningError as err:
             with pytest.raises(type(err)) as got:
-                compute_cuts(preds, n_bins, **kwargs)
+                compute_cuts(preds, n_bins)
             assert str(got.value) == str(err)
         else:
-            got = compute_cuts(preds, n_bins, **kwargs)
+            got = compute_cuts(preds, n_bins)
             assert got.n_bins == expected.n_bins
             # the spread is never 0, so its sign cannot hide from ==
             assert got.spread == expected.spread
@@ -138,36 +168,39 @@ class TestComputeCuts:
         assert str(got.value) == str(expected.value)
 
     def test_subsample_deterministic(self):
+        # the cuts depend only on the predictions and the bin count, not on
+        # the draw that happens to be cached
         rng = np.random.default_rng(8)
-        preds = rng.random(50_000)
-        a = compute_cuts(preds, 7, max_sort=1000, seed=3)
-        b = compute_cuts(preds, 7, max_sort=1000, seed=3)
-        np.testing.assert_array_equal(a.cuts, b.cuts)
+        preds = rng.random(rng.integers(MAX_SORT + 1, 150_001))
+        a = compute_cuts(preds, 7)
+        _subsample_rows.cache_clear()
+        b = compute_cuts(preds.copy(), 7)
+        assert a.cuts.tobytes() == b.cuts.tobytes() and a.spread == b.spread
 
     def test_memoized_draw_is_read_only(self):
-        rows = _subsample_rows(5000, 300, 11)
-        assert not rows.flags.writeable
+        rows = _subsample_rows(int(np.random.default_rng(11).integers(MAX_SORT + 1, 150_001)))
+        assert rows.shape == (MAX_SORT,) and not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0] = 0
 
     def test_cached_draw_gives_the_fresh_draws_cuts(self):
         rng = np.random.default_rng(9)
-        preds = rng.normal(size=20_000)
-        compute_cuts(preds, 6, max_sort=700, seed=5)
+        preds = rng.normal(size=rng.integers(MAX_SORT + 1, 150_001))
+        compute_cuts(preds, 6)
         hits = _subsample_rows.cache_info().hits
-        got = compute_cuts(preds, 6, max_sort=700, seed=5)
+        got = compute_cuts(preds, 6)
         assert _subsample_rows.cache_info().hits == hits + 1
-        fresh = np.random.default_rng(5).choice(preds.size, size=700, replace=False)
+        fresh = np.random.default_rng(0).choice(preds.size, size=MAX_SORT, replace=False)
         want = np.quantile(preds[fresh], np.arange(1, 6) / 6, method="midpoint")
         assert got.cuts.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n,size,seed", [(5001, 300, 11), (5000, 301, 11), (5000, 300, 12)])
-    def test_other_draw_arguments_are_not_served_from_cache(self, n, size, seed):
-        _subsample_rows(5000, 300, 11)
+    def test_another_row_count_is_not_served_from_cache(self):
+        n = int(np.random.default_rng(12).integers(MAX_SORT + 1, 150_000))
+        _subsample_rows(n)
         misses = _subsample_rows.cache_info().misses
-        rows = _subsample_rows(n, size, seed)
+        rows = _subsample_rows(n + 1)
         assert _subsample_rows.cache_info().misses == misses + 1
-        want = np.random.default_rng(seed).choice(n, size=size, replace=False)
+        want = np.random.default_rng(0).choice(n + 1, size=MAX_SORT, replace=False)
         assert rows.tobytes() == want.tobytes()
 
 
@@ -344,15 +377,16 @@ class TestInnerCuts:
 
     @pytest.mark.parametrize("tied", [False, True], ids=["normal", "tied quartiles"])
     def test_single_boundary_above_max_sort_reads_the_subsample(self, tied):
-        # above max_sort the width is the subsample's, exactly as np.quantile
+        # above MAX_SORT the width is the subsample's, exactly as np.quantile
         # reads it from the rows a fresh seeded draw picks
         rng = np.random.default_rng(41)
-        preds = rng.normal(size=5000)
+        n = rng.integers(MAX_SORT + 1, 150_001)
+        preds = rng.normal(size=n)
         if tied:
-            preds[rng.random(5000) < 0.8] = 0.5
-        cuts = compute_cuts(preds, 2, max_sort=1000, seed=3)
-        sample = reference_cut_sample(preds, 1000, 3)
-        assert sample.size == 1000
+            preds[rng.random(n) < 0.8] = 0.5
+        cuts = compute_cuts(preds, 2)
+        sample = reference_cut_sample(preds)
+        assert sample.size == MAX_SORT
         q1, q3 = np.quantile(sample, [0.25, 0.75])
         assert (q1 == q3) == tied
         assert cuts.spread == (np.ptp(sample) if tied else q3 - q1)

@@ -15,6 +15,7 @@ from liftloss import (
     load_csv,
     load_params,
 )
+from liftloss.binning import MAX_SORT
 from liftloss.cli import build_parser, main
 
 
@@ -64,7 +65,6 @@ def test_flag_defaults_come_from_the_library(monkeypatch):
     for cls, name, value in (
         (GradConfig, "migration_step_scale", 0.625),
         (GradConfig, "rebin_every", 3),
-        (GradConfig, "max_sort", 777),
         (DataGenConfig, "treatment_fraction", 0.4),
         (DataGenConfig, "noise_distribution", NoiseDistribution.STD_NORMAL),
         (DataGenConfig, "lift_coefficient", 0.9),
@@ -74,10 +74,26 @@ def test_flag_defaults_come_from_the_library(monkeypatch):
     gen = parser.parse_args(["gen", "--rows", "10", "-o", "x"])
     assert (gen.treatment_frac, gen.noise, gen.lift) == (0.4, "normal", 0.9)
     train = parser.parse_args(["train", "--data", "d", "-o", "x"])
-    assert (train.migration_scale, train.rebin_every, train.max_sort) == (0.625, 3, 777)
-    gradcheck = parser.parse_args(["gradcheck"])
-    assert (gradcheck.migration_scale, gradcheck.max_sort) == (0.625, 777)
-    assert parser.parse_args(["eval", "--data", "d", "--params", "p", "-o", "x"]).max_sort == 777
+    assert (train.migration_scale, train.rebin_every) == (0.625, 3)
+    assert parser.parse_args(["gradcheck"]).migration_scale == 0.625
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv,flag,value", [
+    (["train", "--data", "d.csv", "-o", "run"], "--max-sort", "5"),
+    (["eval", "--data", "d.csv", "--params", "m.json", "-o", "e.csv"], "--max-sort", "5"),
+    (["gradcheck"], "--max-sort", "5"),
+    (["eval", "--data", "d.csv", "--params", "m.json", "-o", "e.csv"], "--seed", "1"),
+], ids=["train-max-sort", "eval-max-sort", "gradcheck-max-sort", "eval-seed"])
+def test_cut_sample_settings_are_unknown_flags(tmp_path, capsys, argv, flag, value, via_config):
+    # the cuts depend only on the predictions and the bin count
+    extra = [flag, value]
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+        extra = ["--config", str(cfg)]
+    assert main([*argv, *extra]) == 1
+    assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -109,6 +125,20 @@ class TestTrain:
                      "-o", str(tmp_path / "bad")])
         assert code == 2
         assert "bins" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,setting", [
+        (["--lr", "inf"], "step_size"),
+        (["--migration-scale", "inf"], "migration_step_scale"),
+        (["--init", "nan,0.1,1"], "initial parameters"),
+        (["--init", "1,-inf,1"], "initial parameters"),
+    ])
+    def test_non_finite_settings_are_usage_errors(self, tmp_path, data_csv, capsys, args, setting):
+        code = main(["train", "--data", str(data_csv), "--steps", "2", *args,
+                     "-o", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and setting in err and "finite" in err
+        assert not (tmp_path / "x.manifest.json").exists()
 
     def test_wrong_init_length_is_usage_error(self, tmp_path, data_csv):
         code = main(["train", "--data", str(data_csv), "--init", "1,2",
@@ -206,29 +236,36 @@ class TestEval:
         rows = [l for l in out.read_text().splitlines() if l and not l.startswith(("#", "bin"))]
         assert len(rows) == 8
 
+    def test_reproduces_the_final_training_loss_above_max_sort(self, tmp_path):
+        # eval cuts the predictions as train's last step did, subsample included
+        data = tmp_path / "big.csv"
+        assert main(["gen", "--rows", "150000", "--seed", "4", "-o", str(data)]) == 0
+        prefix = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--init", "1,0.1,1", "--steps", "2",
+                     "--bins", "10", "-o", str(prefix)]) == 0
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--data", str(data), "--params", f"{prefix}.params.json",
+                     "--bins", "10", "-o", str(out)]) == 0
+        trace_loss = (tmp_path / "run.trace.csv").read_text().splitlines()[-1].split(",")[1]
+        loss_line = [l for l in out.read_text().splitlines() if l.startswith("# loss=")][0]
+        assert float(loss_line.split()[1].split("=")[1]) == float(trace_loss)
 
-    def test_seed_reaches_subsampled_cuts(self, tmp_path):
-        # 3000 rows above --max-sort 500: cuts come from a seeded subsample
+    def test_non_finite_params_file_is_usage_error(self, tmp_path, data_csv, capsys):
         from liftloss import ModelKind, ModelSpec, save_params
 
-        data = tmp_path / "big.csv"
-        assert main(["gen", "--rows", "3000", "--seed", "4", "-o", str(data)]) == 0
         pfile = tmp_path / "m.json"
-        save_params(pfile, ModelSpec(ModelKind.LINEAR, 2), np.array([0.2, 0.5, 0.1]))
-        reports = {}
-        for name, seed_args in {"omitted": [], "0": ["--seed", "0"], "7": ["--seed", "7"]}.items():
-            out = tmp_path / f"seed_{name}.csv"
-            assert main(["eval", "--data", str(data), "--params", str(pfile), "--bins", "5",
-                         "--max-sort", "500", *seed_args, "-o", str(out)]) == 0
-            reports[name] = out.read_bytes()
-        assert reports["0"] == reports["omitted"]
-        assert reports["7"] != reports["0"]
-        manifest = json.loads((tmp_path / "seed_7.csv.manifest.json").read_text())
-        assert manifest["seed"] == 7
+        save_params(pfile, ModelSpec(ModelKind.LINEAR, 2), np.array([0.2, np.nan, 0.1]))
+        out = tmp_path / "e.csv"
+        assert main(["eval", "--data", str(data_csv), "--params", str(pfile),
+                     "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed parameter file {pfile}") and "finite" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
         (["--bins", "0"], "error: --bins must be >= 1, got 0\n"),
-        (["--bins", "5", "--max-sort", "3"], "error: --max-sort (3) must be at least --bins (5)\n"),
+        (["--bins", str(MAX_SORT + 1)],
+         f"error: --bins must be <= MAX_SORT ({MAX_SORT}), got {MAX_SORT + 1}\n"),
     ])
     def test_bad_bin_settings_are_usage_errors(self, tmp_path, data_csv, capsys, args, message):
         # validated like train's settings: exit 1, not the runtime failure exit 2
@@ -281,6 +318,13 @@ class TestGradcheck:
     def test_zero_rows_is_usage_error(self):
         assert main(["gradcheck", "--rows", "0"]) == 1
 
+    def test_infinite_migration_scale_is_usage_error(self, capsys):
+        # every probe would cross with a zero slope: no migration channel to check
+        assert main(["gradcheck", "--migration-scale", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("error: migration_step_scale must be positive and finite")
+
     def test_reads_dataset_file(self, data_csv):
         assert main(["gradcheck", "--data", str(data_csv), "--seed", "5"]) == 0
 
@@ -288,7 +332,7 @@ class TestGradcheck:
         ("--migration-scale", "0"),
         ("--migration-scale", "-1"),
         ("--bins", "1"),
-        ("--max-sort", "3"),
+        ("--bins", str(MAX_SORT + 1)),
     ])
     def test_bad_gradient_settings_rejected_like_train(
         self, tmp_path, data_csv, capsys, flag, value

@@ -1,3 +1,5 @@
+import codecs
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from liftloss import (
     save_csv,
     subset_stats,
 )
-from liftloss.binning import _subsample_rows
+from liftloss.binning import MAX_SORT, _subsample_rows
 
 from dataset_helpers import make_dataset
 
@@ -303,6 +305,34 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 3.*arm"):
             load_csv(path)
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports begin with one
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_csv(generate(DataGenConfig(n_rows=100, seed=1)), plain)
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        want, got = load_csv(plain), load_csv(marked)
+        for name in ("features", "outcome", "arm", "true_lift"):
+            a, b = getattr(want, name), getattr(got, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "a,b,c\n1,2,3\n",
+        "f0,y,arm\n",
+        "f0,y,arm\n0.1,1.0,1\n0.2,2.0\n",
+        "f0,y,arm\n0.1,1.0,1\n0.2,2.0,0.5\n",
+        "f0,y,arm\n0.1,1.0,1\n0.4,abc,0\n",
+    ], ids=["empty", "header", "no rows", "field count", "arm", "number"])
+    def test_byte_order_mark_leaves_error_messages_unchanged(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        with pytest.raises(CsvFormatError) as want:
+            load_csv(plain)
+        with pytest.raises(CsvFormatError) as got:
+            load_csv(marked)
+        assert str(got.value) == str(want.value)
+
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_round_trip_lossless(self, tmp_path_factory, data):
@@ -347,20 +377,21 @@ class TestReadOnlyContract:
                 col[0] = 0
 
     def test_step_functions_leave_inputs_unchanged(self):
-        n, max_sort = 5000, 1000  # more rows than max_sort: cuts come from the cached draw
+        # more rows than MAX_SORT: cuts come from the cached draw
+        n = int(np.random.default_rng(6).integers(MAX_SORT + 1, 150_001))
         ds = generate(DataGenConfig(n_rows=n, seed=6))
         preds = predict(ModelSpec(ModelKind.LINEAR, 2), [0.4, -0.3, 0.1], ds)
         preds.setflags(write=False)
-        cuts = compute_cuts(preds, 8, max_sort=max_sort)
+        cuts = compute_cuts(preds, 8)
         bins = assign_bins(preds, cuts)
-        draw = _subsample_rows(n, max_sort, 0)
+        draw = _subsample_rows(n)
         before = [a.tobytes() for a in (preds, bins, draw, *(getattr(ds, k) for k in self.COLUMNS))]
         subset_stats(ds, preds, bins, 8)
-        compute_cuts(preds, 8, max_sort=max_sort)
-        effective_gradient(ds, preds, GradConfig(n_bins=8, max_sort=max_sort))
+        compute_cuts(preds, 8)
+        effective_gradient(ds, preds, GradConfig(n_bins=8))
         after = [a.tobytes() for a in (preds, bins, draw, *(getattr(ds, k) for k in self.COLUMNS))]
         assert after == before
-        assert _subsample_rows(n, max_sort, 0) is draw and not draw.flags.writeable
-        fresh = np.random.default_rng(0).choice(n, size=max_sort, replace=False)
+        assert _subsample_rows(n) is draw and not draw.flags.writeable
+        fresh = np.random.default_rng(0).choice(n, size=MAX_SORT, replace=False)
         assert draw.tobytes() == fresh.tobytes()
         assert not any(getattr(ds, k).flags.writeable for k in self.COLUMNS)

@@ -23,7 +23,7 @@ from liftloss import (
     subset_stats,
     true_lift_loss,
 )
-from liftloss.binning import BIN_BLOCK_ROWS
+from liftloss.binning import BIN_BLOCK_ROWS, MAX_SORT
 from liftloss.checks import (
     BIAS_TOLERANCE,
     MIGRATION_TOLERANCE,
@@ -322,6 +322,15 @@ class TestEffectiveGradient:
             GradConfig(n_bins=5, migration_step_scale=0.0)
         with pytest.raises(ValueError):
             GradConfig(n_bins=5, rebin_every=0)
+        for scale in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="migration_step_scale must be positive and finite"):
+                GradConfig(n_bins=5, migration_step_scale=scale)
+        # the cut sample is fixed, so its size bounds the bins and is no setting
+        assert GradConfig(n_bins=MAX_SORT).n_bins == MAX_SORT
+        with pytest.raises(ValueError, match=r"^n_bins must be <= MAX_SORT \(100000\), got 100001$"):
+            GradConfig(n_bins=MAX_SORT + 1)
+        with pytest.raises(TypeError):
+            GradConfig(n_bins=5, max_sort=10)
 
 
 class TestGradcheckOracles:
@@ -534,23 +543,23 @@ class TestDegeneratePredictions:
         n = data.draw(st.integers(2, 400), label="rows")
         n_bins = data.draw(st.integers(2, 8), label="n_bins")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="above MAX_SORT"):
+            n = int(rng.integers(MAX_SORT + 1, 150_001))
         distinct = data.draw(st.integers(1, 8), label="distinct predictions")
         preds = rng.integers(0, distinct, n) * 0.25 + data.draw(st.floats(-1, 1), label="offset")
         arm = (rng.random(n) < data.draw(st.floats(0.05, 0.95), label="treated share"))
         arm = arm.astype(np.int8)
         arm[:2] = (0, 1)
         ds = make_dataset(preds, rng.normal(0.5 * arm, 1.0), arm)
-        max_sort = data.draw(st.sampled_from([n_bins, 2 * n_bins, GradConfig.max_sort]),
-                             label="max_sort")
-        config = GradConfig(n_bins=n_bins, max_sort=max_sort)
+        config = GradConfig(n_bins=n_bins)
         gl = global_lift(ds) if data.draw(st.booleans(), label="cached lift") else None
         cuts = None
-        sample = reference_cut_sample(preds, max_sort)
+        sample = reference_cut_sample(preds)
         if data.draw(st.booleans(), label="reuse cuts of moved predictions"):
             sample = rng.normal(preds.mean(), 0.5, 50)
             cuts = compute_cuts(sample, n_bins)
         try:
-            want_cuts = compute_cuts(preds, n_bins, max_sort=max_sort) if cuts is None else cuts
+            want_cuts = compute_cuts(preds, n_bins) if cuts is None else cuts
             ref, ref_segments = reference_effective_gradient(ds, preds, want_cuts, sample, gl, 0.5)
         except (DegeneratePredictionsError, EmptyArmInBinError) as err:
             with pytest.raises(type(err)) as got:
@@ -572,14 +581,13 @@ class TestRowPermutation:
         n = data.draw(st.integers(200, 5000), label="rows")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         ties = data.draw(st.booleans(), label="rounded predictions")
-        max_sort = data.draw(st.sampled_from([n, 2 * n]), label="max_sort")
         rng = np.random.default_rng(seed)
         ds = generate(DataGenConfig(n_rows=n, seed=seed))
         preds = ds.features @ rng.normal(size=2) + 0.1 * rng.normal(size=n)
         if ties:
             preds = np.round(preds, 2)
         perm = rng.permutation(n)
-        config = GradConfig(n_bins=n_bins, max_sort=max_sort)
+        config = GradConfig(n_bins=n_bins)
         try:
             eg = effective_gradient(ds, preds, config)
         except (EmptyArmInBinError, DegeneratePredictionsError) as err:

@@ -41,7 +41,14 @@ class BinningError(ValueError):
 
 
 class DegeneratePredictionsError(BinningError):
-    """Predictions cannot support the requested number of bins."""
+    """Predictions cannot support the requested number of bins.
+
+    `distinct` counts the distinct values in the sample the cuts were read from.
+    """
+
+    def __init__(self, message: str, distinct: int):
+        super().__init__(message)
+        self.distinct = distinct
 
 
 class Segment(enum.IntEnum):
@@ -151,10 +158,12 @@ def compute_cuts(predictions, n_bins: int) -> CutPoints:
         s = np.sort(p)
     _check_predictions(s[[0, -1]])  # the sort puts NaN last and infinities at the ends
     # one sort serves both the distinct-value count and the quantiles
-    if 1 + np.count_nonzero(s[1:] != s[:-1]) < n_bins:
+    distinct = 1 + np.count_nonzero(s[1:] != s[:-1])
+    if distinct < n_bins:
         raise DegeneratePredictionsError(
             f"degenerate predictions: need at least {n_bins} distinct values "
-            f"to form {n_bins} bins"
+            f"to form {n_bins} bins",
+            distinct,
         )
     # np.quantile's lerp between the order statistics flanking v < s.size - 1:
     # t = frac(v) for the quartiles (linear rule), 1/2 or 0 at whole v for the cuts (midpoint)
@@ -167,7 +176,7 @@ def compute_cuts(predictions, n_bins: int) -> CutPoints:
     cuts = q[2:]
     if cuts.size > 1 and not (np.diff(cuts) > 0).all():
         raise DegeneratePredictionsError(
-            "degenerate predictions: tied quantiles, reduce n_bins"
+            "degenerate predictions: tied quantiles, reduce n_bins", distinct
         )
     return CutPoints(cuts, n_bins, float(q[1] - q[0] or s[-1] - s[0]))
 

@@ -206,13 +206,13 @@ def cmd_eval(args) -> int:
     note = None
     try:
         cuts = compute_cuts(predictions, n_bins)
-    except DegeneratePredictionsError:
-        distinct = int(np.unique(predictions).size)
-        if distinct >= n_bins:
+    except DegeneratePredictionsError as err:
+        if err.distinct >= n_bins:
             raise
-        note = f"predictions have only {distinct} distinct values; evaluated with {distinct} bins"
+        n_bins = err.distinct
+        where = f" in the cut sample of {MAX_SORT} rows" if predictions.size > MAX_SORT else ""
+        note = f"predictions have only {n_bins} distinct values{where}; evaluated with {n_bins} bins"
         print(f"warning: {note}", file=sys.stderr)
-        n_bins = distinct
         cuts = compute_cuts(predictions, n_bins)
     bins = assign_bins(predictions, cuts)
     report = true_lift_loss(subset_stats(dataset, predictions, bins, n_bins))
@@ -284,7 +284,8 @@ def cmd_plot_data(args) -> int:
         raise ValueError(f"{snaps_path} is not a train snapshots file: {err}") from None
     if not available:
         raise ValueError(f"{snaps_path} contains no snapshots")
-    wanted = _parse_ints(args.steps, "--steps") if args.steps else tuple(sorted(available))
+    # a repeated step is written once, in the order first given
+    wanted = dict.fromkeys(_parse_ints(args.steps, "--steps")) if args.steps else sorted(available)
     missing = [t for t in wanted if t not in available]
     if missing:
         raise ValueError(

@@ -107,7 +107,8 @@ class ABDataset:
 
     @property
     def is_treatment(self) -> np.ndarray:
-        return self.arm == 1
+        """The arm as a read-only boolean view: no copy, the same bytes as `arm == 1`."""
+        return self.arm.view(np.bool_)
 
     def take(self, indices: np.ndarray) -> "ABDataset":
         """Subset by integer row indices (used for minibatching).

@@ -90,7 +90,7 @@ class SubsetStats:
 
 
 def global_lift(dataset: ABDataset) -> float:
-    """Mean treated outcome minus mean control outcome over the whole dataset."""
+    """Mean treated minus mean control outcome over all rows: the one global-lift estimate."""
     treated = dataset.is_treatment
     y = dataset.outcome
     # `compress` picks the rows of `y[mask]` in the same order, several times faster
@@ -111,14 +111,16 @@ def subset_stats(
     The same counts hold the range check: a bin below 1 makes the key
     negative or lands in buckets 0 and 1, and a bin above `n_bins` lengthens
     the result. Raises EmptyArmInBinError if any bin lacks treatment or
-    control rows. Passing `cached_global_lift` pins the global lift (useful
-    for minibatches, where the batch estimate would be noisier than the
-    full-data value).
+    control rows. The global lift is `global_lift(dataset)`, which `train`
+    pins, unless `cached_global_lift` pins another (for a minibatch, the
+    full data's, which is less noisy than the batch's).
     """
     p = np.asarray(predictions, dtype=np.float64)
     bins = np.asarray(bins)
     if p.shape != (len(dataset),) or bins.shape != (len(dataset),):
         raise ValueError("predictions and bins must align with the dataset rows")
+    # before the key, so the lift's temporaries and the key are never alive together
+    gl = global_lift(dataset) if cached_global_lift is None else float(cached_global_lift)
     # one bucket per (bin, arm): column 0 is control, column 1 treatment; each
     # bucket sums its rows in row order, as a per-arm masked bincount would
     key = np.multiply(bins, 2, dtype=np.intp)
@@ -143,10 +145,6 @@ def subset_stats(
             raise EmptyArmInBinError(k + 1, n_bins, arm_name if count[k] else None)
     total = int(count.sum())
     total_t = int(count_t.sum())
-    if cached_global_lift is None:
-        gl = float(sum_y_t.sum() / total_t - sum_y_c.sum() / (total - total_t))
-    else:
-        gl = float(cached_global_lift)
     mean_y_t = sum_y_t / count_t
     mean_y_c = sum_y_c / count_c
     imbalance = float(np.abs(count_t / count - total_t / total).max())

@@ -322,8 +322,9 @@ def save_params(path: str | Path, spec: ModelSpec, params) -> None:
 
 
 def load_params(path: str | Path) -> tuple[ModelSpec, np.ndarray]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
+    """Read a params file from `save_params`; a leading UTF-8 byte-order mark is skipped."""
+    try:  # undecodable bytes and bad JSON are ValueErrors; a missing file is not
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         kind = ModelKind(doc["kind"])
         spec = ModelSpec(
             kind,

@@ -15,7 +15,8 @@ tests can compare the two on random instances:
   single cut's width above;
 - `reference_subset_stats`: five masked `bincount`s per call;
 - `reference_keyed_subset_stats`: one `bins0 * 2 + arm` key after a
-  min/max range check on `bins0 = bins - 1`;
+  min/max range check on `bins0 = bins - 1`; both take an unpinned global
+  lift as the difference of the boolean-indexed arm means;
 - `reference_assign_bins`: the cuts below each row counted over the whole
   vector, one cut at a time, in an `int8` buffer;
 - `reference_assign_segments`: per-row boundary indices and masks;
@@ -67,16 +68,18 @@ def reference_compute_cuts(
     if max_sort < n_bins:
         raise BinningError(f"max_sort ({max_sort}) must be at least n_bins ({n_bins})")
     sample = reference_cut_sample(p, max_sort, seed)
-    if np.unique(sample).size < n_bins:
+    distinct = np.unique(sample).size
+    if distinct < n_bins:
         raise DegeneratePredictionsError(
             f"degenerate predictions: need at least {n_bins} distinct values "
-            f"to form {n_bins} bins"
+            f"to form {n_bins} bins",
+            distinct,
         )
     quantiles = np.arange(1, n_bins) / n_bins
     cuts = np.quantile(sample, quantiles, method="midpoint")
     if cuts.size > 1 and not (np.diff(cuts) > 0).all():
         raise DegeneratePredictionsError(
-            "degenerate predictions: tied quantiles, reduce n_bins"
+            "degenerate predictions: tied quantiles, reduce n_bins", distinct
         )
     return CutPoints(cuts, n_bins, reference_spread(sample))
 
@@ -103,7 +106,7 @@ def reference_single_cut_inner_cuts(cuts: CutPoints, sample) -> InnerCuts:
     assert cuts.n_bins == 2
     width = reference_spread(_check_predictions(sample))
     if width == 0.0:
-        raise DegeneratePredictionsError("cannot size segments: predictions are constant")
+        raise DegeneratePredictionsError("cannot size segments: predictions are constant", 1)
     offset = width / 6.0
     return InnerCuts(cuts.cuts - offset, cuts.cuts + offset)
 
@@ -158,7 +161,8 @@ def reference_subset_stats(bins, predictions, outcome, arm, n_bins, cached_globa
     total = int(count.sum())
     total_t = int(count_t.sum())
     if cached_global_lift is None:
-        gl = float(sum_y_t.sum() / total_t - sum_y_c.sum() / (total - total_t))
+        y, arm = np.asarray(outcome), np.asarray(arm)
+        gl = float(y[arm == 1].mean() - y[arm == 0].mean())
     else:
         gl = float(cached_global_lift)
     mean_y_t = sum_y_t / count_t
@@ -201,7 +205,8 @@ def reference_keyed_subset_stats(dataset, predictions, bins, n_bins, cached_glob
     total = int(count.sum())
     total_t = int(count_t.sum())
     if cached_global_lift is None:
-        gl = float(sum_y_t.sum() / total_t - sum_y_c.sum() / (total - total_t))
+        y, arm = dataset.outcome, dataset.arm
+        gl = float(y[arm == 1].mean() - y[arm == 0].mean())
     else:
         gl = float(cached_global_lift)
     mean_y_t = sum_y_t / count_t

@@ -167,6 +167,27 @@ class TestComputeCuts:
         assert "distinct values" in str(got.value)
         assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize("values,n_bins,subsampled", [
+        (2, 5, False), (4, 5, True), (9, 10, True),
+    ])
+    def test_error_counts_the_cut_sample_distinct_values(self, values, n_bins, subsampled):
+        # one extra value, placed in a row outside the cut sample when there is one
+        n = MAX_SORT + 500 if subsampled else 400
+        preds = np.arange(n) % values * 0.5
+        outside = np.setdiff1d(np.arange(n), reference_cut_sample(np.arange(n)))
+        preds[outside[0] if subsampled else 0] = values * 0.5
+        with pytest.raises(DegeneratePredictionsError) as expected:
+            reference_compute_cuts(preds, n_bins)
+        with pytest.raises(DegeneratePredictionsError) as got:
+            compute_cuts(preds, n_bins)
+        assert got.value.distinct == expected.value.distinct == values + (not subsampled)
+
+    def test_tied_quantiles_error_counts_distinct_values(self):
+        preds = np.repeat([0.0, 1.0, 2.0], [90, 5, 5])
+        with pytest.raises(DegeneratePredictionsError, match="tied quantiles") as got:
+            compute_cuts(preds, 3)
+        assert got.value.distinct == 3
+
     def test_subsample_deterministic(self):
         # the cuts depend only on the predictions and the bin count, not on
         # the draw that happens to be cached

@@ -18,6 +18,8 @@ from liftloss import (
 from liftloss.binning import MAX_SORT
 from liftloss.cli import build_parser, main
 
+from reference_gradient import reference_cut_sample
+
 
 @pytest.fixture
 def data_csv(tmp_path):
@@ -212,6 +214,28 @@ class TestEval:
         assert "distinct" in capsys.readouterr().err
         assert "# note:" in out.read_text()
 
+    def test_fallback_counts_the_cut_sample_above_max_sort(self, tmp_path, capsys):
+        # f0 takes 7 values, sized so each k/7 quantile falls inside one of
+        # them, and an 8th in one row that the cut sample leaves out
+        from liftloss import ABDataset, ModelKind, ModelSpec, save_csv, save_params
+
+        n = 2 * MAX_SORT
+        f0 = np.resize(np.repeat(np.arange(7.0), [3, 2, 2, 2, 2, 2, 1]), n)
+        outside = np.setdiff1d(np.arange(n), reference_cut_sample(np.arange(n)))
+        f0[outside[0]] = 7.0
+        arm = np.arange(n) // 14 % 2
+        ds = ABDataset(np.stack([f0, np.zeros(n)], axis=1), np.arange(n) % 5.0, arm)
+        data, pfile, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "e.csv"
+        save_csv(ds, data)
+        save_params(pfile, ModelSpec(ModelKind.LINEAR, 2), np.array([1.0, 0.0, 0.0]))
+        assert main(["eval", "--data", str(data), "--params", str(pfile),
+                     "--bins", "10", "-o", str(out)]) == 0
+        note = (f"predictions have only 7 distinct values in the cut sample of {MAX_SORT} rows; "
+                "evaluated with 7 bins")
+        assert capsys.readouterr().err == f"warning: {note}\n"
+        assert out.read_text().endswith(f"# note: {note}\n")
+        assert "n_bins=7 " in out.read_text()
+
     def test_single_bin_reports_squared_gap(self, tmp_path, data_csv):
         from liftloss import ModelKind, ModelSpec, global_lift, predict, save_params
 
@@ -250,6 +274,21 @@ class TestEval:
         loss_line = [l for l in out.read_text().splitlines() if l.startswith("# loss=")][0]
         assert float(loss_line.split()[1].split("=")[1]) == float(trace_loss)
 
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_reproduces_the_final_training_loss(self, tmp_path, seed):
+        # eval's global lift is the one train pinned, so the losses agree bit for bit
+        data = tmp_path / "data.csv"
+        assert main(["gen", "--rows", "20000", "--seed", str(seed), "-o", str(data)]) == 0
+        prefix = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--init", "1,0.1,1", "--steps", "3",
+                     "--bins", "5", "-o", str(prefix)]) == 0
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--data", str(data), "--params", f"{prefix}.params.json",
+                     "--bins", "5", "-o", str(out)]) == 0
+        trace_loss = (tmp_path / "run.trace.csv").read_text().splitlines()[-1].split(",")[1]
+        loss_line = [l for l in out.read_text().splitlines() if l.startswith("# loss=")][0]
+        assert loss_line.split()[1] == f"loss={trace_loss}"
+
     def test_non_finite_params_file_is_usage_error(self, tmp_path, data_csv, capsys):
         from liftloss import ModelKind, ModelSpec, save_params
 
@@ -260,6 +299,16 @@ class TestEval:
                      "-o", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed parameter file {pfile}") and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}"], ids=["bad-json", "not-utf8"])
+    def test_unreadable_params_file_is_named(self, tmp_path, data_csv, capsys, content):
+        pfile = tmp_path / "bad.json"
+        pfile.write_bytes(content)
+        out = tmp_path / "e.csv"
+        assert main(["eval", "--data", str(data_csv), "--params", str(pfile),
+                     "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: malformed parameter file {pfile}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
@@ -377,6 +426,19 @@ class TestPlotData:
         preds = np.array([float(r.split(",")[1]) for r in rows])
         lifts = np.array([float(r.split(",")[2]) for r in rows])
         assert preds.min() > lifts.max()
+
+    @pytest.mark.parametrize("steps,written", [("0,0", [0]), ("10,0,10,0", [10, 0])])
+    def test_repeated_steps_are_written_once(self, tmp_path, data_csv, capsys, steps, written):
+        # in the order first given, as train --snapshots ignores repeats
+        code, prefix = run_train(tmp_path, data_csv)
+        capsys.readouterr()
+        out_dir = tmp_path / "figs"
+        assert main(["plot-data", "--snapshots", f"{prefix}.snapshots.json",
+                     "--steps", steps, "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().out == f"wrote {len(written)} snapshot files to {out_dir}\n"
+        assert len(list(out_dir.glob("bins_t*.csv"))) == len(written)
+        manifest = json.loads((out_dir / "plot_data.manifest.json").read_text())
+        assert manifest["outputs"] == [str(out_dir / f"bins_t{t}.csv") for t in written]
 
     def test_missing_snapshot_names_available(self, tmp_path, data_csv, capsys):
         code, prefix = run_train(tmp_path, data_csv)

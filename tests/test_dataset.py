@@ -376,6 +376,16 @@ class TestReadOnlyContract:
             with pytest.raises(ValueError):
                 col[0] = 0
 
+    @pytest.mark.parametrize("source", ["generate", "take"])
+    def test_is_treatment_is_a_read_only_view_of_the_arm(self, source):
+        ds = generate(DataGenConfig(n_rows=300, seed=4))
+        if source == "take":
+            ds = ds.take(np.arange(0, 300, 2))
+        treated = ds.is_treatment
+        assert treated.dtype == bool and np.shares_memory(treated, ds.arm)
+        assert not treated.flags.writeable
+        assert treated.tobytes() == (ds.arm == 1).tobytes()
+
     def test_step_functions_leave_inputs_unchanged(self):
         # more rows than MAX_SORT: cuts come from the cached draw
         n = int(np.random.default_rng(6).integers(MAX_SORT + 1, 150_001))

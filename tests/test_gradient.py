@@ -315,6 +315,18 @@ class TestEffectiveGradient:
                 pass
         assert wins >= 8
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unpinned_lift_is_the_one_train_pins(self, seed):
+        # gradcheck's recipe: without a pin it checks the gradient train takes
+        ds = generate(DataGenConfig(n_rows=200, seed=seed))
+        rng = np.random.default_rng(seed)
+        preds = predict(ModelSpec(ModelKind.LINEAR, ds.d), rng.standard_normal(ds.d + 1), ds)
+        config = GradConfig(n_bins=5)
+        unpinned = effective_gradient(ds, preds, config)
+        pinned = effective_gradient(ds, preds, config, global_lift(ds))
+        assert unpinned.point_grad.tobytes() == pinned.point_grad.tobytes()
+        assert unpinned.stats.global_lift == pinned.stats.global_lift
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GradConfig(n_bins=1)

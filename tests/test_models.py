@@ -294,7 +294,7 @@ class TestTrain:
         def collapse_at_step(*args, **kwargs):
             calls.append(None)
             if len(calls) > step:
-                raise DegeneratePredictionsError("need at least 5 distinct values")
+                raise DegeneratePredictionsError("need at least 5 distinct values", 4)
             return effective_gradient(*args, **kwargs)
 
         monkeypatch.setattr(models, "effective_gradient", collapse_at_step)
@@ -430,3 +430,14 @@ class TestParamsIo:
         path.write_text('{"kind": "linear", "d": 2, "values": [1.0]}')
         with pytest.raises(ValueError):
             load_params(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path, bom = tmp_path / "params.json", tmp_path / "bom.json"
+        save_params(path, LINEAR2, np.array([0.5, -0.25, 0.125]))
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        (spec, values), (bom_spec, bom_values) = load_params(path), load_params(bom)
+        assert bom_spec == spec and bom_values.tobytes() == values.tobytes()
+
+    def test_missing_file_stays_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_params(tmp_path / "absent.json")

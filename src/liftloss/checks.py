@@ -28,7 +28,7 @@ __all__ = [
     "run_gradcheck",
 ]
 
-BIAS_TOLERANCE = 1e-6
+BIAS_TOLERANCE = 1e-7
 MIGRATION_TOLERANCE = 1e-10
 # decimal digits of the migration oracle's np.longdouble: 18 on x86-64, 15 under MSVC
 MIGRATION_DIGITS = np.finfo(np.longdouble).precision

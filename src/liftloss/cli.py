@@ -1,8 +1,8 @@
 """Command-line interface: data generation, training, evaluation, checks.
 
-Subcommands: gen, train, eval, gradcheck, plot-data. Every flag can also be
-given in a config file of ``key = value`` lines (via --config); flags on the
-command line take precedence. Each command that writes files also writes a
+Subcommands: gen, train, eval, gradcheck. Every flag can also be given in a
+config file of ``key = value`` lines (via --config); flags on the command
+line take precedence. Each command that writes files also writes a
 manifest JSON recording the resolved options, so runs are reproducible.
 
 Exit codes: 0 success, 1 validation error, 2 runtime or numeric failure.
@@ -143,8 +143,9 @@ def _write_trace(path: Path, entries) -> None:
     """One LF-terminated row per trace entry: step, loss split, then every parameter."""
     params = np.array([e.params for e in entries])
     header = ["step", "loss", "bias", "separation"] + [f"p{i}" for i in range(params.shape[1])]
-    scalars = zip(*((e.step, e.loss, e.bias_term, e.separation_term) for e in entries))
-    write_csv(path, header, [*scalars, *params.T], "\n")
+    steps = np.array([e.step for e in entries], dtype=np.int64)
+    losses = np.array([(e.loss, e.bias_term, e.separation_term) for e in entries], dtype=np.float64)
+    write_csv(path, header, [steps, *losses.T, *params.T], "\n")
 
 
 def cmd_train(args) -> int:
@@ -265,44 +266,6 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def cmd_plot_data(args) -> int:
-    snaps_path = Path(args.snapshots)
-    if not snaps_path.exists():
-        raise FileNotFoundError(f"snapshot file not found: {snaps_path}")
-    fields = ["bin", "mean_pred", "lift", "size"]
-    try:  # a malformed file names itself and the first entry it lacks
-        doc = json.loads(snaps_path.read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise KeyError("snapshots")
-        available = {
-            snap["step"]: [[row[k] for row in snap["bins"]] for k in fields]
-            for snap in doc["snapshots"]
-        }
-    except KeyError as err:
-        raise ValueError(f"{snaps_path} has no {err} entry") from None
-    except (TypeError, json.JSONDecodeError) as err:
-        raise ValueError(f"{snaps_path} is not a train snapshots file: {err}") from None
-    if not available:
-        raise ValueError(f"{snaps_path} contains no snapshots")
-    # a repeated step is written once, in the order first given
-    wanted = dict.fromkeys(_parse_ints(args.steps, "--steps")) if args.steps else sorted(available)
-    missing = [t for t in wanted if t not in available]
-    if missing:
-        raise ValueError(
-            f"snapshot steps {missing} not found; available: {sorted(available)}"
-        )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for t in wanted:
-        out = out_dir / f"bins_t{t}.csv"
-        write_csv(out, fields, available[t], "\n")
-        outputs.append(out)
-    _write_manifest(out_dir / "plot_data.manifest.json", "plot-data", args, [snaps_path], outputs)
-    print(f"wrote {len(outputs)} snapshot files to {out_dir}")
-    return 0
-
-
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="file of 'key = value' lines; command-line flags win")
 
@@ -357,12 +320,6 @@ def build_parser() -> _Parser:
     _add_config_flag(p)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("plot-data", help="export per-snapshot bin CSVs for plotting")
-    p.add_argument("--snapshots", required=True, help="snapshots JSON written by train")
-    p.add_argument("--steps", help="comma-separated snapshot steps (default: all)")
-    p.add_argument("--out-dir", required=True)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_plot_data)
     return parser
 
 
@@ -415,7 +372,8 @@ def _config_tokens(path: str) -> list[str]:
         value = value.strip()
         if not key:
             raise ValueError(f"config line has empty key: {raw!r}")
-        tokens.extend([f"--{key}", value])
+        # joined by '=', a value that begins with '-' is not read as a flag
+        tokens.extend([f"--{key}={value}"] if value.startswith("-") else [f"--{key}", value])
     return tokens
 
 

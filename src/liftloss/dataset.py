@@ -191,12 +191,12 @@ def generate(config: DataGenConfig) -> ABDataset:
 CSV_BLOCK_ROWS = 1 << 16  # rows converted and written per `write` call
 
 
-def write_csv(path: str | Path, header: list[str], columns: list, newline: str) -> None:
-    """Write equal-length columns (ndarrays or lists) as CSV, `newline` ending each line.
+def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray], newline: str) -> None:
+    """Write equal-length ndarray columns as CSV, `newline` ending each line.
 
-    Each cell is the `repr` of an ndarray's `tolist()` value or of a list's
-    own value, so ints print plainly and floats round-trip exactly. Memory
-    stays O(`CSV_BLOCK_ROWS`): rows are converted and written block by block.
+    Each cell is the `repr` of a column's `tolist()` value, so ints print
+    plainly and floats round-trip exactly. Memory stays O(`CSV_BLOCK_ROWS`):
+    rows are converted and written block by block.
     """
     n = len(columns[0])
     if len(columns) != len(header) or any(len(c) != n for c in columns):
@@ -205,7 +205,7 @@ def write_csv(path: str | Path, header: list[str], columns: list, newline: str) 
         fh.write(",".join(header) + newline)
         for lo in range(0, n, CSV_BLOCK_ROWS):
             parts = (c[lo : lo + CSV_BLOCK_ROWS] for c in columns)
-            cells = [map(repr, p.tolist() if isinstance(p, np.ndarray) else p) for p in parts]
+            cells = [map(repr, p.tolist()) for p in parts]
             fh.write(newline.join(map(",".join, zip(*cells))) + newline)
 
 

@@ -2,8 +2,8 @@
 
 These are the package's writers as they were before every table went through
 `dataset.write_csv`: `save_csv` and `write_loss_report` verbatim, and the
-trace and plot-data loops of `cli` wrapped into functions with their bodies
-unchanged. Tests compare the bytes the package writes now against these.
+trace loop of `cli` wrapped into a function with its body unchanged. Tests
+compare the bytes the package writes now against these.
 """
 
 import csv
@@ -65,10 +65,3 @@ def write_trace(trace_path, params, entries) -> None:
             values = ",".join(repr(float(v)) for v in e.params)
             fh.write(f"{e.step},{e.loss!r},{e.bias_term!r},{e.separation_term!r},{values}\n")
 
-
-def write_plot_bins(out, bins) -> None:
-    """`plot-data`'s bins_t{t}.csv from one snapshot's `bins` list as read from JSON."""
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("bin,mean_pred,lift,size\n")
-        for row in bins:
-            fh.write(f"{row['bin']},{row['mean_pred']!r},{row['lift']!r},{row['size']}\n")

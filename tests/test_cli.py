@@ -1,6 +1,9 @@
+import argparse
 import dataclasses
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from liftloss import (
     load_params,
 )
 from liftloss.binning import MAX_SORT
+from liftloss import cli
 from liftloss.cli import build_parser, main
 
 from reference_gradient import reference_cut_sample
@@ -112,6 +116,19 @@ class TestTrain:
         for t in (0, 1, 10):
             assert (tmp_path / f"run.snapshot_t{t}.csv").exists()
         assert (tmp_path / "run.manifest.json").exists()
+
+    def test_initial_snapshot_predictions_dominate_lifts(self, tmp_path, data_csv):
+        # started far too high, every bin predicts far above its lift; the
+        # snapshot CSV read as README says holds the JSON's per-bin values
+        code, prefix = run_train(tmp_path, data_csv)
+        path = Path(f"{prefix}.snapshot_t0.csv")
+        header = path.read_text().splitlines()[0].split(",")
+        table = np.loadtxt(path, delimiter=",", skiprows=1, comments="#")
+        columns = dict(zip(header, table.T))
+        assert columns["mean_pred"].min() > columns["lift"].max()
+        bins = json.loads(Path(f"{prefix}.snapshots.json").read_text())["snapshots"][0]["bins"]
+        for name in ("mean_pred", "lift", "size"):
+            assert columns[name].tolist() == [row[name] for row in bins]
 
     def test_zero_steps_keeps_init(self, tmp_path, data_csv):
         prefix = tmp_path / "noop"
@@ -404,66 +421,28 @@ class TestGradcheck:
         assert len(errors) == 2 and max(errors) < 1e-12
 
 
-class TestPlotData:
-    def test_emits_one_csv_per_snapshot(self, tmp_path, data_csv):
-        code, prefix = run_train(tmp_path, data_csv)
-        assert code == 0
-        out_dir = tmp_path / "figs"
-        assert main(["plot-data", "--snapshots", f"{prefix}.snapshots.json",
-                     "--out-dir", str(out_dir)]) == 0
-        files = sorted(p.name for p in out_dir.glob("bins_t*.csv"))
-        assert files == ["bins_t0.csv", "bins_t1.csv", "bins_t10.csv"]
-        header, *rows = (out_dir / "bins_t0.csv").read_text().splitlines()
-        assert header == "bin,mean_pred,lift,size" and len(rows) == 5
+def parser_commands():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return set(sub.choices)
 
-    def test_initial_snapshot_predictions_dominate_lifts(self, tmp_path, data_csv):
-        # started far too high, every bin predicts far above its lift
-        code, prefix = run_train(tmp_path, data_csv)
-        out_dir = tmp_path / "figs"
-        assert main(["plot-data", "--snapshots", f"{prefix}.snapshots.json",
-                     "--steps", "0", "--out-dir", str(out_dir)]) == 0
-        rows = (out_dir / "bins_t0.csv").read_text().splitlines()[1:]
-        preds = np.array([float(r.split(",")[1]) for r in rows])
-        lifts = np.array([float(r.split(",")[2]) for r in rows])
-        assert preds.min() > lifts.max()
 
-    @pytest.mark.parametrize("steps,written", [("0,0", [0]), ("10,0,10,0", [10, 0])])
-    def test_repeated_steps_are_written_once(self, tmp_path, data_csv, capsys, steps, written):
-        # in the order first given, as train --snapshots ignores repeats
-        code, prefix = run_train(tmp_path, data_csv)
-        capsys.readouterr()
-        out_dir = tmp_path / "figs"
-        assert main(["plot-data", "--snapshots", f"{prefix}.snapshots.json",
-                     "--steps", steps, "--out-dir", str(out_dir)]) == 0
-        assert capsys.readouterr().out == f"wrote {len(written)} snapshot files to {out_dir}\n"
-        assert len(list(out_dir.glob("bins_t*.csv"))) == len(written)
-        manifest = json.loads((out_dir / "plot_data.manifest.json").read_text())
-        assert manifest["outputs"] == [str(out_dir / f"bins_t{t}.csv") for t in written]
+def test_readme_lists_the_parser_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    assert set(re.findall(r"^liftloss (\S+)", block, re.M)) == parser_commands()
 
-    def test_missing_snapshot_names_available(self, tmp_path, data_csv, capsys):
-        code, prefix = run_train(tmp_path, data_csv)
-        code = main(["plot-data", "--snapshots", f"{prefix}.snapshots.json",
-                     "--steps", "7", "--out-dir", str(tmp_path / "figs")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "[7]" in err and "[0, 1, 10]" in err
 
-    @pytest.mark.parametrize("doc,missing", [
-        ({"snapshots": [{"step": 0, "bins": [{"bin": 1, "mean_pred": 0.1, "size": 5}]}]},
-         "'lift'"),
-        ({"snapshots": [{"step": 0}]}, "'bins'"),
-        ({"snapshots": [{"bins": []}]}, "'step'"),
-        ([{"step": 0, "bins": []}], "'snapshots'"),
-        ("{", "not a train snapshots file"),
-    ], ids=["bin-without-lift", "snapshot-without-bins", "snapshot-without-step",
-            "top-level-list", "invalid-json"])
-    def test_malformed_snapshots_name_file_and_gap(self, tmp_path, capsys, doc, missing):
-        path = tmp_path / "snaps.json"
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-        assert main(["plot-data", "--snapshots", str(path),
-                     "--out-dir", str(tmp_path / "figs")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(path) in err and missing in err
+def test_docstring_lists_the_parser_commands():
+    listed = cli.__doc__.split("Subcommands:", 1)[1].split(".", 1)[0]
+    assert {c.strip() for c in listed.split(",")} == parser_commands()
+
+
+def test_plot_data_is_an_invalid_choice(tmp_path, capsys):
+    # deleted: train --snapshots writes each snapshot table as run.snapshot_t{t}.csv
+    assert main(["plot-data", "--snapshots", "run.snapshots.json",
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "invalid choice: 'plot-data'" in capsys.readouterr().err
+    assert parser_commands() == {"gen", "train", "eval", "gradcheck"}
 
 
 class TestConfigFile:
@@ -515,3 +494,16 @@ class TestConfigFile:
         cfg.write_text("rows = 300  # enough rows\n")
         assert main(["gen", "--config", str(cfg), "-o", str(tmp_path / "c.csv")]) == 1
         assert "invalid int value: '300  # enough rows'" in capsys.readouterr().err
+
+    def test_negative_value_read_as_a_value(self, tmp_path, data_csv):
+        # as two tokens, argparse would take '-1,0.1,1' for a flag and exit 1
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("init = -1,0.1,1\nsteps = 3\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["train", "--data", str(data_csv), "--config", str(cfg), "-o", str(a)]) == 0
+        assert main(["train", "--data", str(data_csv), "--init=-1,0.1,1", "--steps", "3",
+                     "-o", str(b)]) == 0
+        params = [load_params(f"{prefix}.params.json")[1].tolist() for prefix in (a, b)]
+        assert params[0] == params[1]
+        manifest = json.loads(Path(f"{a}.manifest.json").read_text())
+        assert manifest["options"]["init"] == "-1,0.1,1"

@@ -39,7 +39,7 @@ def main() -> None:
     )
     spec = ModelSpec(ModelKind.LINEAR, 2)
     init = np.array([1.0, 0.1, 1.0])  # slopes for (r1, r3), then offset
-    snapshots = tuple(sorted({0, 1, min(10, args.steps), args.steps}))
+    snapshots = tuple(sorted({0, min(1, args.steps), min(10, args.steps), args.steps}))
     config = TrainConfig(
         step_size=args.lr,
         steps=args.steps,

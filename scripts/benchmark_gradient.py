@@ -5,7 +5,10 @@ The per-step cost should grow linearly in rows: above the quantile subsample
 threshold no full sort happens, so only the vectorized per-row work remains.
 Several bin counts (`--bins 2,10,40,100`) show the 2-bin segment path and
 where `assign_bins` switches from counting cuts to a binary search. The
-sweep prints the best, median and worst of `--reps` runs. perfbench times
+sweep prints the best, median and worst of `--reps` runs; a size too small
+for a bin count (a bin without an arm, or too few distinct predictions)
+prints a row marking the pair skipped, naming the error, and so does a
+`--memory` row. perfbench times
 the training ops and CSV I/O themselves (`perfbench/run.py`).
 
 `--memory` measures allocations instead of time: tracemalloc's peak in bytes
@@ -38,6 +41,8 @@ import numpy as np
 from liftloss import (
     Activation,
     DataGenConfig,
+    DegeneratePredictionsError,
+    EmptyArmInBinError,
     GradConfig,
     ModelKind,
     ModelSpec,
@@ -114,8 +119,16 @@ def csv_round_trip(dataset):
         return load_csv(path)
 
 
+def skipped(err: Exception) -> str:
+    return f"  skipped: {type(err).__name__}: {err}"
+
+
 def memory_row(name: str, n_bins, rows: int, call, reps: int) -> None:
-    call()  # warm up: lazy imports, the cached subsample draw, the heap's size
+    try:
+        call()  # warm up: lazy imports, the cached subsample draw, the heap's size
+    except (DegeneratePredictionsError, EmptyArmInBinError) as err:
+        print(f"{name:>18} {n_bins:>5} {rows:>10}{skipped(err)}")
+        return
     peaks = np.array([traced_peak(call) for _ in range(reps)]) / rows
     faults = np.median([minor_faults(call) for _ in range(reps)])
     print(f"{name:>18} {n_bins:>5} {rows:>10} {peaks.min():>8.1f} {np.median(peaks):>8.1f} "
@@ -175,7 +188,11 @@ def main() -> None:
         base = None
         for n in sizes:
             dataset = generate(DataGenConfig(n_rows=n, seed=args.seed))
-            walls = time_reps(gradient_call(dataset, n_bins, args.seed), args.reps)
+            try:
+                walls = time_reps(gradient_call(dataset, n_bins, args.seed), args.reps)
+            except (DegeneratePredictionsError, EmptyArmInBinError) as err:
+                print(f"{n_bins:>5} {n:>10}{skipped(err)}")
+                continue
             t = walls.min()
             ratio = "" if base is None else f"   ({t / base[1]:.1f}x the {base[0]} run)"
             print(f"{n_bins:>5} {n:>10} {t * 1e3:>8.1f}ms {np.median(walls) * 1e3:>8.1f}ms "

@@ -41,9 +41,10 @@ class BinningError(ValueError):
 
 
 class DegeneratePredictionsError(BinningError):
-    """Predictions cannot support the requested number of bins.
+    """Predictions have fewer distinct values than the requested number of bins.
 
-    `distinct` counts the distinct values in the sample the cuts were read from.
+    `distinct` counts the distinct values in the sample the cuts were read
+    from; `compute_cuts` succeeds with that many bins.
     """
 
     def __init__(self, message: str, distinct: int):
@@ -131,18 +132,24 @@ def _subsample_rows(n: int) -> np.ndarray:
 
 
 def compute_cuts(predictions, n_bins: int) -> CutPoints:
-    """Choose cut values so the bins are roughly equal in size.
+    """Choose cut values so the bins are roughly equal in size and none is empty.
 
-    Cuts are the k/n_bins empirical quantiles (midpoint interpolation, which
-    places a cut halfway between the order statistics flanking the quantile
-    boundary). Inputs longer than `MAX_SORT` are quantiled on a uniform
-    subsample of `MAX_SORT` points instead of a full sort; its row indices
-    are drawn with seed 0, once per row count, and reused. The (sub)sample
-    is sorted once, and the cuts and the quartiles behind `spread` are read
-    from it by index with `np.quantile`'s own arithmetic (midpoint and
-    linear rule), so they equal its bit for bit. Only the values sorted are
-    checked for finiteness: a non-finite row outside the subsample is left
-    to `assign_bins`, which every caller runs next.
+    Inputs longer than `MAX_SORT` are cut on a uniform subsample of
+    `MAX_SORT` points, drawn with seed 0 once per row count and reused. The
+    m-row (sub)sample `s` is sorted once. A cut sits only on an edge, e with
+    s[e] < s[e + 1], at its midpoint `b - (b - a) * 0.5`, the arithmetic of
+    `np.quantile(method="midpoint")`: cut k takes the edge nearest the
+    position (m - 1)k/n_bins, so a quantile already between two distinct
+    values is the cut bit for bit. A tie in distance goes to the wider gap,
+    favouring neither side, and with equal gaps to the upper edge, keeping
+    the tied run in the lower bin as a cut on a value would. Cuts that pick
+    one edge (tied data) resolve left to right: the next free edge above,
+    clamped down so each later cut keeps one. No bin of the sample, nor of
+    the predictions holding it, is thus empty, and DegeneratePredictionsError
+    is raised if and only if the sample has fewer than `n_bins` distinct
+    values. `spread` reads the quartiles by `np.quantile`'s linear rule.
+    Only the values sorted are checked for finiteness: a non-finite row
+    outside the subsample is left to `assign_bins`, which callers run next.
     """
     # one bin sorts nothing, so its rows are all checked here
     p = _check_predictions(predictions, finite=n_bins <= 1)
@@ -157,28 +164,32 @@ def compute_cuts(predictions, n_bins: int) -> CutPoints:
     else:
         s = np.sort(p)
     _check_predictions(s[[0, -1]])  # the sort puts NaN last and infinities at the ends
-    # one sort serves both the distinct-value count and the quantiles
-    distinct = 1 + np.count_nonzero(s[1:] != s[:-1])
+    edges = np.flatnonzero(s[1:] != s[:-1])  # s[e] < s[e + 1]: where a cut may sit
+    distinct = 1 + edges.size
     if distinct < n_bins:
         raise DegeneratePredictionsError(
             f"degenerate predictions: need at least {n_bins} distinct values "
             f"to form {n_bins} bins",
             distinct,
         )
-    # np.quantile's lerp between the order statistics flanking v < s.size - 1:
-    # t = frac(v) for the quartiles (linear rule), 1/2 or 0 at whole v for the cuts (midpoint)
-    v = (s.size - 1) * np.concatenate(([0.25, 0.75], np.arange(1, n_bins) / n_bins))
+    # np.quantile's linear-rule quartiles: lerp by t = frac(v) between the flanking order statistics
+    v = (s.size - 1) * np.array([0.25, 0.75])
     lo = np.floor(v).astype(np.intp)
     t = v - lo
-    t[2:] = np.where(t[2:] > 0, 0.5, 0.0)
     a, b = s[lo], s[lo + 1]
     q = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
-    cuts = q[2:]
-    if cuts.size > 1 and not (np.diff(cuts) > 0).all():
-        raise DegeneratePredictionsError(
-            "degenerate predictions: tied quantiles, reduce n_bins", distinct
-        )
-    return CutPoints(cuts, n_bins, float(q[1] - q[0] or s[-1] - s[0]))
+    # positions times 2·n_bins, exact in integers: cut k at 2(m - 1)k, edge e at n_bins(2e + 1)
+    k = np.arange(n_bins - 1)
+    target = 2 * (s.size - 1) * (k + 1)
+    above = np.searchsorted(edges, (target + n_bins - 1) // (2 * n_bins)).clip(max=edges.size - 1)
+    below = (above - 1).clip(min=0)
+    e = edges[np.stack([below, above])]
+    dist, gap = np.abs(n_bins * (2 * e + 1) - target), s[e + 1] - s[e]
+    j = np.where((dist[1] < dist[0]) | (dist[1] == dist[0]) & (gap[1] >= gap[0]), above, below)
+    j = np.minimum(np.maximum.accumulate(j - k), distinct - n_bins) + k
+    a, b = s[edges[j]], s[edges[j] + 1]
+    cuts = b - (b - a) * 0.5  # one ulp apart it may round to b, putting b's rows in a's bin
+    return CutPoints(np.where(cuts < b, cuts, a), n_bins, float(q[1] - q[0] or s[-1] - s[0]))
 
 
 def assign_bins(predictions, cuts: CutPoints) -> np.ndarray:

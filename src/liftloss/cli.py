@@ -208,8 +208,6 @@ def cmd_eval(args) -> int:
     try:
         cuts = compute_cuts(predictions, n_bins)
     except DegeneratePredictionsError as err:
-        if err.distinct >= n_bins:
-            raise
         n_bins = err.distinct
         where = f" in the cut sample of {MAX_SORT} rows" if predictions.size > MAX_SORT else ""
         note = f"predictions have only {n_bins} distinct values{where}; evaluated with {n_bins} bins"

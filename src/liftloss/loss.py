@@ -35,7 +35,7 @@ __all__ = [
 
 
 class EmptyArmInBinError(ValueError):
-    """A bin has no rows of one arm, or no rows at all (`arm_name` None)."""
+    """A bin has no rows of one arm, or none at all (`arm_name` None; only reused or given bins)."""
 
     def __init__(
         self, bin_index: int, n_bins: int, arm_name: str | None, advice="retry with fewer bins"

@@ -6,8 +6,11 @@ kept verbatim, plus written-out forms of the binning steps, so property
 tests can compare the two on random instances:
 
 - `reference_cut_sample`: the rows `compute_cuts` reads, drawn afresh;
-- `reference_compute_cuts`: an `np.unique` distinct-value count, then
-  `np.quantile` on the unsorted sample;
+- `reference_compute_cuts`: edges from `np.unique` counts, each cut's
+  nearest edge chosen in a per-cut loop in exact fractions, collisions
+  resolved one cut at a time, and for small samples a check against
+  `brute_force_cut_sets`, every edge-midpoint cut set that leaves no bin
+  empty;
 - `reference_spread` and `reference_single_cut_inner_cuts`: the 2-bin
   segment width from two separate `np.quantile` calls, with an `np.ptp`
   fallback, on the sample the cut was read from;
@@ -32,6 +35,9 @@ tests can compare the two on random instances:
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -68,20 +74,53 @@ def reference_compute_cuts(
     if max_sort < n_bins:
         raise BinningError(f"max_sort ({max_sort}) must be at least n_bins ({n_bins})")
     sample = reference_cut_sample(p, max_sort, seed)
-    distinct = np.unique(sample).size
-    if distinct < n_bins:
+    values, counts = np.unique(sample, return_counts=True)
+    small = comb(2 * values.size - 1, n_bins - 1) <= 2000
+    if values.size < n_bins:
+        assert not (small and brute_force_cut_sets(sample, n_bins))
         raise DegeneratePredictionsError(
             f"degenerate predictions: need at least {n_bins} distinct values "
             f"to form {n_bins} bins",
-            distinct,
+            values.size,
         )
-    quantiles = np.arange(1, n_bins) / n_bins
-    cuts = np.quantile(sample, quantiles, method="midpoint")
-    if cuts.size > 1 and not (np.diff(cuts) > 0).all():
-        raise DegeneratePredictionsError(
-            "degenerate predictions: tied quantiles, reduce n_bins", distinct
-        )
-    return CutPoints(cuts, n_bins, reference_spread(sample))
+    # edge i follows the first cumsum(counts)[i] rows; positions are doubled and scaled by
+    # n_bins so that they compare exactly: edge i at 2·n_bins·rows - n_bins, cut k at 2(m - 1)k
+    position = 2 * n_bins * np.cumsum(counts)[:-1] - n_bins
+    gaps = np.diff(values)
+    chosen = []
+    for k in range(1, n_bins):
+        distance = np.abs(position - 2 * (sample.size - 1) * k)
+        nearest = np.flatnonzero(distance == distance.min())
+        # a tie goes to the wider gap, then to the upper edge
+        chosen.append(int(nearest[gaps[nearest] == gaps[nearest].max()][-1]))
+    # collisions, left to right: the next free edge above, leaving one edge for each later cut
+    for k in range(len(chosen)):
+        floor = chosen[k - 1] + 1 if k else 0
+        chosen[k] = min(max(chosen[k], floor), position.size - len(chosen) + k)
+    a, b = values[chosen], values[np.array(chosen) + 1]
+    cuts = CutPoints(b - (b - a) * 0.5, n_bins, reference_spread(sample))
+    if small:
+        assert any(np.array_equal(cuts.cuts, c) for c in brute_force_cut_sets(sample, n_bins))
+    return cuts
+
+
+def brute_force_cut_sets(sample, n_bins: int) -> list[np.ndarray]:
+    """Every increasing set of `n_bins - 1` cuts that leaves no bin of `sample` empty.
+
+    The candidates are the distinct values and the midpoints between
+    neighbouring ones, which together give every way a set of cuts can
+    split the values.
+    """
+    values, counts = np.unique(sample, return_counts=True)
+    mids = [b - (b - a) * 0.5 for a, b in zip(values, values[1:])]
+    valid = []
+    for cuts in combinations(sorted([*values, *mids]), n_bins - 1):
+        sizes = [0] * n_bins
+        for v, count in zip(values, counts):
+            sizes[sum(v > c for c in cuts)] += count
+        if min(sizes) > 0:
+            valid.append(np.array(cuts))
+    return valid
 
 
 def reference_cut_sample(predictions, max_sort: int = MAX_SORT, seed: int = 0):

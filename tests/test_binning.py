@@ -109,11 +109,11 @@ class TestComputeCuts:
     def test_matches_unique_and_unsorted_quantile_reference(
         self, n, n_bins, distinct, subsampled, signed_zeros, whole_index, seed
     ):
-        # cuts are bit-identical to the np.unique + unsorted np.quantile form,
-        # with and without subsampling, and so is the spread of the quartiles
-        # read with them; every error matches the reference too; with
-        # whole_index the sample size m has (m - 1) * k / n_bins integral, so
-        # every cut is a single order statistic rather than a midpoint
+        # cuts are bit-identical to the np.unique-count edge reference, with
+        # and without subsampling, and so is the spread of the quartiles read
+        # with them; every error matches the reference too; with whole_index
+        # the sample size m has (m - 1) * k / n_bins integral, so every cut's
+        # quantile position is a row and two edges are equally near
         rng = np.random.default_rng(seed)
         if subsampled:
             n = int(rng.integers(MAX_SORT + 1, 150_001))
@@ -182,11 +182,69 @@ class TestComputeCuts:
             compute_cuts(preds, n_bins)
         assert got.value.distinct == expected.value.distinct == values + (not subsampled)
 
-    def test_tied_quantiles_error_counts_distinct_values(self):
-        preds = np.repeat([0.0, 1.0, 2.0], [90, 5, 5])
-        with pytest.raises(DegeneratePredictionsError, match="tied quantiles") as got:
-            compute_cuts(preds, 3)
-        assert got.value.distinct == 3
+    @pytest.mark.parametrize("values,counts,n_bins,want_cuts,want_sizes", [
+        # the midpoint median was 1.0, so every row fell in bin 1
+        pytest.param([0.0, 1.0], [179, 221], 2, [0.5], [179, 221], id="179-221"),
+        # the midpoint quantiles were [1, 3], leaving bin 3 empty
+        pytest.param([0.0, 1.0, 2.0, 3.0], [3, 5, 5, 8], 3, [1.5, 2.5], [8, 5, 8], id="3-5-5-8"),
+        # both quantiles fell in the run of zeros, which raised "tied quantiles"
+        pytest.param([0.0, 1.0, 2.0], [90, 5, 5], 3, [0.5, 1.5], [90, 5, 5], id="90-5-5"),
+    ])
+    def test_tied_data_fills_every_bin(self, values, counts, n_bins, want_cuts, want_sizes):
+        preds = np.random.default_rng(4).permutation(np.repeat(values, counts))
+        cuts = compute_cuts(preds, n_bins)
+        assert cuts.cuts.tolist() == want_cuts
+        assert np.bincount(assign_bins(preds, cuts) - 1).tolist() == want_sizes
+
+    def test_values_one_ulp_apart_keep_their_bins(self):
+        # the midpoint of 1 + 2u and 1 + 4u rounds to 1 + 4u (u = 2**-53), which would put
+        # that value in the middle bin and leave the top bin empty
+        preds = np.array([1.0, 1.0 + 2**-52, 1.0 + 2**-51])
+        cuts = compute_cuts(preds, 3)
+        assert cuts.cuts.tolist() == [1.0, 1.0 + 2**-52]
+        assert assign_bins(preds, cuts).tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("rows,n_bins", [(1000, 10), (5000, 7), (20_001, 7), (150_000, 10)])
+    def test_untied_cuts_equal_midpoint_quantiles(self, rows, n_bins):
+        # with distinct predictions and no whole rank, every midpoint quantile
+        # falls between two distinct values, so it is the cut, bit for bit
+        preds = np.random.default_rng(rows).normal(size=rows)
+        sample = reference_cut_sample(preds)
+        assert np.unique(sample).size == sample.size
+        assert all((sample.size - 1) * k % n_bins for k in range(1, n_bins))
+        want = np.quantile(sample, np.arange(1, n_bins) / n_bins, method="midpoint")
+        assert compute_cuts(preds, n_bins).cuts.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        distinct=st.integers(1, 8),
+        n_bins=st.integers(2, 10),
+        rows=st.one_of(st.integers(1, 60), st.integers(MAX_SORT + 1, 120_000)),
+        skew=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_bin_filled_unless_too_few_distinct_values(
+        self, distinct, n_bins, rows, skew, seed
+    ):
+        # integer-valued predictions with skewed shares, so ties and whole
+        # ranks are common; the contract needs no reference cut rule
+        rng = np.random.default_rng(seed)
+        shares = np.exp(skew * rng.standard_normal(distinct))
+        preds = rng.choice(distinct, size=rows, p=shares / shares.sum()).astype(np.float64)
+        sample = reference_cut_sample(preds)
+        values = np.unique(sample)
+        if values.size < n_bins:
+            with pytest.raises(DegeneratePredictionsError) as got:
+                compute_cuts(preds, n_bins)
+            assert got.value.distinct == values.size
+            return
+        cuts = compute_cuts(preds, n_bins).cuts
+        assert (np.diff(cuts) > 0).all()
+        above = np.searchsorted(values, cuts)
+        a, b = values[above - 1], values[above]
+        assert (a < cuts).all() and (cuts == b - (b - a) * 0.5).all()
+        sizes = np.bincount(assign_bins(sample, CutPoints(cuts, n_bins)) - 1, minlength=n_bins)
+        assert sizes.min() > 0
 
     def test_subsample_deterministic(self):
         # the cuts depend only on the predictions and the bin count, not on
@@ -211,9 +269,10 @@ class TestComputeCuts:
         hits = _subsample_rows.cache_info().hits
         got = compute_cuts(preds, 6)
         assert _subsample_rows.cache_info().hits == hits + 1
+        # 6 bins is a whole rank above MAX_SORT: (MAX_SORT - 1) * 2 / 6 is integral
         fresh = np.random.default_rng(0).choice(preds.size, size=MAX_SORT, replace=False)
-        want = np.quantile(preds[fresh], np.arange(1, 6) / 6, method="midpoint")
-        assert got.cuts.tobytes() == want.tobytes()
+        want = reference_compute_cuts(preds[fresh], 6)
+        assert got.cuts.tobytes() == want.cuts.tobytes()
 
     def test_another_row_count_is_not_served_from_cache(self):
         n = int(np.random.default_rng(12).integers(MAX_SORT + 1, 150_000))

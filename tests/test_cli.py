@@ -231,13 +231,12 @@ class TestEval:
         assert "distinct" in capsys.readouterr().err
         assert "# note:" in out.read_text()
 
-    def test_fallback_counts_the_cut_sample_above_max_sort(self, tmp_path, capsys):
-        # f0 takes 7 values, sized so each k/7 quantile falls inside one of
-        # them, and an 8th in one row that the cut sample leaves out
+    @staticmethod
+    def eval_f0_with_eighth_value_outside_the_cut_sample(tmp_path, f0):
+        """`eval --bins 10` of the model `f0` after one row outside the cut sample becomes 7."""
         from liftloss import ABDataset, ModelKind, ModelSpec, save_csv, save_params
 
-        n = 2 * MAX_SORT
-        f0 = np.resize(np.repeat(np.arange(7.0), [3, 2, 2, 2, 2, 2, 1]), n)
+        n = f0.size
         outside = np.setdiff1d(np.arange(n), reference_cut_sample(np.arange(n)))
         f0[outside[0]] = 7.0
         arm = np.arange(n) // 14 % 2
@@ -247,11 +246,26 @@ class TestEval:
         save_params(pfile, ModelSpec(ModelKind.LINEAR, 2), np.array([1.0, 0.0, 0.0]))
         assert main(["eval", "--data", str(data), "--params", str(pfile),
                      "--bins", "10", "-o", str(out)]) == 0
+        return out.read_text()
+
+    def test_fallback_counts_the_cut_sample_above_max_sort(self, tmp_path, capsys):
+        # f0 takes 7 values, sized so each k/7 quantile falls inside one of
+        # them, and an 8th in one row that the cut sample leaves out
+        f0 = np.resize(np.repeat(np.arange(7.0), [3, 2, 2, 2, 2, 2, 1]), 2 * MAX_SORT)
+        report = self.eval_f0_with_eighth_value_outside_the_cut_sample(tmp_path, f0)
         note = (f"predictions have only 7 distinct values in the cut sample of {MAX_SORT} rows; "
                 "evaluated with 7 bins")
         assert capsys.readouterr().err == f"warning: {note}\n"
-        assert out.read_text().endswith(f"# note: {note}\n")
-        assert "n_bins=7 " in out.read_text()
+        assert report.endswith(f"# note: {note}\n")
+        assert "n_bins=7 " in report
+
+    def test_fallback_cuts_equal_shares_of_the_distinct_values(self, tmp_path, capsys):
+        # f0 cycles through 7 values in equal shares, so the 7-bin quantiles
+        # fall in runs of ties; the fallback still cuts between each pair
+        report = self.eval_f0_with_eighth_value_outside_the_cut_sample(
+            tmp_path, np.arange(2 * MAX_SORT + 1) % 7.0)
+        assert "evaluated with 7 bins" in capsys.readouterr().err
+        assert "n_bins=7 " in report
 
     def test_single_bin_reports_squared_gap(self, tmp_path, data_csv):
         from liftloss import ModelKind, ModelSpec, global_lift, predict, save_params

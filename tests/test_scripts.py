@@ -45,6 +45,20 @@ def test_benchmark_gradient_modes(tmp_path, mode, first_column, n_rows):
     assert list(tmp_path.iterdir()) == []  # the CSV round trip goes to a temporary directory
 
 
+@pytest.mark.parametrize("mode", [[], ["--memory"]])
+def test_benchmark_gradient_skips_a_bin_count_too_large_for_a_size(tmp_path, mode):
+    # 100 bins of 1,000 rows leave a bin without an arm; the 2,000-row pair still runs
+    out = run_script("benchmark_gradient.py", *mode, "--sizes", "1000,2000", "--bins", "2,100",
+                     "--reps", "1", cwd=tmp_path)
+    rows = [row.split() for row in out.splitlines()[1:]]
+    if mode:  # the effective_gradient rows, less the op name
+        rows = [row[1:] for row in rows if row[0] == "effective_gradient"]
+    assert sorted(row[:2] for row in rows) == [["100", "1000"], ["100", "2000"],
+                                               ["2", "1000"], ["2", "2000"]]
+    skipped = [row[:4] for row in rows if "skipped:" in row]
+    assert skipped == [["100", "1000", "skipped:", "EmptyArmInBinError:"]]
+
+
 @pytest.mark.parametrize("args", [["--model", "mlp"], ["--batch", "500"], ["--io"]])
 def test_benchmark_gradient_deleted_switches_are_unknown(tmp_path, args):
     # deleted: perfbench times the MLP op (minibatch_mlp_1m) and CSV I/O (--trace 1)

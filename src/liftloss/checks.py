@@ -18,7 +18,7 @@ import numpy as np
 
 from .binning import Segment
 from .dataset import ABDataset
-from .gradient import EffectiveGradient, GradConfig, bias_gradient, effective_gradient
+from .gradient import MIGRATION_STEP_SCALE, EffectiveGradient, GradConfig, bias_gradient, effective_gradient
 from .loss import true_lift_loss
 
 __all__ = [
@@ -66,9 +66,7 @@ def bias_fd_check(eg: EffectiveGradient) -> float:
     return float((np.abs(analytic - oracle) / np.maximum(denom, 1e-300)).max())
 
 
-def migration_recompute_check(
-    dataset: ABDataset, eg: EffectiveGradient, config: GradConfig
-) -> tuple[float, int]:
+def migration_recompute_check(dataset: ABDataset, eg: EffectiveGradient) -> tuple[float, int]:
     """Compare each boundary row's migration part against a loss re-evaluation.
 
     The migration part is the row's point gradient minus its bias channel.
@@ -84,7 +82,7 @@ def migration_recompute_check(
     dst = np.where(up, src + 1, src - 1)
     k = np.minimum(src, dst)  # the boundary crossed
     inner_edge = np.where(up, inner.minus[k], inner.plus[k])
-    dp = config.migration_step_scale * (cuts.cuts[k] - inner_edge)
+    dp = MIGRATION_STEP_SCALE * (cuts.cuts[k] - inner_edge)
     # the loss change is about 1/size of the loss terms it differences, so it
     # is taken in extended precision to keep its rounding flat in the rows
     ld = np.longdouble
@@ -142,5 +140,5 @@ def run_gradcheck(
     """Check one `effective_gradient` evaluation against both oracles, every row included."""
     eg = effective_gradient(dataset, predictions, config)
     bias_err = bias_fd_check(eg)
-    mig_err, checked = migration_recompute_check(dataset, eg, config)
+    mig_err, checked = migration_recompute_check(dataset, eg)
     return GradCheckResult(bias_err, mig_err, checked)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .dataset import (
     CsvFormatError,
     DataGenConfig,
     NoiseDistribution,
+    check_seed,
     generate,
     load_csv,
     save_csv,
@@ -149,23 +151,18 @@ def _write_trace(path: Path, entries) -> None:
 
 
 def cmd_train(args) -> int:
-    dataset = load_csv(args.data)
-    spec = _model_spec(args, dataset.d)
-    init = _init_params(args, spec)
     snapshots = _parse_ints(args.snapshots, "--snapshots") if args.snapshots else ()
-    config = TrainConfig(
+    config = TrainConfig(  # before the seed draws the initial parameters
         step_size=args.lr,
         steps=args.steps,
-        grad=GradConfig(
-            n_bins=args.bins,
-            migration_step_scale=args.migration_scale,
-            rebin_every=args.rebin_every,
-        ),
+        grad=GradConfig(n_bins=args.bins, rebin_every=args.rebin_every),
         batch=args.batch,
         snapshot_steps=snapshots,
         seed=args.seed,
     )
-    params, trace = train(dataset, spec, init, config)
+    dataset = load_csv(args.data)
+    spec = _model_spec(args, dataset.d)
+    params, trace = train(dataset, spec, _init_params(args, spec), config)
 
     prefix = Path(args.output)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -235,8 +232,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = GradConfig(n_bins=args.bins, migration_step_scale=args.migration_scale)
+    config = GradConfig(n_bins=args.bins)
     if args.data is not None:
+        check_seed(args.seed)  # the synthetic path's DataGenConfig checks it
         dataset = load_csv(args.data)
     else:
         if args.rows < 2:
@@ -264,26 +262,28 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="file of 'key = value' lines; command-line flags win")
+# every subcommand's --config, read on its own first so that argparse resolves
+# an abbreviation such as --conf exactly as the subcommand would
+_CONFIG_PARSER = _Parser(prog="liftloss", add_help=False)
+_CONFIG_PARSER.add_argument("--config", help="file of 'key = value' lines; command-line flags win")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="liftloss", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"liftloss {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    command = partial(sub.add_parser, parents=[_CONFIG_PARSER])
 
-    p = sub.add_parser("gen", help="generate a synthetic randomized-experiment CSV")
+    p = command("gen", help="generate a synthetic randomized-experiment CSV")
     p.add_argument("--rows", type=int, required=True, help="number of rows (>= 2)")
     p.add_argument("--treatment-frac", type=float, default=DataGenConfig.treatment_fraction)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", choices=["uniform", "normal"], default=DataGenConfig.noise_distribution.value)
     p.add_argument("--lift", type=float, default=DataGenConfig.lift_coefficient, help="lift coefficient on the third noise draw")
     p.add_argument("-o", "--output", required=True)
-    _add_config_flag(p)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", help="fit a model by descending the binned lift loss")
+    p = command("train", help="fit a model by descending the binned lift loss")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--model", choices=["linear", "mlp"], default="linear")
     p.add_argument("--hidden", type=int, help="hidden width (mlp only)")
@@ -295,52 +295,35 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=int, help="minibatch size (full batch if omitted)")
     p.add_argument("--snapshots", help="comma-separated step indices to snapshot")
     p.add_argument("--rebin-every", type=int, default=GradConfig.rebin_every)
-    p.add_argument("--migration-scale", type=float, default=GradConfig.migration_step_scale)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="output prefix")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate saved model parameters on a dataset")
+    p = command("eval", help="evaluate saved model parameters on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--params", required=True, help="params JSON from train")
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("-o", "--output", required=True, help="loss report CSV")
-    _add_config_flag(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="verify the gradient against independent oracles")
+    p = command("gradcheck", help="verify the gradient against independent oracles")
     p.add_argument("--data", help="dataset CSV (synthetic data generated if omitted)")
     p.add_argument("--rows", type=int, default=200, help="rows of synthetic data when --data is omitted")
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--migration-scale", type=float, default=GradConfig.migration_step_scale)
-    _add_config_flag(p)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
-
-
-def _inject_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into argv tokens placed before the real flags."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            break
-    if path is None:
-        return argv
-    return [argv[0]] + _config_tokens(path) + argv[1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_inject_config(argv))
+        path = _CONFIG_PARSER.parse_known_args(argv[1:])[0].config
+        if path is not None:  # the file's flags go first, so the real ones win
+            argv[1:1] = _config_tokens(path)
+        args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse help/usage paths
         code = exc.code
@@ -358,7 +341,7 @@ def _config_tokens(path: str) -> list[str]:
     flags override them). A line whose first non-blank character is '#' is a
     comment; every value is passed as written, a '#' in it included."""
     tokens: list[str] = []
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is skipped
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):

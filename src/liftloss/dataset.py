@@ -158,10 +158,15 @@ class DataGenConfig:
             raise ValueError(
                 f"treatment_fraction must be strictly between 0 and 1, got {self.treatment_fraction}"
             )
-        if self.seed < 0 or self.seed >= 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        check_seed(self.seed)
         if not np.isfinite(self.lift_coefficient):
             raise ValueError("lift_coefficient must be finite")
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed that numpy's generators cannot take, naming it."""
+    if seed < 0 or seed >= 2**64:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
 
 
 def generate(config: DataGenConfig) -> ABDataset:

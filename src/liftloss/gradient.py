@@ -5,8 +5,9 @@ miss the part of the signal that comes from regrouping rows. The effective
 gradient adds a finite-difference slope for rows near a boundary: shift the
 row's prediction just far enough to cross, apply the resulting changes to
 the two affected bins (one row leaves, one bin gains it, both lifts move),
-and divide the loss change by the prediction shift. Rows deep inside a bin
-keep only the smooth bias-channel derivative.
+and divide the loss change by the prediction shift, `MIGRATION_STEP_SCALE`
+(half) of the row's segment width. Rows deep inside a bin keep only the
+smooth bias-channel derivative.
 
 The loss change is a linearization, not the exact recomputed loss: each
 lift moves by the one-row update `(y - mean) / n` with the bin's pre-move
@@ -42,12 +43,16 @@ from .dataset import ABDataset
 from .loss import SubsetStats, subset_stats
 
 __all__ = [
+    "MIGRATION_STEP_SCALE",
     "GradConfig",
     "EffectiveGradient",
     "bias_gradient",
     "loss_partials",
     "effective_gradient",
 ]
+
+# the probe shift over the segment width; about half the segment's rows would cross
+MIGRATION_STEP_SCALE = 0.5
 
 # PointGradient: the per-row gradient is a plain float64 array aligned with
 # the dataset rows; see EffectiveGradient.point_grad.
@@ -57,14 +62,12 @@ __all__ = [
 class GradConfig:
     """Knobs for the effective gradient.
 
-    `migration_step_scale` sets the probe shift as a fraction of the segment
-    width (0.5 probes half a segment, so about half the segment's rows would
-    actually cross). `rebin_every` is the cut-refresh cadence used by the
-    trainer; `n_bins` is at most `MAX_SORT`, the size of the cut sample.
+    `rebin_every` is the cut-refresh cadence used by the trainer; `n_bins`
+    is at most `MAX_SORT`, the size of the cut sample. The probe shift is
+    the constant `MIGRATION_STEP_SCALE` of the segment width.
     """
 
     n_bins: int
-    migration_step_scale: float = 0.5
     rebin_every: int = 1
 
     def __post_init__(self) -> None:
@@ -72,8 +75,6 @@ class GradConfig:
             raise ValueError(f"n_bins must be >= 2 for gradient descent, got {self.n_bins}")
         if self.n_bins > MAX_SORT:
             raise ValueError(f"n_bins must be <= MAX_SORT ({MAX_SORT}), got {self.n_bins}")
-        if not 0 < self.migration_step_scale < np.inf:
-            raise ValueError("migration_step_scale must be positive and finite")
         if self.rebin_every < 1:
             raise ValueError("rebin_every must be a positive integer")
 
@@ -115,7 +116,7 @@ def loss_partials(stats: SubsetStats) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _migration_tables(
-    stats: SubsetStats, cuts: CutPoints, inner: InnerCuts, scale: float
+    stats: SubsetStats, cuts: CutPoints, inner: InnerCuts
 ) -> tuple[np.ndarray, np.ndarray]:
     """Migration slope coefficients, indexed [bin - 1, segment, arm].
 
@@ -139,8 +140,8 @@ def _migration_tables(
     leave_b = np.stack([1.0 / stats.size_c, -1.0 / stats.size_t], axis=1)
     a = np.zeros((n, 3, 2))
     b = np.zeros((n, 3, 2))
-    dp_up = (scale * (cuts.cuts - inner.minus))[:, None]
-    dp_down = (scale * (cuts.cuts - inner.plus))[:, None]
+    dp_up = (MIGRATION_STEP_SCALE * (cuts.cuts - inner.minus))[:, None]
+    dp_down = (MIGRATION_STEP_SCALE * (cuts.cuts - inner.plus))[:, None]
     for src, dst, seg, dp in (
         (slice(None, -1), slice(1, None), Segment.TOP, dp_up),
         (slice(1, None), slice(None, -1), Segment.BOTTOM, dp_down),
@@ -178,7 +179,7 @@ def effective_gradient(
     stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
     inner = inner_cuts(cuts)
     segments = assign_segments(p, inner, bins)
-    a, b = _migration_tables(stats, cuts, inner, config.migration_step_scale)
+    a, b = _migration_tables(stats, cuts, inner)
     a += bias_gradient(stats, np.arange(1, cuts.n_bins + 1))[:, None, None]
     grad = np.empty(p.shape)
     idx_buf = np.empty(min(p.size, BIN_BLOCK_ROWS), dtype=np.intp)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .binning import DegeneratePredictionsError
-from .dataset import ABDataset
+from .dataset import ABDataset, check_seed
 from .gradient import GradConfig, effective_gradient
 from .loss import EmptyArmInBinError, LossReport, global_lift, true_lift_loss
 
@@ -179,6 +179,7 @@ class TrainConfig:
         bad = [t for t in self.snapshot_steps if t < 0 or t > self.steps]
         if bad:
             raise ValueError(f"snapshot steps {bad} outside the range 0..{self.steps}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -326,11 +327,15 @@ def load_params(path: str | Path) -> tuple[ModelSpec, np.ndarray]:
     try:  # undecodable bytes and bad JSON are ValueErrors; a missing file is not
         doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         kind = ModelKind(doc["kind"])
+        mlp = kind is ModelKind.MLP
+        for key in ("d", "hidden") if mlp else ("d",):
+            if type(doc[key]) is not int:  # int() would truncate 2.7 and accept "2" or true
+                raise ValueError(f"{key} must be a JSON integer, got {doc[key]!r}")
         spec = ModelSpec(
             kind,
-            int(doc["d"]),
-            int(doc["hidden"]) if kind is ModelKind.MLP else None,
-            Activation(doc["activation"]) if kind is ModelKind.MLP else None,
+            doc["d"],
+            doc["hidden"] if mlp else None,
+            Activation(doc["activation"]) if mlp else None,
         )
         values = np.asarray(doc["values"], dtype=np.float64)
         if not np.isfinite(values).all():

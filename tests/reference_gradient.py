@@ -403,7 +403,7 @@ def reference_whole_gather_gradient(
     stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
     inner = inner_cuts(cuts)
     segments = assign_segments(p, inner, bins)
-    a, b = _migration_tables(stats, cuts, inner, config.migration_step_scale)
+    a, b = _migration_tables(stats, cuts, inner)
     a += table_bias_gradient(stats, np.arange(1, cuts.n_bins + 1))[:, None, None]
     # idx = (bin - 1) * 6 + segment * 2 + arm; the small terms stay int8
     idx = bins * 6

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import dataclasses
 import json
 import re
@@ -69,7 +70,6 @@ class TestGen:
 def test_flag_defaults_come_from_the_library(monkeypatch):
     # move every library default: the parser must follow, so each has one home
     for cls, name, value in (
-        (GradConfig, "migration_step_scale", 0.625),
         (GradConfig, "rebin_every", 3),
         (DataGenConfig, "treatment_fraction", 0.4),
         (DataGenConfig, "noise_distribution", NoiseDistribution.STD_NORMAL),
@@ -80,8 +80,7 @@ def test_flag_defaults_come_from_the_library(monkeypatch):
     gen = parser.parse_args(["gen", "--rows", "10", "-o", "x"])
     assert (gen.treatment_frac, gen.noise, gen.lift) == (0.4, "normal", 0.9)
     train = parser.parse_args(["train", "--data", "d", "-o", "x"])
-    assert (train.migration_scale, train.rebin_every) == (0.625, 3)
-    assert parser.parse_args(["gradcheck"]).migration_scale == 0.625
+    assert train.rebin_every == 3
 
 
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
@@ -90,9 +89,13 @@ def test_flag_defaults_come_from_the_library(monkeypatch):
     (["eval", "--data", "d.csv", "--params", "m.json", "-o", "e.csv"], "--max-sort", "5"),
     (["gradcheck"], "--max-sort", "5"),
     (["eval", "--data", "d.csv", "--params", "m.json", "-o", "e.csv"], "--seed", "1"),
-], ids=["train-max-sort", "eval-max-sort", "gradcheck-max-sort", "eval-seed"])
+    (["train", "--data", "d.csv", "-o", "run"], "--migration-scale", "0.5"),
+    (["gradcheck"], "--migration-scale", "0.5"),
+], ids=["train-max-sort", "eval-max-sort", "gradcheck-max-sort", "eval-seed",
+        "train-migration-scale", "gradcheck-migration-scale"])
 def test_cut_sample_settings_are_unknown_flags(tmp_path, capsys, argv, flag, value, via_config):
-    # the cuts depend only on the predictions and the bin count
+    # the cuts depend only on the predictions and the bin count, and the
+    # probe shift is the constant MIGRATION_STEP_SCALE of the segment width
     extra = [flag, value]
     if via_config:
         cfg = tmp_path / "run.cfg"
@@ -147,7 +150,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("args,setting", [
         (["--lr", "inf"], "step_size"),
-        (["--migration-scale", "inf"], "migration_step_scale"),
+        (["--lr", "nan"], "step_size"),
         (["--init", "nan,0.1,1"], "initial parameters"),
         (["--init", "1,-inf,1"], "initial parameters"),
     ])
@@ -158,6 +161,15 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and setting in err and "finite" in err
         assert not (tmp_path / "x.manifest.json").exists()
+
+    @pytest.mark.parametrize("model", [[], ["--model", "mlp", "--hidden", "3"]], ids=["linear", "mlp"])
+    def test_negative_seed_is_named(self, tmp_path, data_csv, capsys, model):
+        # without --init the seed draws the initial parameters before training starts
+        prefix = tmp_path / "run"
+        assert main(["train", "--data", str(data_csv), *model, "--steps", "2", "--seed", "-1",
+                     "-o", str(prefix)]) == 1
+        assert capsys.readouterr().err == "error: seed must fit in 64 unsigned bits, got -1\n"
+        assert not Path(f"{prefix}.manifest.json").exists()
 
     def test_wrong_init_length_is_usage_error(self, tmp_path, data_csv):
         code = main(["train", "--data", str(data_csv), "--init", "1,2",
@@ -398,19 +410,18 @@ class TestGradcheck:
     def test_zero_rows_is_usage_error(self):
         assert main(["gradcheck", "--rows", "0"]) == 1
 
-    def test_infinite_migration_scale_is_usage_error(self, capsys):
-        # every probe would cross with a zero slope: no migration channel to check
-        assert main(["gradcheck", "--migration-scale", "inf"]) == 1
-        captured = capsys.readouterr()
-        assert "PASS" not in captured.out
-        assert captured.err.startswith("error: migration_step_scale must be positive and finite")
-
     def test_reads_dataset_file(self, data_csv):
         assert main(["gradcheck", "--data", str(data_csv), "--seed", "5"]) == 0
 
+    @pytest.mark.parametrize("data", [True, False], ids=["data", "synthetic"])
+    def test_negative_seed_is_named(self, data_csv, capsys, data):
+        source = ["--data", str(data_csv)] if data else []
+        assert main(["gradcheck", *source, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must fit in 64 unsigned bits, got -1\n"
+
     @pytest.mark.parametrize("flag,value", [
-        ("--migration-scale", "0"),
-        ("--migration-scale", "-1"),
         ("--bins", "1"),
         ("--bins", str(MAX_SORT + 1)),
     ])
@@ -435,15 +446,28 @@ class TestGradcheck:
         assert len(errors) == 2 and max(errors) < 1e-12
 
 
-def parser_commands():
+def subcommand_parsers():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return set(sub.choices)
+    return sub.choices
+
+
+def parser_commands():
+    return set(subcommand_parsers())
 
 
 def test_readme_lists_the_parser_commands():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```")[1]
     assert set(re.findall(r"^liftloss (\S+)", block, re.M)) == parser_commands()
+
+
+def test_readme_cli_flags_are_parser_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    accepted = {"--help", "--version"}
+    for p in subcommand_parsers().values():
+        accepted.update(s for a in p._actions for s in a.option_strings)
+    assert set(re.findall(r"--[a-z][\w-]*", section)) <= accepted
 
 
 def test_docstring_lists_the_parser_commands():
@@ -482,6 +506,25 @@ class TestConfigFile:
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("rows = 50\ntreatment_frac = 0.5\n")
         assert main(["gen", "--config", str(cfg), "-o", str(tmp_path / "c.csv")]) == 0
+
+    @pytest.mark.parametrize("flag", ["--conf", "--co", "--conf="])
+    def test_abbreviated_config_flag_is_read(self, tmp_path, data_csv, flag):
+        # argparse accepts any unique prefix of --config, so the file must be read for it too
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps = 3\n")
+        path = [flag + str(cfg)] if flag.endswith("=") else [flag, str(cfg)]
+        prefix = tmp_path / "run"
+        assert main(["train", "--data", str(data_csv), *path, "-o", str(prefix)]) == 0
+        assert len(Path(f"{prefix}.trace.csv").read_text().splitlines()) == 5  # header + steps 0..3
+
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        cfg, marked = tmp_path / "gen.cfg", tmp_path / "marked.cfg"
+        cfg.write_text("rows = 300\nseed = 4\n")
+        marked.write_bytes(codecs.BOM_UTF8 + cfg.read_bytes())
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["gen", "--config", str(marked), "-o", str(a)]) == 0
+        assert main(["gen", "--config", str(cfg), "-o", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "gen.cfg"

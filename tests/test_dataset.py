@@ -305,6 +305,40 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 3.*arm"):
             load_csv(path)
 
+    # a faster parser must keep these answers or declare each change
+    @pytest.mark.parametrize("text,message", [
+        ("f0,y,arm\n0.1,1.0,1\n\n0.2,2.0,0\n", "line 3: expected 3 fields, got 0"),
+        ("f0,y,arm\n0.1,1.0,1\n0.2,2.0,0\n\n", "line 4: expected 3 fields, got 0"),
+        ("f0,y,arm\n0.1,1.0,1\n# note\n0.2,2.0,0\n", "line 3: expected 3 fields, got 1"),
+        ("f0,y,arm\n0.1,1.0,1.0\n0.2,2.0,0\n", "line 2: arm value must be 0 or 1, got '1.0'"),
+        ("f0,y,arm\n0.1,1.0,+1\n0.2,2.0,0\n", "line 2: arm value must be 0 or 1, got '+1'"),
+        ("f0,y,arm\n0.1,1.0,01\n0.2,2.0,0\n", "line 2: arm value must be 0 or 1, got '01'"),
+    ], ids=["blank-line", "trailing-blank-line", "hash-line", "arm-1.0", "arm-+1", "arm-01"])
+    def test_rejected_inputs(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text,f0", [
+        ("f0,y,arm\n0.1,1.0, 1 \n0.2,2.0,0\n", 0.1),
+        ('f0,y,arm\n"0.1",1.0,1\n0.2,2.0,0\n', 0.1),
+        ("f0,y,arm\n1_0,1.0,1\n0.2,2.0,0\n", 10.0),
+    ], ids=["spaced-arm", "quoted-number", "underscore-digits"])
+    def test_accepted_inputs(self, tmp_path, text, f0):
+        path = tmp_path / "ok.csv"
+        path.write_text(text)
+        ds = load_csv(path)
+        assert ds.features[:, 0].tolist() == [f0, 0.2] and ds.arm.tolist() == [1, 0]
+
+    def test_nan_feature_rejected_by_the_dataset(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("f0,y,arm\nnan,1.0,1\n0.2,2.0,0\n")
+        with pytest.raises(ValueError, match="^features contain non-finite values$") as err:
+            load_csv(path)
+        assert type(err.value) is ValueError  # not a line-numbered CsvFormatError
+
     def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
         # spreadsheet "CSV UTF-8" exports begin with one
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"

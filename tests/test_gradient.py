@@ -32,7 +32,7 @@ from liftloss.checks import (
     run_gradcheck,
 )
 from liftloss.dataset import DataGenConfig
-from liftloss.gradient import _migration_tables
+from liftloss.gradient import MIGRATION_STEP_SCALE, _migration_tables
 from liftloss.models import ModelKind, ModelSpec
 
 from dataset_helpers import make_dataset
@@ -160,7 +160,7 @@ class TestMigrationTerms:
         # brackets: (0.3)^2 - (0.1)^2 in both bins; treated row at the arm mean
         cuts = compute_cuts(np.linspace(0, 1, 20), 2)
         inner = inner_cuts(cuts)
-        a, b = _migration_tables(stats, cuts, inner, 0.5)
+        a, b = _migration_tables(stats, cuts, inner)
         cell = (0, Segment.TOP, 1)  # bin 1, top segment, treated
         assert a[cell] + b[cell] * 1.0 == pytest.approx(0.0, abs=1e-12)
 
@@ -168,8 +168,8 @@ class TestMigrationTerms:
         ds, preds = six_row_instance
         cuts, bins, stats, inner, segments = full_structure(ds, preds, 2)
         # same loss change divided by a negative shift flips the sign
-        dp_up = 0.5 * (cuts.cuts[0] - inner.minus[0])
-        dp_down = 0.5 * (cuts.cuts[0] - inner.plus[0])
+        dp_up = MIGRATION_STEP_SCALE * (cuts.cuts[0] - inner.minus[0])
+        dp_down = MIGRATION_STEP_SCALE * (cuts.cuts[0] - inner.plus[0])
         assert dp_up > 0 > dp_down
 
     def test_six_row_hand_instance_frozen(self, six_row_instance):
@@ -331,12 +331,7 @@ class TestEffectiveGradient:
         with pytest.raises(ValueError):
             GradConfig(n_bins=1)
         with pytest.raises(ValueError):
-            GradConfig(n_bins=5, migration_step_scale=0.0)
-        with pytest.raises(ValueError):
             GradConfig(n_bins=5, rebin_every=0)
-        for scale in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="migration_step_scale must be positive and finite"):
-                GradConfig(n_bins=5, migration_step_scale=scale)
         # the cut sample is fixed, so its size bounds the bins and is no setting
         assert GradConfig(n_bins=MAX_SORT).n_bins == MAX_SORT
         with pytest.raises(ValueError, match=r"^n_bins must be <= MAX_SORT \(100000\), got 100001$"):
@@ -361,7 +356,7 @@ class TestGradcheckOracles:
             eg, point_grad=np.where(middle, 1.5 * eg.point_grad, eg.point_grad)
         )
         assert bias_fd_check(broken) > 0.3
-        assert migration_recompute_check(ds, broken, config)[0] <= MIGRATION_TOLERANCE
+        assert migration_recompute_check(ds, broken)[0] <= MIGRATION_TOLERANCE
 
     def test_bias_check_sees_one_middle_row(self):
         # every row is checked, so one middle row off by 1e-5 of itself fails
@@ -374,15 +369,15 @@ class TestGradcheckOracles:
         assert bias_fd_check(sabotaged_bias(eg, 399)) > BIAS_TOLERANCE
 
     def test_one_sabotaged_row_fails_at_a_million_rows(self, million_rows):
-        ds, eg, config = million_rows
+        ds, eg = million_rows
         assert bias_fd_check(eg) <= BIAS_TOLERANCE
-        assert migration_recompute_check(ds, eg, config)[0] <= MIGRATION_TOLERANCE
+        assert migration_recompute_check(ds, eg)[0] <= MIGRATION_TOLERANCE
         middle = np.flatnonzero(eg.segments == Segment.MIDDLE)
         for row in middle[[0, -1]]:
             assert bias_fd_check(sabotaged_bias(eg, row)) > BIAS_TOLERANCE
         for segment, arm in ((Segment.BOTTOM, 0), (Segment.TOP, 1)):
             row = np.flatnonzero((eg.segments == segment) & (ds.arm == arm))[-1]
-            assert sabotaged_migration_err(ds, eg, config, row) > MIGRATION_TOLERANCE
+            assert sabotaged_migration_err(ds, eg, row) > MIGRATION_TOLERANCE
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -415,7 +410,7 @@ class TestGradcheckOracles:
         assert eg.segments[2] == Segment.TOP and ds.arm[2] == 1 and eg.stats.size_t[0] == 1
         result = run_gradcheck(ds, preds, config)
         assert result.passed and result.migration_rows_checked == 2
-        assert sabotaged_migration_err(ds, eg, config, 2) > MIGRATION_TOLERANCE
+        assert sabotaged_migration_err(ds, eg, 2) > MIGRATION_TOLERANCE
 
     @pytest.mark.parametrize("segment,arm", [(Segment.BOTTOM, 0), (Segment.TOP, 1)])
     def test_one_sabotaged_row_fails(self, segment, arm):
@@ -425,8 +420,8 @@ class TestGradcheckOracles:
         config = GradConfig(n_bins=5)
         eg = effective_gradient(ds, preds, config)
         row = np.flatnonzero((eg.segments == segment) & (ds.arm == arm))[0]
-        assert migration_recompute_check(ds, eg, config)[0] <= MIGRATION_TOLERANCE
-        assert sabotaged_migration_err(ds, eg, config, row) > MIGRATION_TOLERANCE
+        assert migration_recompute_check(ds, eg)[0] <= MIGRATION_TOLERANCE
+        assert sabotaged_migration_err(ds, eg, row) > MIGRATION_TOLERANCE
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -434,13 +429,12 @@ class TestGradcheckOracles:
         n = data.draw(st.integers(20, 300), label="rows")
         n_bins = data.draw(st.integers(2, 8), label="n_bins")
         frac = data.draw(st.floats(0.05, 0.95), label="treated share")
-        scale = data.draw(st.sampled_from([0.5, 1.0, 1.5]), label="scale")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         preds = rng.normal(size=n)
         arm = (rng.random(n) < frac).astype(np.int8)
         arm[:2] = (0, 1)
         ds = make_dataset(preds, rng.normal(0.5 * arm + 0.3 * preds, 1.0), arm)
-        config = GradConfig(n_bins=n_bins, migration_step_scale=scale)
+        config = GradConfig(n_bins=n_bins)
         try:
             effective_gradient(ds, preds, config)
         except (EmptyArmInBinError, DegeneratePredictionsError):
@@ -453,8 +447,7 @@ def million_rows():
     """The data and predictions of `gradcheck --rows 1000000 --bins 3 --seed 2`."""
     ds = generate(DataGenConfig(n_rows=1_000_000, seed=2))
     preds = predict(ModelSpec(ModelKind.LINEAR, 2), np.random.default_rng(2).standard_normal(3), ds)
-    config = GradConfig(n_bins=3)
-    return ds, effective_gradient(ds, preds, config), config
+    return ds, effective_gradient(ds, preds, GradConfig(n_bins=3))
 
 
 def sabotaged_bias(eg, row):
@@ -464,14 +457,14 @@ def sabotaged_bias(eg, row):
     return dataclasses.replace(eg, point_grad=grad)
 
 
-def sabotaged_migration_err(ds, eg, config, row):
+def sabotaged_migration_err(ds, eg, row):
     """Migration check error after shifting one boundary row's point gradient
     by 1e-6 of the instance's largest migration part."""
     rows = np.flatnonzero(eg.segments != Segment.MIDDLE)
     largest = np.abs(eg.point_grad[rows] - bias_gradient(eg.stats, eg.bins[rows])).max()
     grad = eg.point_grad.copy()
     grad[row] += 1e-6 * largest
-    return migration_recompute_check(ds, dataclasses.replace(eg, point_grad=grad), config)[0]
+    return migration_recompute_check(ds, dataclasses.replace(eg, point_grad=grad))[0]
 
 
 def place_ties(preds, cuts, rng):
@@ -493,7 +486,6 @@ class TestTableMatchesReference:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         frac = data.draw(st.floats(0.2, 0.8), label="treated share")
         shift = data.draw(st.one_of(st.none(), st.floats(-0.3, 0.3)), label="cut shift")
-        scale = data.draw(st.sampled_from([0.25, 0.5, 1.0]), label="scale")
         preds = rng.normal(size=n)
         arm = (rng.random(n) < frac).astype(np.int8)
         arm[:2] = (0, 1)
@@ -503,9 +495,11 @@ class TestTableMatchesReference:
         preds = place_ties(preds, cuts, rng)
         ds = make_dataset(preds, y, arm)
         gl = global_lift(ds) if data.draw(st.booleans(), label="cached lift") else None
-        config = GradConfig(n_bins=n_bins, migration_step_scale=scale)
+        config = GradConfig(n_bins=n_bins)
         try:
-            ref, ref_segments = reference_effective_gradient(ds, preds, cuts, sample, gl, scale)
+            ref, ref_segments = reference_effective_gradient(
+                ds, preds, cuts, sample, gl, MIGRATION_STEP_SCALE
+            )
         except EmptyArmInBinError as err:
             with pytest.raises(EmptyArmInBinError) as got:
                 effective_gradient(ds, preds, config, gl, cuts)

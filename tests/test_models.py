@@ -318,6 +318,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="snapshot"):
             TrainConfig(step_size=0.1, steps=5, grad=GradConfig(n_bins=5), snapshot_steps=(9,))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_unsigned_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must fit in 64 unsigned bits, got {seed}$"):
+            TrainConfig(step_size=0.1, steps=5, grad=GradConfig(n_bins=5), seed=seed)
+
     def test_mlp_trains_and_improves(self):
         ds = generate(DataGenConfig(n_rows=4000, seed=7))
         spec = small_mlp()
@@ -429,6 +434,20 @@ class TestParamsIo:
         path = tmp_path / "params.json"
         path.write_text('{"kind": "linear", "d": 2, "values": [1.0]}')
         with pytest.raises(ValueError):
+            load_params(path)
+
+    @pytest.mark.parametrize("shape", [
+        '"d": 2.7', '"d": 2.0', '"d": "2"', '"d": true',
+        '"d": 2, "hidden": 1.5', '"d": 2, "hidden": "1"', '"d": 2, "hidden": true',
+    ])
+    def test_shape_must_be_a_json_integer(self, tmp_path, shape):
+        # int() would load 2.7 as 2 and "2" or true as well
+        path = tmp_path / "params.json"
+        kind = "mlp" if "hidden" in shape else "linear"
+        path.write_text(f'{{"kind": "{kind}", {shape}, "activation": "tanh", "values": [0, 0, 0]}}')
+        key = "hidden" if "hidden" in shape else "d"
+        with pytest.raises(ValueError, match=f"^malformed parameter file {re.escape(str(path))}: "
+                                             f"{key} must be a JSON integer, got "):
             load_params(path)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):

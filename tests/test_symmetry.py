@@ -43,6 +43,7 @@ from liftloss import (
 )
 from liftloss.binning import MAX_SORT
 from liftloss.dataset import DataGenConfig
+from liftloss.gradient import MIGRATION_STEP_SCALE
 from liftloss.models import ModelKind, ModelSpec, TrainConfig, train
 
 LINEAR = ModelSpec(ModelKind.LINEAR, 2)
@@ -133,7 +134,7 @@ def test_power_of_two_scale_trains_the_same_path(seed, rows, bins, j):
     assert trace_k.events == trace.events
 
 
-def shift_bounds(eg, m, scale, predictions_moved=False):
+def shift_bounds(eg, m, predictions_moved=False):
     """First-order bounds on |loss' - loss| and max |grad' - grad| after a shift.
 
     The outcomes enter only through the per-(bin, arm) means, the global
@@ -170,12 +171,13 @@ def shift_bounds(eg, m, scale, predictions_moved=False):
     d_size_err = 2 * (k * gap + 2 * sep) * delta / n
     per_bin = (weight * d_update + d_weight * update + d_size_err
                + 16 * U * (weight * update + np.abs(d_size)))
-    dp = scale * np.concatenate([eg.cuts.cuts - eg.inner.minus, eg.inner.plus - eg.cuts.cuts])
+    widths = np.concatenate([eg.cuts.cuts - eg.inner.minus, eg.inner.plus - eg.cuts.cuts])
+    dp = MIGRATION_STEP_SCALE * widths
     bias = 2 * (gap + k * delta) / n
     grad_bound = 2 * per_bin.max() / dp.min() + 4 * k * delta / n + 16 * U * bias.max()
     if predictions_moved:
         slope = 2 * (weight * update + 2 * np.abs(d_size)).max() / dp.min()
-        grad_bound += slope * 16 * U * m * scale / dp.min()
+        grad_bound += slope * 16 * U * m * MIGRATION_STEP_SCALE / dp.min()
     return loss_bound, grad_bound
 
 
@@ -192,7 +194,7 @@ def test_outcome_shift_keeps_loss_and_gradient(seed, rows, bins, ties, c):
         return
     assert_same_structure(base, shifted)
     m = float(np.abs(data.outcome).max()) + abs(c)
-    loss_bound, grad_bound = shift_bounds(base, m, GradConfig(n_bins=bins).migration_step_scale)
+    loss_bound, grad_bound = shift_bounds(base, m)
     assert abs(true_lift_loss(shifted.stats).loss - true_lift_loss(base.stats).loss) <= loss_bound
     assert np.abs(shifted.point_grad - base.point_grad).max() <= grad_bound
 
@@ -225,8 +227,7 @@ def test_prediction_shift_keeps_bins_loss_and_gradient(seed, size, ties, c):
         return
     assert_same_structure(base, shifted)
     m = float(max(np.abs(data.outcome).max(), np.abs(p).max())) + abs(c)
-    scale = GradConfig(n_bins=bins).migration_step_scale
-    loss_bound, grad_bound = shift_bounds(base, m, scale, predictions_moved=True)
+    loss_bound, grad_bound = shift_bounds(base, m, predictions_moved=True)
     assert abs(true_lift_loss(shifted.stats).loss - true_lift_loss(base.stats).loss) <= loss_bound
     assert np.abs(shifted.point_grad - base.point_grad).max() <= grad_bound
 
@@ -249,7 +250,6 @@ def test_prediction_shift_moves_each_train_step_by_c_in_the_offset(seed, rows, b
         return
     x1 = np.column_stack([data.features, np.ones(rows)])
     one_step = TrainConfig(step_size=0.1, steps=1, grad=config.grad)
-    scale = config.grad.migration_step_scale
     assert np.array_equal(trace.entries[-1].params, params)
     for entry, following in zip(trace.entries, trace.entries[1:]):
         after = following.params
@@ -257,7 +257,7 @@ def test_prediction_shift_moves_each_train_step_by_c_in_the_offset(seed, rows, b
         eg = effective_gradient(data, p, config.grad, cached_global_lift=global_lift(data))
         moved, _ = train(shifted, LINEAR, entry.params + offset, one_step)
         m = float(max(np.abs(data.outcome).max(), np.abs(p).max())) + abs(c)
-        _, grad_bound = shift_bounds(eg, m, scale, predictions_moved=True)
+        _, grad_bound = shift_bounds(eg, m, predictions_moved=True)
         # the step sums rows * gradient in both runs; the update and the offset round once each
         step = np.abs(x1).T @ np.full(rows, grad_bound) + 2 * rows * U * (np.abs(x1).T @ np.abs(eg.point_grad))
         bound = 0.1 * step + 4 * U * (np.abs(after) + np.abs(offset))

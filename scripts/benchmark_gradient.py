@@ -1,38 +1,27 @@
 #!/usr/bin/env python3
-"""Wall-clock scaling of the effective gradient over dataset sizes and bin counts, or allocations.
+"""Allocations of generate, the effective gradient and train over dataset sizes and bin counts.
 
-The per-step cost should grow linearly in rows: above the quantile subsample
-threshold no full sort happens, so only the vectorized per-row work remains.
-Several bin counts (`--bins 2,10,40,100`) show the 2-bin segment path and
-where `assign_bins` switches from counting cuts to a binary search. The
-sweep prints the best, median and worst of `--reps` runs; a size too small
-for a bin count (a bin without an arm, or too few distinct predictions)
-prints a row marking the pair skipped, naming the error, and so does a
-`--memory` row. perfbench times
-the training ops and CSV I/O themselves (`perfbench/run.py`).
-
-`--memory` measures allocations instead of time: tracemalloc's peak in bytes
-per row for `generate` (the dataset it returns included), for one
-`effective_gradient` call and for a 4-step `train` in each of perfbench's
-two training shapes (above the dataset, per row of a step, which the rows
-column shows): `train`, the linear model on the full batch, and
-`train (mlp)`, the hidden-32 tanh MLP on 100,000-row minibatches with cuts
-reused every 4 steps. It also prints the minor page faults per call once
-warm, and the process's peak RSS (`ru_maxrss`). The `train (csv)` and
-`train (mlp, csv)` rows then run the same calls on the dataset saved and
+tracemalloc's peak in bytes per row for `generate` (the dataset it returns
+included), for one `effective_gradient` call and for a 4-step `train` in
+each of perfbench's two training shapes (above the dataset, per row of a
+step, which the rows column shows): `train`, the linear model on the full
+batch, and `train (mlp)`, the hidden-32 tanh MLP on 100,000-row minibatches
+with cuts reused every 4 steps. It also prints the minor page faults per
+call once warm, and the process's peak RSS (`ru_maxrss`). The `train (csv)`
+and `train (mlp, csv)` rows then run the same calls on the dataset saved and
 read back through `load_csv`, the data `liftloss train --data` trains on,
-and print the peak RSS again with `load_csv`'s. Set `OPENBLAS_NUM_THREADS=1`
-to pin BLAS as perfbench does:
+and print the peak RSS again with `load_csv`'s. A size too small for a bin
+count (a bin without an arm, or too few distinct predictions) prints a row
+marking the pair skipped, naming the error. perfbench times these calls
+(`perfbench/run.py`). Set `OPENBLAS_NUM_THREADS=1` to pin BLAS as perfbench
+does:
 
-    OPENBLAS_NUM_THREADS=1 python scripts/benchmark_gradient.py \\
-        --sizes 10000,100000,1000000 --bins 2,10,40,100
-    python scripts/benchmark_gradient.py --memory --sizes 1000000 --reps 5
+    OPENBLAS_NUM_THREADS=1 python scripts/benchmark_gradient.py --sizes 1000000 --reps 5
 """
 
 import argparse
 import resource
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -68,7 +57,7 @@ MLP_REBIN_EVERY = 4
 
 def gradient_call(dataset, n_bins: int, seed: int):
     rng = np.random.default_rng(seed)
-    preds = predict(ModelSpec(ModelKind.LINEAR, 2), rng.normal(0, 0.5, 3), dataset)
+    preds = predict(LINEAR_SPEC, rng.normal(0, 0.5, 3), dataset)
     config = GradConfig(n_bins=n_bins)
     cached = global_lift(dataset)
     return lambda: effective_gradient(dataset, preds, config, cached_global_lift=cached)
@@ -82,16 +71,6 @@ def train_calls(dataset, n_bins: int, seed: int):
     mlp_init = random_params(MLP_SPEC, seed)
     return [(len(dataset), lambda: train(dataset, LINEAR_SPEC, LINEAR_INIT, linear)),
             (min(MLP_BATCH, len(dataset)), lambda: train(dataset, MLP_SPEC, mlp_init, mlp))]
-
-
-def time_reps(call, reps: int) -> np.ndarray:
-    call()  # warm up
-    walls = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        call()
-        walls.append(time.perf_counter() - t0)
-    return np.array(walls)
 
 
 def traced_peak(call) -> int:
@@ -119,15 +98,11 @@ def csv_round_trip(dataset):
         return load_csv(path)
 
 
-def skipped(err: Exception) -> str:
-    return f"  skipped: {type(err).__name__}: {err}"
-
-
 def memory_row(name: str, n_bins, rows: int, call, reps: int) -> None:
     try:
         call()  # warm up: lazy imports, the cached subsample draw, the heap's size
     except (DegeneratePredictionsError, EmptyArmInBinError) as err:
-        print(f"{name:>18} {n_bins:>5} {rows:>10}{skipped(err)}")
+        print(f"{name:>18} {n_bins:>5} {rows:>10}  skipped: {type(err).__name__}: {err}")
         return
     peaks = np.array([traced_peak(call) for _ in range(reps)]) / rows
     faults = np.median([minor_faults(call) for _ in range(reps)])
@@ -140,7 +115,20 @@ def print_maxrss(label: str) -> None:
     print(f"process peak RSS (ru_maxrss){label}: {maxrss_kb / 1024:.1f} MB")
 
 
-def run_memory(sizes: list[int], bin_counts: list[int], reps: int, seed: int) -> None:
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--sizes", default="10000,100000,1000000",
+                    help="comma-separated row counts")
+    ap.add_argument("--bins", default="10", help="comma-separated bin counts")
+    ap.add_argument("--seed", type=int, default=3)
+    ap.add_argument("--reps", type=int, default=3)
+    args = ap.parse_args()
+    if args.reps < 1:
+        ap.error("--reps must be at least 1")
+
+    sizes = [int(s) for s in args.sizes.split(",")]
+    bin_counts = [int(b) for b in args.bins.split(",")]
+    reps, seed = args.reps, args.seed
     print(f"{'op':>18} {'bins':>5} {'rows':>10} {'best':>8} {'median':>8} {'worst':>8} "
           f"{'faults/op':>10}  (B/row of {reps}; faults median, warm)")
     for n in sizes:
@@ -161,44 +149,6 @@ def run_memory(sizes: list[int], bin_counts: list[int], reps: int, seed: int) ->
                                           train_calls(loaded, n_bins, seed)):
                 memory_row(name, n_bins, rows, call, reps)
     print_maxrss(" after load_csv")
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", default="10000,100000,1000000",
-                    help="comma-separated row counts")
-    ap.add_argument("--bins", default="10", help="comma-separated bin counts")
-    ap.add_argument("--memory", action="store_true",
-                    help="measure peak allocations and page faults of generate, "
-                         "effective_gradient and train")
-    ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--reps", type=int, default=3)
-    args = ap.parse_args()
-    if args.reps < 1:
-        ap.error("--reps must be at least 1")
-
-    sizes = [int(s) for s in args.sizes.split(",")]
-    bin_counts = [int(b) for b in args.bins.split(",")]
-    if args.memory:
-        run_memory(sizes, bin_counts, args.reps, args.seed)
-        return
-    print(f"{'bins':>5} {'rows':>10} {'best':>10} {'median':>10} {'worst':>10} "
-          f"{'ns/row':>8}  (of {args.reps})")
-    for n_bins in bin_counts:
-        base = None
-        for n in sizes:
-            dataset = generate(DataGenConfig(n_rows=n, seed=args.seed))
-            try:
-                walls = time_reps(gradient_call(dataset, n_bins, args.seed), args.reps)
-            except (DegeneratePredictionsError, EmptyArmInBinError) as err:
-                print(f"{n_bins:>5} {n:>10}{skipped(err)}")
-                continue
-            t = walls.min()
-            ratio = "" if base is None else f"   ({t / base[1]:.1f}x the {base[0]} run)"
-            print(f"{n_bins:>5} {n:>10} {t * 1e3:>8.1f}ms {np.median(walls) * 1e3:>8.1f}ms "
-                  f"{walls.max() * 1e3:>8.1f}ms {t / n * 1e9:>8.0f}{ratio}")
-            if base is None:
-                base = (n, t)
 
 
 if __name__ == "__main__":

@@ -106,12 +106,11 @@ def migration_recompute_check(dataset: ABDataset, eg: EffectiveGradient) -> tupl
     after = contribution(src, lift_src, -1) + contribution(dst, lift_dst, +1)
     a = eg.point_grad[rows] - bias_gradient(s, eg.bins[rows])
     b = ((after - before) / dp).astype(np.float64)
-    # normalize each row against its own magnitude or the instance's largest
-    # slope, whichever is bigger: rows whose terms cancel to nearly zero would
-    # otherwise amplify double-precision noise into spurious relative error
-    denom = np.maximum(np.abs(a), np.abs(b))
-    floor = max(float(denom.max()), 1e-300)
-    worst = float((np.abs(a - b) / np.maximum(denom, floor)).max())
+    # every row's error is relative to the instance's largest slope, of either
+    # side: a row whose terms cancel to nearly zero, divided by its own size,
+    # would amplify double-precision noise into spurious relative error
+    floor = max(float(np.maximum(np.abs(a), np.abs(b)).max()), 1e-300)
+    worst = float(np.abs(a - b).max()) / floor
     return worst, a.size
 
 

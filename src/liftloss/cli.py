@@ -234,12 +234,15 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     config = GradConfig(n_bins=args.bins)
     if args.data is not None:
+        if args.rows is not None:
+            raise ValueError("--rows only applies without --data")
         check_seed(args.seed)  # the synthetic path's DataGenConfig checks it
         dataset = load_csv(args.data)
     else:
-        if args.rows < 2:
-            raise ValueError(f"--rows must be >= 2, got {args.rows}")
-        dataset = generate(DataGenConfig(n_rows=args.rows, seed=args.seed))
+        rows = 200 if args.rows is None else args.rows
+        if rows < 2:
+            raise ValueError(f"--rows must be >= 2, got {rows}")
+        dataset = generate(DataGenConfig(n_rows=rows, seed=args.seed))
     rng = np.random.default_rng(args.seed)
     model = ModelSpec(ModelKind.LINEAR, dataset.d)
     predictions = predict(model, rng.standard_normal(dataset.d + 1), dataset)
@@ -308,7 +311,7 @@ def build_parser() -> _Parser:
 
     p = command("gradcheck", help="verify the gradient against independent oracles")
     p.add_argument("--data", help="dataset CSV (synthetic data generated if omitted)")
-    p.add_argument("--rows", type=int, default=200, help="rows of synthetic data when --data is omitted")
+    p.add_argument("--rows", type=int, help="rows of synthetic data when --data is omitted (default 200)")
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
@@ -339,7 +342,8 @@ def main(argv=None) -> int:
 def _config_tokens(path: str) -> list[str]:
     """Turn 'key = value' config lines into argv tokens (prepended, so real
     flags override them). A line whose first non-blank character is '#' is a
-    comment; every value is passed as written, a '#' in it included."""
+    comment; every value is passed as written, a '#' in it included. A key
+    that resolves to `--config`, such as `conf`, is an error: files do not nest."""
     tokens: list[str] = []
     text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is skipped
     for raw in text.splitlines():
@@ -354,7 +358,10 @@ def _config_tokens(path: str) -> list[str]:
         if not key:
             raise ValueError(f"config line has empty key: {raw!r}")
         # joined by '=', a value that begins with '-' is not read as a flag
-        tokens.extend([f"--{key}={value}"] if value.startswith("-") else [f"--{key}", value])
+        line_tokens = [f"--{key}={value}"] if value.startswith("-") else [f"--{key}", value]
+        if _CONFIG_PARSER.parse_known_args(line_tokens)[0].config is not None:
+            raise ValueError(f"a config file cannot name another config file: {raw!r}")
+        tokens.extend(line_tokens)
     return tokens
 
 

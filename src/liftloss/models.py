@@ -337,9 +337,14 @@ def load_params(path: str | Path) -> tuple[ModelSpec, np.ndarray]:
             doc["hidden"] if mlp else None,
             Activation(doc["activation"]) if mlp else None,
         )
-        values = np.asarray(doc["values"], dtype=np.float64)
+        values = doc["values"]
+        # exact types: bool is an int subclass, and float() would take "0.5" and true
+        numbers = type(values) is list and all(type(v) in (int, float) for v in values)
+        if not numbers or len(values) != n_params(spec):
+            raise ValueError(f"values must be a JSON array of {n_params(spec)} numbers")
+        values = np.array(values, dtype=np.float64)
         if not np.isfinite(values).all():
             raise ValueError("parameter values must be finite")
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, OverflowError) as err:
         raise ValueError(f"malformed parameter file {path}: {err}") from err
-    return spec, _check_params(spec, values)
+    return spec, values

@@ -413,6 +413,10 @@ class TestGradcheck:
     def test_reads_dataset_file(self, data_csv):
         assert main(["gradcheck", "--data", str(data_csv), "--seed", "5"]) == 0
 
+    def test_rows_with_data_is_usage_error(self, data_csv, capsys):
+        assert main(["gradcheck", "--data", str(data_csv), "--rows", "5"]) == 1
+        assert capsys.readouterr().err == "error: --rows only applies without --data\n"
+
     @pytest.mark.parametrize("data", [True, False], ids=["data", "synthetic"])
     def test_negative_seed_is_named(self, data_csv, capsys, data):
         source = ["--data", str(data_csv)] if data else []
@@ -530,6 +534,17 @@ class TestConfigFile:
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("rows 50\n")
         assert main(["gen", "--config", str(cfg), "-o", str(tmp_path / "c.csv")]) == 1
+
+    @pytest.mark.parametrize("key", ["config", "conf", "co"])
+    def test_nested_config_rejected(self, tmp_path, data_csv, capsys, key):
+        # argparse would resolve the key to --config, which the file was already read for
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text(f"{key} = nope.cfg\nsteps = 2\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_csv), "--config", str(cfg), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: a config file cannot name another config file: '{key} = nope.cfg'\n")
+        assert not (tmp_path / "run.params.json").exists()
 
     def test_boolean_words_passed_as_written(self, tmp_path, capsys):
         # no option is a bare switch, so `false` is a value like any other

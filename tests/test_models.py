@@ -450,6 +450,20 @@ class TestParamsIo:
                                              f"{key} must be a JSON integer, got "):
             load_params(path)
 
+    @pytest.mark.parametrize("values,message", [
+        *[(v, "values must be a JSON array of 3 numbers") for v in (
+            '[true, "0.5", 1]', '[1, null, 2]', '[1, 2, [3]]', '[1, 2]', '[1, 2, 3, 4]', '5', '"123"')],
+        pytest.param(f"[1, 2, 1{'0' * 400}]", "int too large to convert to float",
+                     id="int-beyond-float"),
+    ])
+    def test_values_must_be_a_json_array_of_n_params_numbers(self, tmp_path, values, message):
+        # np.asarray would load true and "0.5" as numbers and null as NaN
+        path = tmp_path / "params.json"
+        path.write_text(f'{{"kind": "linear", "d": 2, "values": {values}}}')
+        with pytest.raises(ValueError, match=f"^malformed parameter file {re.escape(str(path))}: "
+                                             f"{message}$"):
+            load_params(path)
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path, bom = tmp_path / "params.json", tmp_path / "bom.json"
         save_params(path, LINEAR2, np.array([0.5, -0.25, 0.125]))

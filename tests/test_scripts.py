@@ -30,38 +30,32 @@ def run_script(name: str, *args: str, cwd: Path) -> str:
     return done.stdout
 
 
-@pytest.mark.parametrize("mode,first_column,n_rows", [
-    ([], "bins", 2),  # a row per size
+def test_benchmark_gradient_rows(tmp_path):
+    out = run_script("benchmark_gradient.py", "--sizes", "1000,2000", "--reps", "1", cwd=tmp_path)
+    header, *rows = out.splitlines()
+    assert header.split()[0] == "op"
     # per size: generate, effective_gradient, train, train (mlp); then train (csv) and
     # train (mlp, csv) per size, and 2 peak RSS lines
-    (["--memory"], "op", 14),
-])
-def test_benchmark_gradient_modes(tmp_path, mode, first_column, n_rows):
-    out = run_script("benchmark_gradient.py", *mode, "--sizes", "1000,2000", "--reps", "1",
-                     cwd=tmp_path)
-    header, *rows = out.splitlines()
-    assert header.split()[0] == first_column
-    assert len(rows) == n_rows and any(" 2000 " in row for row in rows)
+    assert len(rows) == 14 and any(" 2000 " in row for row in rows)
     assert list(tmp_path.iterdir()) == []  # the CSV round trip goes to a temporary directory
 
 
-@pytest.mark.parametrize("mode", [[], ["--memory"]])
-def test_benchmark_gradient_skips_a_bin_count_too_large_for_a_size(tmp_path, mode):
+def test_benchmark_gradient_skips_a_bin_count_too_large_for_a_size(tmp_path):
     # 100 bins of 1,000 rows leave a bin without an arm; the 2,000-row pair still runs
-    out = run_script("benchmark_gradient.py", *mode, "--sizes", "1000,2000", "--bins", "2,100",
+    out = run_script("benchmark_gradient.py", "--sizes", "1000,2000", "--bins", "2,100",
                      "--reps", "1", cwd=tmp_path)
     rows = [row.split() for row in out.splitlines()[1:]]
-    if mode:  # the effective_gradient rows, less the op name
-        rows = [row[1:] for row in rows if row[0] == "effective_gradient"]
+    rows = [row[1:] for row in rows if row[0] == "effective_gradient"]  # less the op name
     assert sorted(row[:2] for row in rows) == [["100", "1000"], ["100", "2000"],
                                                ["2", "1000"], ["2", "2000"]]
     skipped = [row[:4] for row in rows if "skipped:" in row]
     assert skipped == [["100", "1000", "skipped:", "EmptyArmInBinError:"]]
 
 
-@pytest.mark.parametrize("args", [["--model", "mlp"], ["--batch", "500"], ["--io"]])
+@pytest.mark.parametrize("args", [["--model", "mlp"], ["--batch", "500"], ["--io"], ["--memory"]])
 def test_benchmark_gradient_deleted_switches_are_unknown(tmp_path, args):
-    # deleted: perfbench times the MLP op (minibatch_mlp_1m) and CSV I/O (--trace 1)
+    # deleted: perfbench times the MLP op (minibatch_mlp_1m) and CSV I/O (--trace 1);
+    # allocations are the script's only measurement
     done = run("benchmark_gradient.py", *args, cwd=tmp_path)
     assert done.returncode == 2 and "unrecognized arguments" in done.stderr
 

@@ -44,7 +44,8 @@ class DegeneratePredictionsError(BinningError):
     """Predictions have fewer distinct values than the requested number of bins.
 
     `distinct` counts the distinct values in the sample the cuts were read
-    from; `compute_cuts` succeeds with that many bins.
+    from; `compute_cuts` succeeds with that many bins. `inner_cuts` passes
+    the cuts' own bin count: the values are distinct, but too close for float64.
     """
 
     def __init__(self, message: str, distinct: int):
@@ -227,7 +228,9 @@ def inner_cuts(cuts: CutPoints) -> InnerCuts:
     neighbor); the outermost boundaries extrapolate the same one-third-of-gap
     width outward. With a single cut there is no neighboring gap at all, so
     the offset is one sixth of `cuts.spread`, which comes from the sample
-    the cut was read from: reused cuts keep their segments.
+    the cut was read from: reused cuts keep their segments. Cuts so close
+    that a boundary rounds onto a cut, leaving `minus < cut < plus` false,
+    raise DegeneratePredictionsError, at two comparisons per cut.
     """
     k = cuts.n_bins - 1
     if k < 1:
@@ -236,13 +239,18 @@ def inner_cuts(cuts: CutPoints) -> InnerCuts:
     if k == 1:
         if cuts.spread is None:
             raise BinningError("a single cut needs its sample's spread to size segments")
-        return InnerCuts(c - cuts.spread / 6.0, c + cuts.spread / 6.0)
-    minus = np.empty(k)
-    plus = np.empty(k)
-    minus[1:] = (2.0 / 3.0) * c[1:] + (1.0 / 3.0) * c[:-1]
-    plus[:-1] = (2.0 / 3.0) * c[:-1] + (1.0 / 3.0) * c[1:]
-    minus[0] = c[0] - (c[1] - c[0]) / 3.0
-    plus[-1] = c[-1] + (c[-1] - c[-2]) / 3.0
+        minus, plus = c - cuts.spread / 6.0, c + cuts.spread / 6.0
+    else:
+        minus = np.empty(k)
+        plus = np.empty(k)
+        minus[1:] = (2.0 / 3.0) * c[1:] + (1.0 / 3.0) * c[:-1]
+        plus[:-1] = (2.0 / 3.0) * c[:-1] + (1.0 / 3.0) * c[1:]
+        minus[0] = c[0] - (c[1] - c[0]) / 3.0
+        plus[-1] = c[-1] + (c[-1] - c[-2]) / 3.0
+    if not ((minus < c).all() and (c < plus).all()):  # a zero-width probe would divide by 0
+        raise DegeneratePredictionsError(
+            f"cuts too close for float64 to place segments between {k + 1} bins", cuts.n_bins
+        )
     return InnerCuts(minus, plus)
 
 

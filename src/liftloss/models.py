@@ -226,12 +226,13 @@ def train(
     halved and training continues; at step 0 this is raised instead, with a
     hint to use fewer bins. At 2 bins, the fewest `GradConfig` allows, it is
     raised at any step, naming the step and advising more rows or a larger
-    batch. Predictions that collapse mid-run raise TrainingDivergedError
-    naming the step (DegeneratePredictionsError at step 0). Non-finite
-    initial parameters raise ValueError, and so does a minibatch that draws
-    rows of one arm only, naming the step and the batch size. Each step
-    builds the MLP hidden layer once, for the forward pass, and hands it to
-    the backward pass.
+    batch. Predictions that collapse mid-run, to fewer distinct values than
+    bins or to cuts too close for float64 to place segments, raise
+    TrainingDivergedError naming the step (DegeneratePredictionsError at
+    step 0). Non-finite initial parameters raise ValueError, and so does a
+    minibatch that draws rows of one arm only, naming the step and the batch
+    size. Each step builds the MLP hidden layer once, for the forward pass,
+    and hands it to the backward pass.
     Each step's arrays (the effective gradient's, an MLP's hidden layer)
     are released before the next step builds its own, so a full-batch step
     peaks at about 27 B/row above the dataset at 1M rows and 31 at 200k

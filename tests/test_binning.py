@@ -407,6 +407,18 @@ class TestInnerCuts:
         inner = inner_cuts(CutPoints(np.array([1.0, 2.0]), 3))
         assert inner.plus[1] == pytest.approx(7.0 / 3.0)
 
+    @pytest.mark.parametrize("cuts", [
+        CutPoints(np.array([1e12, np.nextafter(1e12, np.inf)]), 3),  # the blends round onto a cut
+        CutPoints(np.array([1e12]), 2, spread=1e-6),  # a sixth of the spread is below an ulp
+    ], ids=["adjacent-cuts", "narrow-spread"])
+    def test_segments_collapsed_in_float64_are_degenerate(self, cuts):
+        # distinct cuts, but no float64 value between a cut and its boundary
+        with pytest.raises(DegeneratePredictionsError) as err:
+            inner_cuts(cuts)
+        assert str(err.value) == (
+            f"cuts too close for float64 to place segments between {cuts.n_bins} bins")
+        assert err.value.distinct == cuts.n_bins
+
     def test_single_boundary_uses_iqr(self):
         preds = np.arange(0.0, 1.01, 0.01)
         cuts = compute_cuts(preds, 2)

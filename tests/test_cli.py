@@ -148,6 +148,15 @@ class TestTrain:
         assert code == 2
         assert "bins" in capsys.readouterr().err
 
+    def test_cuts_too_close_for_float64_name_the_step(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert main(["gen", "--rows", "2000", "--seed", "0", "-o", str(data)]) == 0
+        code = main(["train", "--data", str(data), "--model", "mlp", "--hidden", "32",
+                     "--bins", "20", "--steps", "100", "--seed", "0", "-o", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cuts too close for float64 to place segments between 10 bins at step 8\n")
+
     @pytest.mark.parametrize("args,setting", [
         (["--lr", "inf"], "step_size"),
         (["--lr", "nan"], "step_size"),

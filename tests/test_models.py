@@ -308,6 +308,23 @@ class TestTrain:
         else:
             assert str(err.value) == "need at least 5 distinct values"
 
+    @pytest.mark.parametrize("rows,bins,seed,step,bins_then", [
+        (2000, 20, 2, 10, 5),  # halves its bins first, then a boundary rounds onto a cut
+        (10_000, 10, 1, 15, 10),
+    ])
+    def test_cuts_too_close_for_float64_diverge_at_a_named_step(self, rows, bins, seed, step,
+                                                                bins_then):
+        # the MLP's predictions grow until neighbouring cuts sit an ulp or two apart
+        spec = ModelSpec(ModelKind.MLP, 2, hidden=8, activation=Activation.TANH)
+        config = TrainConfig(step_size=0.1, steps=100, grad=GradConfig(n_bins=bins), seed=seed)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(generate(DataGenConfig(rows, seed=seed)), spec, random_params(spec, seed),
+                  config)
+        assert str(err.value) == (
+            f"cuts too close for float64 to place segments between {bins_then} bins "
+            f"at step {step}")
+        assert len(err.value.trace.entries) == step
+
     def test_snapshot_steps_recorded(self):
         ds, config, init = self.demo_setup(steps=10)
         _, trace = train(ds, LINEAR2, init, config)

@@ -60,7 +60,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs, outputs) -> None:
+def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs, outputs,
+                    **failure) -> None:
     options = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
     doc = {
         "command": command,
@@ -69,6 +70,7 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace, inputs, 
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "options": options,
+        **failure,
     }
     path.write_text(json.dumps(doc, indent=2, default=str) + "\n", encoding="utf-8")
 
@@ -141,12 +143,12 @@ def _snapshot_doc(step: int, report: LossReport) -> dict:
     }
 
 
-def _write_trace(path: Path, entries) -> None:
-    """One LF-terminated row per trace entry: step, loss split, then every parameter."""
-    params = np.array([e.params for e in entries])
-    header = ["step", "loss", "bias", "separation"] + [f"p{i}" for i in range(params.shape[1])]
+def _write_trace(path: Path, entries, n_p: int) -> None:
+    """One LF-terminated row per trace entry: step, loss split, then each of `n_p` parameters."""
+    params = np.array([e.params for e in entries]).reshape(-1, n_p)
+    header = ["step", "loss", "bias", "separation"] + [f"p{i}" for i in range(n_p)]
     steps = np.array([e.step for e in entries], dtype=np.int64)
-    losses = np.array([(e.loss, e.bias_term, e.separation_term) for e in entries], dtype=np.float64)
+    losses = np.array([(e.loss, e.bias_term, e.separation_term) for e in entries]).reshape(-1, 3)
     write_csv(path, header, [steps, *losses.T, *params.T], "\n")
 
 
@@ -162,17 +164,27 @@ def cmd_train(args) -> int:
     )
     dataset = load_csv(args.data)
     spec = _model_spec(args, dataset.d)
-    params, trace = train(dataset, spec, _init_params(args, spec), config)
-
     prefix = Path(args.output)
+    trace_path = Path(f"{prefix}.trace.csv")
+    manifest_path = Path(f"{prefix}.manifest.json")
+    try:
+        params, trace = train(dataset, spec, _init_params(args, spec), config)
+    except TrainingDivergedError as err:  # keep the steps that finished; main prints the error
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+        _write_trace(trace_path, err.trace.entries, n_params(spec))
+        _write_manifest(manifest_path, "train", args, [args.data], [trace_path],
+                        error=str(err), exit_status=2)
+        for event in err.trace.events:
+            print(f"note: {event}")
+        raise
+
     prefix.parent.mkdir(parents=True, exist_ok=True)
     params_path = Path(f"{prefix}.params.json")
-    trace_path = Path(f"{prefix}.trace.csv")
     snaps_path = Path(f"{prefix}.snapshots.json")
     outputs = [params_path, trace_path, snaps_path]
 
     save_params(params_path, spec, params)
-    _write_trace(trace_path, trace.entries)
+    _write_trace(trace_path, trace.entries, n_params(spec))
     snaps_doc = {
         "steps": sorted(trace.snapshots),
         "events": trace.events,
@@ -183,7 +195,7 @@ def cmd_train(args) -> int:
         snap_csv = Path(f"{prefix}.snapshot_t{t}.csv")
         write_loss_report(trace.snapshots[t], snap_csv)
         outputs.append(snap_csv)
-    _write_manifest(Path(f"{prefix}.manifest.json"), "train", args, [args.data], outputs)
+    _write_manifest(manifest_path, "train", args, [args.data], outputs)
 
     final = trace.entries[-1]
     print(f"trained {config.steps} steps: loss {final.loss:.6f} params {np.array2string(params, precision=4)}")

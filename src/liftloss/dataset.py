@@ -42,10 +42,11 @@ def _require_both_arms(arm: np.ndarray) -> None:
 class ABDataset:
     """Columnar store of A/B-test rows.
 
-    `features` has shape (n, d); `outcome` and `arm` have shape (n,).
-    `true_lift` is optional and only carried for synthetic data where the
-    generating process is known. Arrays are made read-only on construction,
-    so datasets can be shared across threads safely.
+    `features` has shape (n, d) and is stored column-major whatever layout
+    it is handed; `outcome` and `arm` have shape (n,). `true_lift` is
+    optional and only carried for synthetic data where the generating
+    process is known. Arrays are made read-only on construction, so
+    datasets can be shared across threads safely.
     """
 
     features: np.ndarray
@@ -54,7 +55,7 @@ class ABDataset:
     true_lift: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        feats = np.array(self.features, dtype=np.float64)
+        feats = np.array(self.features, dtype=np.float64, order="F")
         y = np.array(self.outcome, dtype=np.float64)
         arm = np.asarray(self.arm)
         if feats.ndim != 2:
@@ -113,20 +114,18 @@ class ABDataset:
     def take(self, indices: np.ndarray) -> "ABDataset":
         """Subset by integer row indices (used for minibatching).
 
-        Features are gathered one column at a time into a C-ordered (k, d)
-        array: the same values and strides as `features[indices]`, several
-        times faster on the column-major features `generate` makes. The rows
-        were validated when this dataset was built, so the subset is stored
-        as gathered; only the check that both arms are present runs again.
+        Features are gathered in one call, every column at once, into a
+        column-major (k, d) array: the same values as `features[indices]`
+        in the layout the constructor gives. The rows were validated when
+        this dataset was built, so the subset is stored as gathered; only
+        the check that both arms are present runs again.
         """
         idx = np.asarray(indices)
         if idx.ndim != 1 or idx.dtype.kind not in "iu":
             raise TypeError(
                 f"row indices must be a 1-d integer array, got {idx.ndim}-d {idx.dtype}"
             )
-        feats = np.empty((idx.size, self.d))
-        for j in range(self.d):
-            feats[:, j] = self.features[:, j].take(idx)
+        feats = self.features.T.take(idx, axis=1).T
         arm = self.arm.take(idx)
         _require_both_arms(arm)
         lift = None if self.true_lift is None else self.true_lift.take(idx)
@@ -175,10 +174,11 @@ def generate(config: DataGenConfig) -> ABDataset:
     Deterministic given `config.seed`. Arm labels are i.i.d.
     Bernoulli(treatment_fraction), independent of the features. Note that for
     very small n_rows a draw can land all rows in one arm, which fails the
-    dataset invariant and raises. Peak memory is about 67 B/row
-    (tracemalloc, 200k–1M rows; up to 71 on a process's first call), the
-    returned 33 B/row dataset included: the raw (n, 3) draw is released
-    before the dataset copies its columns.
+    dataset invariant and raises. Features are column-major, as in every
+    dataset. Peak memory is about 67 B/row (tracemalloc, 200k–1M rows; up
+    to 71 on a process's first call), the returned 33 B/row dataset
+    included: the raw (n, 3) draw is released before the dataset copies
+    its columns.
     """
     rng = np.random.default_rng(config.seed)
     if config.noise_distribution is NoiseDistribution.UNIFORM01:
@@ -238,7 +238,8 @@ def load_csv(path: str | Path) -> ABDataset:
 
     Parse failures report the offending physical line number (header is
     line 1). A leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8"
-    exports write, is skipped.
+    exports write, is skipped. Fields go into one list per column, so the
+    features arrive column-major, the layout `ABDataset` keeps.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -256,31 +257,28 @@ def load_csv(path: str | Path) -> ABDataset:
                 f"line 1: expected header f0,...,f{{d-1}},y,arm[,true_lift], got {','.join(header)}"
             )
         n_cols = len(header)
-        feats: list[list[float]] = []
-        ys: list[float] = []
-        arms: list[int] = []
-        lifts: list[float] = []
+        columns: list[list] = [[] for _ in header]  # f0..f{d-1}, y, arm[, true_lift]
         for row in reader:
             line_no = reader.line_num  # a quoted field may span lines
             if len(row) != n_cols:
                 raise CsvFormatError(
                     f"line {line_no}: expected {n_cols} fields, got {len(row)}"
                 )
-            feats.append([_parse_float(row[j], f"f{j}", line_no) for j in range(d)])
-            ys.append(_parse_float(row[d], "y", line_no))
+            for j in range(d + 1):  # the features, then y
+                columns[j].append(_parse_float(row[j], header[j], line_no))
             arm_text = row[d + 1].strip()
             if arm_text not in ("0", "1"):
                 raise CsvFormatError(
                     f"line {line_no}: arm value must be 0 or 1, got {arm_text!r}"
                 )
-            arms.append(int(arm_text))
+            columns[d + 1].append(int(arm_text))
             if has_lift:
-                lifts.append(_parse_float(row[d + 2], "true_lift", line_no))
-    if not feats:
+                columns[d + 2].append(_parse_float(row[d + 2], "true_lift", line_no))
+    if not columns[0]:
         raise CsvFormatError("no data rows")
     return ABDataset(
-        np.array(feats, dtype=np.float64),
-        np.array(ys, dtype=np.float64),
-        np.array(arms, dtype=np.int8),
-        np.array(lifts, dtype=np.float64) if has_lift else None,
+        np.array(columns[:d], dtype=np.float64).T,
+        np.array(columns[d], dtype=np.float64),
+        np.array(columns[d + 1], dtype=np.int8),
+        np.array(columns[d + 2], dtype=np.float64) if has_lift else None,
     )

@@ -20,8 +20,8 @@ tests can compare the two on random instances:
 - `reference_keyed_subset_stats`: one `bins0 * 2 + arm` key after a
   min/max range check on `bins0 = bins - 1`; both take an unpinned global
   lift as the difference of the boolean-indexed arm means;
-- `reference_assign_bins`: the cuts below each row counted over the whole
-  vector, one cut at a time, in an `int8` buffer;
+- `reference_assign_bins`: the cuts below each row counted in one
+  (rows, cuts) comparison table, for every bin count;
 - `reference_assign_segments`: per-row boundary indices and masks;
 - `reference_fancy_assign_segments`: thresholds gathered by fancy indexing
   with `bins - 1`;
@@ -42,7 +42,6 @@ from math import comb
 import numpy as np
 
 from liftloss.binning import (
-    COUNT_MAX_BINS,
     MAX_SORT,
     BinningError,
     CutPoints,
@@ -266,14 +265,9 @@ def reference_keyed_subset_stats(dataset, predictions, bins, n_bins, cached_glob
 
 
 def reference_assign_bins(predictions, cuts: CutPoints) -> np.ndarray:
-    """1 + #(cuts < p), counted over all rows one cut at a time in int8."""
+    """1 + #(cuts < p), from one (rows, cuts) comparison table, for every bin count."""
     p = _check_predictions(predictions)
-    if cuts.n_bins > COUNT_MAX_BINS:
-        return np.searchsorted(cuts.cuts, p, side="left") + 1
-    bins = np.ones(p.shape, dtype=np.int8)
-    for c in cuts.cuts:
-        bins += p > c
-    return bins.astype(np.intp)
+    return (1 + (p[:, None] > cuts.cuts).sum(axis=1)).astype(np.intp)
 
 
 def reference_fancy_assign_segments(predictions, inner: InnerCuts, bins) -> np.ndarray:

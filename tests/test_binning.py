@@ -18,7 +18,7 @@ from liftloss import (
     generate,
     inner_cuts,
 )
-from liftloss.binning import BIN_BLOCK_ROWS, MAX_SORT, _subsample_rows
+from liftloss.binning import BIN_BLOCK_ROWS, COUNT_MAX_BINS, MAX_SORT, _subsample_rows
 
 from reference_gradient import (
     reference_assign_bins,
@@ -353,13 +353,14 @@ class TestAssignBins:
     @given(
         rows=st.sampled_from([1, 7, BIN_BLOCK_ROWS - 1, BIN_BLOCK_ROWS, BIN_BLOCK_ROWS + 1,
                               2 * BIN_BLOCK_ROWS + 1]),
-        n_bins=st.sampled_from([1, 2, 3, 10, 64, 65, 130]),
+        # both sides of the count path's limit, each drawn as often
+        n_bins=st.one_of(st.integers(1, COUNT_MAX_BINS), st.integers(COUNT_MAX_BINS + 1, 200)),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_row_blocks_match_whole_vector_count_reference(self, rows, n_bins, seed):
         # row counts around the block size, rows exactly on every cut, minus
-        # and plus, and bins past the count path's 64: bins and segments are
-        # byte-identical to the whole-vector int8 count and the fancy-index
+        # and plus, and bin counts up to 200: bins and segments are
+        # byte-identical to the comparison-table count and the fancy-index
         # gather, dtypes included
         rng = np.random.default_rng(seed)
         preds = rng.normal(size=rows)

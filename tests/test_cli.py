@@ -157,6 +157,41 @@ class TestTrain:
         assert capsys.readouterr().err == (
             "error: cuts too close for float64 to place segments between 10 bins at step 8\n")
 
+    def test_diverged_run_leaves_its_trace(self, tmp_path, capsys):
+        # the steps that finished, the bin halving and the error stay on disk;
+        # no params or snapshot file claims a finished run
+        data = tmp_path / "d.csv"
+        assert main(["gen", "--rows", "2000", "--seed", "0", "-o", str(data)]) == 0
+        capsys.readouterr()
+        prefix = tmp_path / "r"
+        code = main(["train", "--data", str(data), "--model", "mlp", "--hidden", "32",
+                     "--bins", "20", "--steps", "100", "--seed", "0", "--snapshots", "0,5",
+                     "-o", str(prefix)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        error = "cuts too close for float64 to place segments between 10 bins at step 8"
+        assert err == f"error: {error}\n"
+        assert out == ("note: step 8: bin 7 of 20 has no control rows; retry with fewer bins; "
+                       "reducing bins 20 -> 10\n")
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("r.")) == [
+            "r.manifest.json", "r.trace.csv"]
+        trace = np.loadtxt(f"{prefix}.trace.csv", delimiter=",", skiprows=1)
+        assert trace[:, 0].tolist() == list(range(8))
+        manifest = json.loads(Path(f"{prefix}.manifest.json").read_text())
+        assert manifest["outputs"] == [f"{prefix}.trace.csv"]
+        assert (manifest["error"], manifest["exit_status"]) == (error, 2)
+
+    def test_run_diverged_at_step_0_writes_a_header_only_trace(self, tmp_path, data_csv, capsys):
+        prefix = tmp_path / "z"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--data", str(data_csv), "--init", "1e308,1e308,1e308",
+                         "-o", str(prefix)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: non-finite predictions at step 0\n"
+        assert Path(f"{prefix}.trace.csv").read_text() == "step,loss,bias,separation,p0,p1,p2\n"
+        assert not Path(f"{prefix}.params.json").exists()
+        assert json.loads(Path(f"{prefix}.manifest.json").read_text())["exit_status"] == 2
+
     @pytest.mark.parametrize("args,setting", [
         (["--lr", "inf"], "step_size"),
         (["--lr", "nan"], "step_size"),

@@ -76,6 +76,21 @@ class TestDatasetInvariants:
         ds = make_dataset([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], [1, 0, 1], [0.5, 0.0, 0.5])
         assert (len(ds), ds.n_treatment) == (3, 2)
 
+    def test_every_route_gives_column_major_features(self, tmp_path):
+        # one layout whatever the source, so a model sees the same bytes either way
+        generated = generate(DataGenConfig(n_rows=200, seed=6))
+        path = tmp_path / "d.csv"
+        save_csv(generated, path)
+        row_major = np.ascontiguousarray(generated.features)
+        routes = {
+            "generate": generated,
+            "load_csv": load_csv(path),
+            "constructor": ABDataset(row_major, generated.outcome, generated.arm),
+            "take": generated.take(np.arange(150, 10, -3)),
+        }
+        for name, ds in routes.items():
+            assert ds.features.flags.f_contiguous and not ds.features.flags.c_contiguous, name
+
     def test_immutable_after_construction(self):
         ds = make_dataset([1.0, 2.0], [0.1, 0.2], [1, 0])
         with pytest.raises(ValueError):
@@ -83,14 +98,14 @@ class TestDatasetInvariants:
 
 
 class TestTake:
-    """`take` gathers column by column; the result must equal fancy indexing."""
+    """`take` gathers every column in one call; the result must equal fancy indexing."""
 
     @staticmethod
     def assert_same_as_fancy_indexing(ds, idx):
         got = ds.take(idx)
         want = ds.features[idx]
         assert got.features.dtype == want.dtype and got.features.shape == want.shape
-        assert got.features.flags.c_contiguous and got.features.strides == want.strides
+        assert got.features.flags.f_contiguous
         assert got.features.tobytes() == want.tobytes()
         for name in ("outcome", "arm", "true_lift"):
             col, sub = getattr(ds, name), getattr(got, name)
@@ -121,11 +136,11 @@ class TestTake:
         path = tmp_path / "rows.csv"
         save_csv(ABDataset(rng.normal(size=(n, d)), rng.normal(size=n), arm, lift), path)
         loaded = load_csv(path)
-        assert loaded.features.flags.c_contiguous and (loaded.true_lift is None) != with_lift
-        by_column = ABDataset(np.asfortranarray(loaded.features), loaded.outcome, loaded.arm,
-                              loaded.true_lift)
-        assert d == 1 or not by_column.features.flags.c_contiguous
-        for ds in (loaded, by_column):
+        assert loaded.features.flags.f_contiguous and (loaded.true_lift is None) != with_lift
+        by_row = ABDataset(np.ascontiguousarray(loaded.features), loaded.outcome, loaded.arm,
+                           loaded.true_lift)
+        assert by_row.features.flags.f_contiguous
+        for ds in (loaded, by_row):
             self.assert_same_as_fancy_indexing(ds, self.indices(n, d))
             self.assert_same_as_fancy_indexing(ds, self.indices(n, d).astype(np.int32))
 
@@ -148,7 +163,7 @@ class TestTake:
                 assert a is None
                 continue
             assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides), name
-            assert a.tobytes() == b.tobytes() and a.flags.c_contiguous, name
+            assert a.tobytes() == b.tobytes() and a.flags.f_contiguous, name
             assert not a.flags.writeable and not b.flags.writeable, name
 
     def test_batch_that_loses_treatment_raises(self):

@@ -119,12 +119,12 @@ class TestTraceCsv:
         entries = [
             TraceEntry(t, data.draw(FLOATS), data.draw(FLOATS), data.draw(FLOATS),
                        draw_floats(data, n_params))
-            for t in range(draw_rows(data, block, minimum=1))
+            for t in range(draw_rows(data, block, minimum=0))  # none: a run diverged at step 0
         ]
         with mock.patch.object(dataset_module, "CSV_BLOCK_ROWS", block):
             path = same_bytes(tmp_path_factory.mktemp("trace"),
-                              lambda p: _write_trace(p, entries),
-                              lambda p: reference_io.write_trace(p, entries[-1].params, entries))
+                              lambda p: _write_trace(p, entries, n_params),
+                              lambda p: reference_io.write_trace(p, np.zeros(n_params), entries))
         assert b"\r" not in path.read_bytes()
 
 

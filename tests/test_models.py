@@ -18,10 +18,12 @@ from liftloss import (
     backprop,
     effective_gradient,
     generate,
+    load_csv,
     load_params,
     n_params,
     predict,
     random_params,
+    save_csv,
     save_params,
     train,
 )
@@ -427,6 +429,33 @@ class TestTrainMatchesPublicLoop:
             assert (got.step, got.loss, got.bias_term, got.separation_term) == (
                 want.step, want.loss, want.bias_term, want.separation_term)
             assert got.params.tobytes() == want.params.tobytes()
+
+
+def test_saved_csv_trains_bit_for_bit_like_its_data(tmp_path):
+    # the loaded features have the generated ones' bytes and layout, so even
+    # `x.T @ g` in the backward pass rounds the same; each case compares
+    # params, trace losses and events
+    ds = generate(DataGenConfig(n_rows=200_000, seed=0))
+    path = tmp_path / "d.csv"
+    save_csv(ds, path)
+    loaded = load_csv(path)
+    mlp = ModelSpec(ModelKind.MLP, 2, hidden=8, activation=Activation.TANH)
+    cases = [
+        (LINEAR2, np.array([1.0, 0.1, 1.0]),
+         TrainConfig(step_size=0.1, steps=20, grad=GradConfig(n_bins=10))),
+        (mlp, random_params(mlp, seed=0),
+         TrainConfig(step_size=0.01, steps=20, grad=GradConfig(n_bins=5, rebin_every=2),
+                     batch=5000, seed=3)),
+    ]
+    for spec, init, config in cases:
+        params, trace = train(ds, spec, init, config)
+        got_params, got_trace = train(loaded, spec, init, config)
+        assert got_params.tobytes() == params.tobytes(), spec.kind
+        assert got_trace.events == trace.events, spec.kind
+        for got, want in zip(got_trace.entries, trace.entries, strict=True):
+            assert (got.loss, got.bias_term, got.separation_term) == (
+                want.loss, want.bias_term, want.separation_term), (spec.kind, want.step)
+            assert got.params.tobytes() == want.params.tobytes(), (spec.kind, want.step)
 
 
 class TestParamsIo:

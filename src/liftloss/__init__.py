@@ -41,7 +41,6 @@ from .loss import (
     pointwise_mse,
     subset_stats,
     true_lift_loss,
-    variance_decomposition,
     write_loss_report,
 )
 from .models import (

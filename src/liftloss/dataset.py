@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import enum
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +113,14 @@ class ABDataset:
         """The arm as a read-only boolean view: no copy, the same bytes as `arm == 1`."""
         return self.arm.view(np.bool_)
 
+    @cached_property
+    def _global_lift(self) -> float:
+        """`loss.global_lift`'s value, computed on first use: the columns never change."""
+        treated = self.is_treatment
+        # `compress` picks the rows of `y[mask]` in the same order, several times faster
+        y = self.outcome
+        return float(np.compress(treated, y).mean() - np.compress(~treated, y).mean())
+
     def take(self, indices: np.ndarray) -> "ABDataset":
         """Subset by integer row indices (used for minibatching).
 
@@ -118,8 +128,13 @@ class ABDataset:
         column-major (k, d) array: the same values as `features[indices]`
         in the layout the constructor gives. The rows were validated when
         this dataset was built, so the subset is stored as gathered; only
-        the check that both arms are present runs again.
+        the check that both arms are present runs again. The subset computes
+        its own global lift when asked; it never shares this dataset's.
         """
+        return self._take(indices, keep_lift=True)
+
+    def _take(self, indices: np.ndarray, keep_lift: bool) -> "ABDataset":
+        """`take`, leaving out `true_lift` unless `keep_lift`."""
         idx = np.asarray(indices)
         if idx.ndim != 1 or idx.dtype.kind not in "iu":
             raise TypeError(
@@ -128,7 +143,7 @@ class ABDataset:
         feats = self.features.T.take(idx, axis=1).T
         arm = self.arm.take(idx)
         _require_both_arms(arm)
-        lift = None if self.true_lift is None else self.true_lift.take(idx)
+        lift = self.true_lift.take(idx) if keep_lift and self.true_lift is not None else None
         subset = object.__new__(ABDataset)
         subset._freeze(feats, self.outcome.take(idx), arm, lift)
         return subset
@@ -238,8 +253,9 @@ def load_csv(path: str | Path) -> ABDataset:
 
     Parse failures report the offending physical line number (header is
     line 1). A leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8"
-    exports write, is skipped. Fields go into one list per column, so the
-    features arrive column-major, the layout `ABDataset` keeps.
+    exports write, is skipped. Fields go into one `array.array` per column,
+    8 bytes a value, so the features arrive column-major, the layout
+    `ABDataset` keeps.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -257,7 +273,9 @@ def load_csv(path: str | Path) -> ABDataset:
                 f"line 1: expected header f0,...,f{{d-1}},y,arm[,true_lift], got {','.join(header)}"
             )
         n_cols = len(header)
-        columns: list[list] = [[] for _ in header]  # f0..f{d-1}, y, arm[, true_lift]
+        # f0..f{d-1}, y, arm[, true_lift]: 8 bytes a value, 1 for the arm
+        columns = [array("d") for _ in header]
+        columns[d + 1] = array("b")
         for row in reader:
             line_no = reader.line_num  # a quoted field may span lines
             if len(row) != n_cols:
@@ -277,8 +295,8 @@ def load_csv(path: str | Path) -> ABDataset:
     if not columns[0]:
         raise CsvFormatError("no data rows")
     return ABDataset(
-        np.array(columns[:d], dtype=np.float64).T,
-        np.array(columns[d], dtype=np.float64),
-        np.array(columns[d + 1], dtype=np.int8),
-        np.array(columns[d + 2], dtype=np.float64) if has_lift else None,
+        np.array([np.frombuffer(c) for c in columns[:d]]).T,
+        np.frombuffer(columns[d]),
+        np.frombuffer(columns[d + 1], dtype=np.int8),
+        np.frombuffer(columns[d + 2]) if has_lift else None,
     )

@@ -91,13 +91,12 @@ class EffectiveGradient:
     segments: np.ndarray
 
 
-def bias_gradient(stats: SubsetStats, bin_index):
-    """Smooth part of d(loss)/d(prediction) for rows in the given bin(s).
+def bias_gradient(stats: SubsetStats, bins: np.ndarray) -> np.ndarray:
+    """Smooth part of d(loss)/d(prediction) for rows in the given 1-based bins.
 
-    Equals 2 * (mean_pred_n - lift_n) / total_size; accepts a scalar bin
-    index (returning a float64) or an array of per-row bins.
+    Equals 2 * (mean_pred_n - lift_n) / total_size, one value per entry of `bins`.
     """
-    idx = np.asarray(bin_index) - 1
+    idx = bins - 1
     return 2.0 * (stats.mean_pred[idx] - stats.lift[idx]) / stats.total_size
 
 
@@ -152,6 +151,23 @@ def _migration_tables(
     return a, b
 
 
+def _binned_stats(
+    dataset: ABDataset, p: np.ndarray, config: GradConfig, cached_global_lift, cuts
+) -> tuple[CutPoints, np.ndarray, SubsetStats, InnerCuts]:
+    """The cuts, bins, per-bin statistics and segment boundaries of `effective_gradient`.
+
+    All the binned loss needs, with the same errors in the same order; `train`
+    calls it alone at its last step, whose gradient nothing reads.
+    """
+    if p.shape != (len(dataset),):
+        raise ValueError("predictions must align with the dataset rows")
+    if cuts is None:
+        cuts = compute_cuts(p, config.n_bins)
+    bins = assign_bins(p, cuts)
+    stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
+    return cuts, bins, stats, inner_cuts(cuts)
+
+
 def effective_gradient(
     dataset: ABDataset,
     predictions,
@@ -171,13 +187,7 @@ def effective_gradient(
     finiteness mask, plus one block's indices and migration part.
     """
     p = np.asarray(predictions, dtype=np.float64)
-    if p.shape != (len(dataset),):
-        raise ValueError("predictions must align with the dataset rows")
-    if cuts is None:
-        cuts = compute_cuts(p, config.n_bins)
-    bins = assign_bins(p, cuts)
-    stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
-    inner = inner_cuts(cuts)
+    cuts, bins, stats, inner = _binned_stats(dataset, p, config, cached_global_lift, cuts)
     segments = assign_segments(p, inner, bins)
     a, b = _migration_tables(stats, cuts, inner)
     a += bias_gradient(stats, np.arange(1, cuts.n_bins + 1))[:, None, None]

@@ -29,7 +29,6 @@ __all__ = [
     "subset_stats",
     "true_lift_loss",
     "pointwise_mse",
-    "variance_decomposition",
     "write_loss_report",
 ]
 
@@ -90,11 +89,12 @@ class SubsetStats:
 
 
 def global_lift(dataset: ABDataset) -> float:
-    """Mean treated minus mean control outcome over all rows: the one global-lift estimate."""
-    treated = dataset.is_treatment
-    y = dataset.outcome
-    # `compress` picks the rows of `y[mask]` in the same order, several times faster
-    return float(np.compress(treated, y).mean() - np.compress(~treated, y).mean())
+    """Mean treated minus mean control outcome over all rows: the one global-lift estimate.
+
+    Computed once per dataset and cached on it, since its columns are
+    read-only; a `take` subset computes its own.
+    """
+    return dataset._global_lift
 
 
 def subset_stats(
@@ -205,28 +205,6 @@ def pointwise_mse(discrete_predictions, true_lifts) -> float:
     if not (np.isfinite(p).all() and np.isfinite(l).all()):
         raise ValueError("inputs contain non-finite values")
     return float(np.mean((p - l) ** 2))
-
-
-def variance_decomposition(values, groups) -> tuple[float, float, float]:
-    """Split total variance into within-group and between-group parts.
-
-    All three use 1/n normalization; ``total == within + between`` holds to
-    machine precision.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a non-empty 1-d array")
-    labels = np.asarray(groups)
-    if labels.shape != v.shape:
-        raise ValueError("groups must align with values")
-    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    n = v.size
-    mean = v.mean()
-    group_means = np.bincount(inverse, weights=v) / counts
-    total = float(np.sum((v - mean) ** 2) / n)
-    within = float(np.sum((v - group_means[inverse]) ** 2) / n)
-    between = float(np.sum(counts * (group_means - mean) ** 2) / n)
-    return total, within, between
 
 
 def bin_table(stats: SubsetStats) -> dict[str, np.ndarray]:

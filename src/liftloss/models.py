@@ -17,7 +17,7 @@ import numpy as np
 
 from .binning import DegeneratePredictionsError
 from .dataset import ABDataset, check_seed
-from .gradient import GradConfig, effective_gradient
+from .gradient import GradConfig, _binned_stats, effective_gradient
 from .loss import EmptyArmInBinError, LossReport, global_lift, true_lift_loss
 
 __all__ = [
@@ -36,6 +36,10 @@ __all__ = [
     "save_params",
     "load_params",
 ]
+
+
+# rows per block of the MLP backward pass: a (block, 32) slice of the hidden layer is 1 MB
+BACKWARD_BLOCK_ROWS = 1 << 12
 
 
 class ModelKind(enum.Enum):
@@ -114,21 +118,34 @@ def _forward(spec: ModelSpec, p: np.ndarray, x: np.ndarray):
 
 
 def _backward(spec: ModelSpec, p: np.ndarray, x: np.ndarray, g: np.ndarray, z) -> np.ndarray:
-    """Parameter gradient from `_forward`'s `z`, which it overwrites for an MLP."""
-    out = [z.T @ g, [g.sum()]]  # the output layer's [dw, db]
-    if spec.kind is ModelKind.MLP:
+    """Parameter gradient from `_forward`'s `z`, which it overwrites for an MLP.
+
+    Each MLP block of `BACKWARD_BLOCK_ROWS` rows is read from cache, not
+    memory, by the three passes over it: the output layer's product, the
+    activation derivative, and the first layer's product.
+    """
+    if spec.kind is ModelKind.LINEAR:
+        return np.concatenate([x.T @ g, [g.sum()]])
+    n, d = x.shape
+    dw2 = np.zeros(spec.hidden)
+    m = np.zeros((spec.hidden, d + 1))
+    xg_buf = np.empty((min(n, BACKWARD_BLOCK_ROWS), d + 1))  # [x * g, g], as one buffer
+    for start in range(0, n, BACKWARD_BLOCK_ROWS):
+        rows = slice(start, start + BACKWARD_BLOCK_ROWS)
+        z_b, g_b = z[rows], g[rows]
+        xg = xg_buf[: g_b.size]
+        dw2 += z_b.T @ g_b
         # overwrite the activations with their derivative: 1 - z^2, or [z > 0]
         if spec.activation is Activation.TANH:
-            np.square(z, out=z)
-            np.subtract(1.0, z, out=z)
+            np.square(z_b, out=z_b)
+            np.subtract(1.0, z_b, out=z_b)
         else:
-            np.greater(z, 0.0, out=z)
-        xg = np.empty((x.shape[0], x.shape[1] + 1))  # [x * g, g], as one buffer
-        np.multiply(x, g[:, None], out=xg[:, :-1])
-        xg[:, -1] = g
-        m = (z.T @ xg) * p[-z.shape[1] - 1 : -1, None]
-        out[:0] = [m[:, :-1].ravel(), m[:, -1]]
-    return np.concatenate(out)
+            np.greater(z_b, 0.0, out=z_b)
+        np.multiply(x[rows], g_b[:, None], out=xg[:, :-1])
+        xg[:, -1] = g_b
+        m += z_b.T @ xg
+    m *= p[-spec.hidden - 1 : -1, None]
+    return np.concatenate([m[:, :-1].ravel(), m[:, -1], dw2, [g.sum()]])
 
 
 def predict(spec: ModelSpec, params, data) -> np.ndarray:
@@ -147,7 +164,10 @@ def backprop(spec: ModelSpec, params, data, point_grad) -> np.ndarray:
     exactly zero. The MLP's first layer is one (hidden, d+1) product with w2
     factored out of the row sums, `[dW1 | db1] = (act'.T @ [g*x, g]) * w2`,
     within 1e-12 of max|grad| of the unfactored `(g*w2*act').T @ [x, 1]`.
-    Called alone it rebuilds the hidden layer; `train` reuses its forward pass's.
+    Its row sums run over `BACKWARD_BLOCK_ROWS` rows at a time, whose slice
+    of the hidden layer stays in cache, and need no row-sized buffer beyond
+    the hidden layer. Called alone it rebuilds the hidden layer; `train`
+    reuses its forward pass's.
     """
     p = _check_params(spec, params)
     x = _features(data, spec)
@@ -232,11 +252,15 @@ def train(
     step 0). Non-finite initial parameters raise ValueError, and so does a
     minibatch that draws rows of one arm only, naming the step and the batch
     size. Each step builds the MLP hidden layer once, for the forward pass,
-    and hands it to the backward pass.
+    and hands it to the backward pass, which sums it in row blocks.
+    The work skips what nothing reads: the global lift is the dataset's
+    cached `global_lift`, minibatches are gathered without `true_lift`, and
+    the last step scores the loss without building (or checking) a gradient.
     Each step's arrays (the effective gradient's, an MLP's hidden layer)
     are released before the next step builds its own, so a full-batch step
     peaks at about 27 B/row above the dataset at 1M rows and 31 at 200k
-    (tracemalloc, 10 bins, d=2).
+    (tracemalloc, 10 bins, d=2); a hidden-32 MLP's peaks at 283 at 1M rows
+    and 287 at 200k, 256 of them the hidden layer.
     Deterministic given the seed, which only drives minibatch sampling.
     """
     params = _check_params(spec, init_params).copy()
@@ -254,7 +278,7 @@ def train(
         else:
             idx = rng.choice(len(dataset), size=config.batch, replace=False)
             try:
-                data_t = dataset.take(idx)
+                data_t = dataset._take(idx, keep_lift=False)  # nothing here reads true_lift
             except ValueError as err:  # the draw holds rows of one arm only
                 raise ValueError(
                     f"step {t}: minibatch of {config.batch} rows has {err}; use a larger batch"
@@ -266,9 +290,13 @@ def train(
         reuse = cuts if (t % grad_cfg.rebin_every != 0 and cuts is not None) else None
         while True:
             try:
-                eg = effective_gradient(
-                    data_t, preds, grad_cfg, cached_global_lift=cached_lift, cuts=reuse
-                )
+                if t == config.steps:  # the last loss needs no segments and no gradient
+                    stats = _binned_stats(data_t, preds, grad_cfg, cached_lift, reuse)[2]
+                else:
+                    eg = effective_gradient(
+                        data_t, preds, grad_cfg, cached_global_lift=cached_lift, cuts=reuse
+                    )
+                    cuts, stats = eg.cuts, eg.stats
                 break
             except FloatingPointError as err:
                 raise TrainingDivergedError(f"{err} at step {t}", trace) from err
@@ -295,8 +323,7 @@ def train(
                     f"step {t}: {err}; reducing bins {grad_cfg.n_bins} -> {new_bins}"
                 )
                 grad_cfg = replace(grad_cfg, n_bins=new_bins)
-        cuts = eg.cuts
-        report = true_lift_loss(eg.stats)
+        report = true_lift_loss(stats)
         if not (math.isfinite(report.loss) and np.isfinite(params).all()):
             raise TrainingDivergedError(
                 f"non-finite loss or parameters at step {t}", trace

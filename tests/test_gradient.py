@@ -90,19 +90,20 @@ class TestBiasGradient:
         from test_loss import two_bin_stats
 
         stats = two_bin_stats(mean_pred=[0.3, 0.7], lift=[0.3, 0.7], gl=0.5)
-        assert bias_gradient(stats, 1) == 0.0 and bias_gradient(stats, 2) == 0.0
+        assert (bias_gradient(stats, np.array([1, 2])) == 0.0).all()
 
     def test_hand_arithmetic(self):
         from test_loss import two_bin_stats
 
         stats = two_bin_stats(mean_pred=[0.6, 0.0], lift=[0.1, 0.0], gl=0.0, size=[50, 50])
-        assert bias_gradient(stats, 1) == pytest.approx(0.01)
+        assert bias_gradient(stats, np.array([1]))[0] == pytest.approx(0.01)
 
     def test_descent_lowers_overshooting_predictions(self):
         from test_loss import two_bin_stats
 
         stats = two_bin_stats(mean_pred=[0.9, 0.1], lift=[0.2, 0.1], gl=0.15)
-        assert bias_gradient(stats, 1) > 0  # descent moves predictions toward the lift
+        # descent moves predictions toward the lift
+        assert bias_gradient(stats, np.array([1]))[0] > 0
 
     def test_vectorized_matches_scalar(self):
         ds = generate(DataGenConfig(n_rows=300, seed=1))
@@ -110,8 +111,9 @@ class TestBiasGradient:
         _, bins, stats, _, _ = full_structure(ds, preds, 3)
         vec = bias_gradient(stats, bins)
         assert vec.shape == preds.shape
+        per_bin = bias_gradient(stats, np.arange(1, stats.n_bins + 1))
         for i in (0, 5, 299):
-            assert vec[i] == bias_gradient(stats, int(bins[i]))
+            assert vec[i] == per_bin[bins[i] - 1]
 
 
 class TestLossPartials:
@@ -292,7 +294,7 @@ class TestEffectiveGradient:
                 true_lift_loss(dataclasses.replace(stats, mean_pred=hi)).loss
                 - true_lift_loss(dataclasses.replace(stats, mean_pred=lo)).loss
             ) / (2 * eps)
-            assert fd == pytest.approx(bias_gradient(stats, int(bins[i])), rel=1e-6)
+            assert fd == pytest.approx(bias_gradient(stats, bins[[i]])[0], rel=1e-6)
 
     def test_descent_direction_quick(self):
         # single prediction-space step lowers the loss on most instances

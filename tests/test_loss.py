@@ -15,7 +15,6 @@ from liftloss import (
     pointwise_mse,
     subset_stats,
     true_lift_loss,
-    variance_decomposition,
 )
 from liftloss.dataset import DataGenConfig
 from liftloss.loss import write_loss_report
@@ -93,6 +92,19 @@ class TestGlobalLift:
         expected = float(y[treated].mean() - y[~treated].mean())
         got = global_lift(make_dataset(np.zeros(len(y)), y, arm))
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_cached_value_is_the_arms_value_and_subsets_compute_their_own(self):
+        ds = generate(DataGenConfig(n_rows=5000, seed=4))
+        treated = ds.arm == 1
+        expected = float(ds.outcome[treated].mean() - ds.outcome[~treated].mean())
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            assert np.float64(global_lift(ds)).tobytes() == np.float64(expected).tobytes()
+        rows = np.flatnonzero(treated)[:100]
+        subset = ds.take(np.concatenate([rows, np.flatnonzero(~treated)[:300]]))
+        y = subset.outcome
+        own = float(y[:100].mean() - y[100:].mean())
+        assert own != expected
+        assert np.float64(global_lift(subset)).tobytes() == np.float64(own).tobytes()
 
 
 class TestSubsetStats:
@@ -300,34 +312,6 @@ class TestPointwiseMse:
     def test_missing_lifts(self):
         with pytest.raises(ValueError, match="true lifts"):
             pointwise_mse([0.1], None)
-
-
-class TestVarianceDecomposition:
-    def test_single_group(self):
-        total, within, between = variance_decomposition([1.0, 2.0, 3.0], [0, 0, 0])
-        assert between == 0.0 and within == pytest.approx(total)
-
-    def test_constant_groups(self):
-        total, within, between = variance_decomposition([1.0, 1.0, 3.0, 3.0], [0, 0, 1, 1])
-        assert within == 0.0 and between == pytest.approx(1.0) and total == pytest.approx(1.0)
-
-    def test_all_equal(self):
-        assert variance_decomposition([2.0, 2.0, 2.0], [0, 1, 0]) == (0.0, 0.0, 0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            variance_decomposition([], [])
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_identity(self, data):
-        n = data.draw(st.integers(1, 60))
-        values = data.draw(
-            st.lists(st.floats(-100, 100, allow_nan=False), min_size=n, max_size=n)
-        )
-        groups = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-        total, within, between = variance_decomposition(values, groups)
-        assert within + between == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
 class TestDecompositionIdentity:

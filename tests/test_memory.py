@@ -3,9 +3,10 @@
 numpy registers its array buffers with tracemalloc, so the traced peak counts
 every row-sized array a call holds at once. Each bound sits about halfway
 between the peaks with and without what it guards: `train` drops each
-step's gradient arrays before the next step, and `generate` drops its raw
-draw before the dataset copies its columns; `load_csv` keeps one list per
-column, not one per row; `effective_gradient` gathers its
+step's gradient arrays before the next step, and an MLP's backward pass
+sums its rows in blocks; `generate` drops its raw draw before the dataset
+copies its columns; `load_csv` keeps one `array.array` of floats per
+column, not Python floats; `effective_gradient` gathers its
 coefficient tables a block of rows at a time; `subset_stats` weighs by a
 writeable view of the outcome, which `np.bincount` does not copy; and the
 dataset constructor checks the arm values without `np.isin`.
@@ -17,6 +18,7 @@ import numpy as np
 
 from liftloss import (
     ABDataset,
+    Activation,
     DataGenConfig,
     GradConfig,
     ModelKind,
@@ -29,6 +31,7 @@ from liftloss import (
     global_lift,
     load_csv,
     predict,
+    random_params,
     save_csv,
     subset_stats,
     train,
@@ -102,7 +105,19 @@ def test_generate_holds_one_copy_of_the_data():
 
 
 def test_load_csv_keeps_columns_not_row_lists(tmp_path):
-    # 204 B/row with d=2 and true_lift; 284 with a Python list per row
+    # 85 B/row with d=2 and true_lift; 204 with a list of Python floats per
+    # column, 284 with a Python list per row
     path = tmp_path / "d.csv"
     save_csv(generate(DataGenConfig(n_rows=N_ROWS, seed=3)), path)
-    assert traced_peak(lambda: load_csv(path)) / N_ROWS < 245.0
+    assert traced_peak(lambda: load_csv(path)) / N_ROWS < 145.0
+
+
+def test_mlp_train_backprops_in_row_blocks():
+    # 287 B/row above the dataset, 256 of them the hidden layer; 306 with
+    # the backward pass's (n, d + 1) buffer spanning all rows
+    ds = generate(DataGenConfig(n_rows=N_ROWS, seed=3))
+    spec = ModelSpec(ModelKind.MLP, 2, hidden=32, activation=Activation.TANH)
+    init = random_params(spec, seed=0)
+    config = TrainConfig(step_size=0.1, steps=3, grad=GradConfig(n_bins=10))
+    train(ds, spec, init, config)  # fills the cached quantile subsample draw first
+    assert traced_peak(lambda: train(ds, spec, init, config)) / N_ROWS < 297.0

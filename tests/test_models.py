@@ -15,9 +15,12 @@ from liftloss import (
     ModelSpec,
     TrainConfig,
     TrainingDivergedError,
+    assign_bins,
     backprop,
+    compute_cuts,
     effective_gradient,
     generate,
+    global_lift,
     load_csv,
     load_params,
     n_params,
@@ -25,7 +28,9 @@ from liftloss import (
     random_params,
     save_csv,
     save_params,
+    subset_stats,
     train,
+    true_lift_loss,
 )
 from liftloss import models
 from liftloss.dataset import DataGenConfig
@@ -39,6 +44,7 @@ from reference_models import (
 
 
 LINEAR2 = ModelSpec(ModelKind.LINEAR, 2)
+B = models.BACKWARD_BLOCK_ROWS
 
 
 def small_mlp():
@@ -189,6 +195,23 @@ class TestMatchesUnfactoredReference:
         np.testing.assert_array_equal(predict(spec, params, x), reference_predict(spec, params, x))
         ref = reference_backprop(spec, params, x, g)
         assert np.abs(backprop(spec, params, x, g) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    def test_backward_row_blocks_match_reference_across_block_edges(self, n, activation):
+        # the draws above stay below one block; these cross its edges, in both layouts
+        rng = np.random.default_rng(n)
+        for d in (1, 2, 4):
+            for hidden in (1, 32, 40):
+                spec = ModelSpec(ModelKind.MLP, d, hidden=hidden, activation=activation)
+                params = rng.normal(0.0, 0.7, n_params(spec))
+                g = rng.normal(size=n)
+                for x in (rng.normal(size=(n, d)), np.asfortranarray(rng.normal(size=(n, d)))):
+                    np.testing.assert_array_equal(
+                        predict(spec, params, x), reference_predict(spec, params, x))
+                    ref = reference_backprop(spec, params, x, g)
+                    got = backprop(spec, params, x, g)
+                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (d, hidden)
 
 
 class TestTrain:
@@ -350,6 +373,32 @@ class TestTrain:
         params, trace = train(ds, spec, init, config)
         assert trace.entries[-1].loss < trace.entries[0].loss
         assert np.isfinite(params).all()
+
+    def test_minibatches_train_alike_with_or_without_true_lift(self):
+        ds = generate(DataGenConfig(n_rows=6000, seed=8))
+        bare = ABDataset(ds.features, ds.outcome, ds.arm)
+        spec = small_mlp()
+        config = TrainConfig(step_size=0.05, steps=15, grad=GradConfig(n_bins=5, rebin_every=3),
+                             batch=900, seed=4)
+        params, trace = train(ds, spec, random_params(spec, seed=8), config)
+        bare_params, bare_trace = train(bare, spec, random_params(spec, seed=8), config)
+        assert bare_params.tobytes() == params.tobytes()
+        assert bare_trace.losses().tobytes() == trace.losses().tobytes()
+        assert bare_trace.events == trace.events
+
+    @pytest.mark.parametrize("spec", [LINEAR2, small_mlp()], ids=["linear", "mlp"])
+    def test_last_loss_recomputes_from_the_returned_params(self, spec):
+        # the last step evaluates the loss without building a gradient
+        ds = generate(DataGenConfig(n_rows=20_000, seed=9))
+        init = np.array([1.0, 0.1, 1.0]) if spec is LINEAR2 else random_params(spec, seed=9)
+        config = TrainConfig(step_size=0.1, steps=6, grad=GradConfig(n_bins=10))
+        params, trace = train(ds, spec, init, config)
+        preds = predict(spec, params, ds)
+        bins = assign_bins(preds, compute_cuts(preds, 10))
+        report = true_lift_loss(subset_stats(ds, preds, bins, 10, global_lift(ds)))
+        last = trace.entries[-1]
+        assert (last.loss, last.bias_term, last.separation_term) == (
+            report.loss, report.bias_term, report.separation_term)
 
 
 class TestDegenerateTraining:

@@ -31,8 +31,8 @@ __all__ = [
 MAX_SORT = 100_000
 # assign_bins counts cuts up to this many bins; int8 counts would overflow at 128
 COUNT_MAX_BINS = 64
-# rows per block of assign_bins' count and assign_segments' labels: a block of
-# predictions stays in cache for all of its comparisons
+# rows per block of assign_bins' count: a block of predictions stays in cache
+# for all of its cut comparisons
 BIN_BLOCK_ROWS = 1 << 16
 
 
@@ -262,35 +262,19 @@ def assign_segments(predictions, inner: InnerCuts, bins: np.ndarray) -> np.ndarr
     bin's upper cut (candidates to migrate up), bottom within one segment of
     the lower cut (candidates to migrate down). The first bin has no bottom
     segment and the last no top segment; their outer regions stay middle, so
-    with one bin and empty `inner` every row is middle. Rows are labelled
-    `BIN_BLOCK_ROWS` at a time, so each block's thresholds and masks stay
-    in cache; a bin outside 1..n_bins raises BinningError.
+    with one bin and empty `inner` every row is middle. A bin outside
+    1..n_bins raises BinningError.
     """
     p = _check_predictions(predictions)
-    bins = np.asarray(bins)
-    if bins.shape != p.shape:
-        raise BinningError(f"bins shape {bins.shape} does not match predictions {p.shape}")
+    if np.shape(bins) != p.shape:
+        raise BinningError(f"bins shape {np.shape(bins)} does not match predictions {p.shape}")
+    n_bins = inner.minus.size + 1
+    if bins.min() < 1 or bins.max() > n_bins:
+        raise BinningError(f"bin index out of range 1..{n_bins}")
     # per-bin thresholds indexed by the 1-based bin itself; the edge bins'
     # outward sides can never be crossed, and index 0 is no bin
-    upper = np.concatenate(([np.nan], inner.minus, [np.inf]))
-    lower = np.concatenate(([np.nan, -np.inf], inner.plus))
-    n_bins = upper.size - 1
-    seg = np.empty(p.shape, dtype=np.int8)
-    threshold_buf = np.empty(min(p.size, BIN_BLOCK_ROWS))
-    top_buf = np.empty(threshold_buf.shape, dtype=bool)
-    bottom_buf = np.empty(threshold_buf.shape, dtype=bool)
-    for start in range(0, p.size, BIN_BLOCK_ROWS):
-        rows = slice(start, start + BIN_BLOCK_ROWS)
-        block, bins_b = p[rows], bins[rows]
-        if bins_b.min() < 1 or bins_b.max() > n_bins:
-            raise BinningError(f"bin index out of range 1..{n_bins}")
-        k = block.size
-        # the range is checked, so "clip" can gather straight into the buffer
-        # ("raise" would gather into a copy of it first)
-        threshold = upper.take(bins_b, out=threshold_buf[:k], mode="clip")
-        top = np.greater(block, threshold, out=top_buf[:k])
-        threshold = lower.take(bins_b, out=threshold_buf[:k], mode="clip")
-        bottom = np.less(block, threshold, out=bottom_buf[:k])
-        np.add(top.view(np.int8), np.int8(Segment.MIDDLE), out=seg[rows])  # MIDDLE + 1 == TOP
-        seg[rows] -= np.greater(bottom, top, out=bottom)  # bottom & ~top; MIDDLE - 1 == BOTTOM
+    top = p > np.concatenate(([np.nan], inner.minus, [np.inf])).take(bins)
+    bottom = p < np.concatenate(([np.nan, -np.inf], inner.plus)).take(bins)
+    seg = top.view(np.int8) + np.int8(Segment.MIDDLE)  # MIDDLE + 1 == TOP
+    seg -= np.greater(bottom, top, out=bottom)  # bottom & ~top; MIDDLE - 1 == BOTTOM
     return seg

@@ -6,7 +6,6 @@ import csv
 import enum
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -113,14 +112,6 @@ class ABDataset:
         """The arm as a read-only boolean view: no copy, the same bytes as `arm == 1`."""
         return self.arm.view(np.bool_)
 
-    @cached_property
-    def _global_lift(self) -> float:
-        """`loss.global_lift`'s value, computed on first use: the columns never change."""
-        treated = self.is_treatment
-        # `compress` picks the rows of `y[mask]` in the same order, several times faster
-        y = self.outcome
-        return float(np.compress(treated, y).mean() - np.compress(~treated, y).mean())
-
     def take(self, indices: np.ndarray) -> "ABDataset":
         """Subset by integer row indices (used for minibatching).
 
@@ -128,13 +119,8 @@ class ABDataset:
         column-major (k, d) array: the same values as `features[indices]`
         in the layout the constructor gives. The rows were validated when
         this dataset was built, so the subset is stored as gathered; only
-        the check that both arms are present runs again. The subset computes
-        its own global lift when asked; it never shares this dataset's.
+        the check that both arms are present runs again.
         """
-        return self._take(indices, keep_lift=True)
-
-    def _take(self, indices: np.ndarray, keep_lift: bool) -> "ABDataset":
-        """`take`, leaving out `true_lift` unless `keep_lift`."""
         idx = np.asarray(indices)
         if idx.ndim != 1 or idx.dtype.kind not in "iu":
             raise TypeError(
@@ -143,7 +129,7 @@ class ABDataset:
         feats = self.features.T.take(idx, axis=1).T
         arm = self.arm.take(idx)
         _require_both_arms(arm)
-        lift = self.true_lift.take(idx) if keep_lift and self.true_lift is not None else None
+        lift = None if self.true_lift is None else self.true_lift.take(idx)
         subset = object.__new__(ABDataset)
         subset._freeze(feats, self.outcome.take(idx), arm, lift)
         return subset

@@ -89,12 +89,11 @@ class SubsetStats:
 
 
 def global_lift(dataset: ABDataset) -> float:
-    """Mean treated minus mean control outcome over all rows: the one global-lift estimate.
-
-    Computed once per dataset and cached on it, since its columns are
-    read-only; a `take` subset computes its own.
-    """
-    return dataset._global_lift
+    """Mean treated minus mean control outcome over all rows: the one global-lift estimate."""
+    treated = dataset.is_treatment
+    y = dataset.outcome
+    # `compress` picks the rows of `y[mask]` in the same order, several times faster
+    return float(np.compress(treated, y).mean() - np.compress(~treated, y).mean())
 
 
 def subset_stats(

@@ -253,9 +253,8 @@ def train(
     minibatch that draws rows of one arm only, naming the step and the batch
     size. Each step builds the MLP hidden layer once, for the forward pass,
     and hands it to the backward pass, which sums it in row blocks.
-    The work skips what nothing reads: the global lift is the dataset's
-    cached `global_lift`, minibatches are gathered without `true_lift`, and
-    the last step scores the loss without building (or checking) a gradient.
+    The last step scores the loss only, without building (or checking) a
+    gradient that nothing would read.
     Each step's arrays (the effective gradient's, an MLP's hidden layer)
     are released before the next step builds its own, so a full-batch step
     peaks at about 27 B/row above the dataset at 1M rows and 31 at 200k
@@ -278,7 +277,7 @@ def train(
         else:
             idx = rng.choice(len(dataset), size=config.batch, replace=False)
             try:
-                data_t = dataset._take(idx, keep_lift=False)  # nothing here reads true_lift
+                data_t = dataset.take(idx)
             except ValueError as err:  # the draw holds rows of one arm only
                 raise ValueError(
                     f"step {t}: minibatch of {config.batch} rows has {err}; use a larger batch"

@@ -609,26 +609,6 @@ class TestAssignSegments:
         np.testing.assert_array_equal(seg, expected)
         assert seg.dtype == expected.dtype
 
-    @pytest.mark.parametrize("n_bins", [2, 10, 65])
-    @pytest.mark.parametrize(
-        "n", [BIN_BLOCK_ROWS - 1, BIN_BLOCK_ROWS, BIN_BLOCK_ROWS + 1, 2 * BIN_BLOCK_ROWS + 1]
-    )
-    def test_row_blocks_match_reference_across_block_edges(self, n, n_bins):
-        # rows exactly on every cut, minus and plus, some of them on the block edges
-        rng = np.random.default_rng(n + n_bins)
-        preds = rng.normal(size=n)
-        cuts = compute_cuts(preds, n_bins)
-        inner = inner_cuts(cuts)
-        ties = np.concatenate([cuts.cuts, inner.minus, inner.plus])
-        rows = np.concatenate([[0, n - 1], np.arange(BIN_BLOCK_ROWS - 2, n, BIN_BLOCK_ROWS)])
-        rows = np.unique(np.concatenate([rows, rng.choice(n, 3 * ties.size, replace=False)]))
-        preds[rows] = np.resize(ties, rows.size)
-        bins = assign_bins(preds, cuts)
-        seg = assign_segments(preds, inner, bins)
-        expected = reference_assign_segments(preds, cuts, inner, bins)
-        assert (seg.dtype, seg.tobytes()) == (expected.dtype, expected.tobytes())
-        assert (seg == Segment.TOP).any() and (seg == Segment.BOTTOM).any()
-
     @pytest.mark.parametrize("bad", [0, -1, 5])
     def test_bins_outside_the_range_raise(self, bad):
         p = np.linspace(0.0, 1.0, 12)

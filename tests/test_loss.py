@@ -93,19 +93,6 @@ class TestGlobalLift:
         got = global_lift(make_dataset(np.zeros(len(y)), y, arm))
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
-    def test_cached_value_is_the_arms_value_and_subsets_compute_their_own(self):
-        ds = generate(DataGenConfig(n_rows=5000, seed=4))
-        treated = ds.arm == 1
-        expected = float(ds.outcome[treated].mean() - ds.outcome[~treated].mean())
-        for _ in range(2):  # the first call fills the cache, the second reads it
-            assert np.float64(global_lift(ds)).tobytes() == np.float64(expected).tobytes()
-        rows = np.flatnonzero(treated)[:100]
-        subset = ds.take(np.concatenate([rows, np.flatnonzero(~treated)[:300]]))
-        y = subset.outcome
-        own = float(y[:100].mean() - y[100:].mean())
-        assert own != expected
-        assert np.float64(global_lift(subset)).tobytes() == np.float64(own).tobytes()
-
 
 class TestSubsetStats:
     def test_hand_arithmetic_single_bin(self):

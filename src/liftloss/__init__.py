@@ -10,7 +10,6 @@ from .binning import (
     BinningError,
     CutPoints,
     DegeneratePredictionsError,
-    InnerCuts,
     Segment,
     assign_bins,
     assign_segments,
@@ -31,7 +30,6 @@ from .gradient import (
     GradConfig,
     bias_gradient,
     effective_gradient,
-    loss_partials,
 )
 from .loss import (
     EmptyArmInBinError,

@@ -7,7 +7,8 @@ of a middle row's point gradient) is compared against one central finite
 difference of the loss per frozen bin, and each boundary row's migration
 part (its point gradient minus the bias channel) against a re-evaluation of
 the loss after moving that row between bins, with the lifts updated from
-the pre-move arm counts. Neither error grows with the row count.
+the pre-move arm counts, read with the arm means from the stats' (bin, arm)
+table. Neither error grows with the row count.
 """
 
 from __future__ import annotations
@@ -89,12 +90,10 @@ def migration_recompute_check(dataset: ABDataset, eg: EffectiveGradient) -> tupl
     # each lift moves by the row's own-arm (mean - y) over the pre-move arm
     # count: with the arm mean for a treated row, against it for a control row
     arm, y = dataset.arm[rows], dataset.outcome[rows].astype(ld)
-    mean_y = np.stack([s.mean_y_c, s.mean_y_t], axis=1).astype(ld)
-    size_arm = np.stack([s.size_c, s.size_t], axis=1)
     sign = 2.0 * arm - 1.0
-    lifts, mean_pred = s.lift.astype(ld), s.mean_pred.astype(ld)
-    lift_src = lifts[src] + sign * (mean_y[src, arm] - y) / size_arm[src, arm]
-    lift_dst = lifts[dst] - sign * (mean_y[dst, arm] - y) / size_arm[dst, arm]
+    lifts, mean_pred, mean_y = s.lift.astype(ld), s.mean_pred.astype(ld), s.mean_y.astype(ld)
+    lift_src = lifts[src] + sign * (mean_y[src, arm] - y) / s.count[src, arm]
+    lift_dst = lifts[dst] - sign * (mean_y[dst, arm] - y) / s.count[dst, arm]
 
     def contribution(bin0, lift, grow=0):
         gap, sep = mean_pred[bin0] - lift, lift - ld(s.global_lift)

@@ -135,8 +135,9 @@ def _migration_tables(
     w_from = (d_lift + size_slope)[:, None]
     w_to = (d_lift - size_slope)[:, None]
     # lift change of a bin when one row of arm (control, treatment) leaves it
-    leave_a = np.stack([-stats.mean_y_c / stats.size_c, stats.mean_y_t / stats.size_t], axis=1)
-    leave_b = np.stack([1.0 / stats.size_c, -1.0 / stats.size_t], axis=1)
+    sign = np.array([-1.0, 1.0])
+    leave_a = sign * stats.mean_y / stats.count
+    leave_b = -sign / stats.count
     a = np.zeros((n, 3, 2))
     b = np.zeros((n, 3, 2))
     dp_up = (MIGRATION_STEP_SCALE * (cuts.cuts - inner.minus))[:, None]

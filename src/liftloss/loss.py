@@ -8,12 +8,13 @@ separation reward (squared gap between the bin's lift and the global lift):
 
 Every lift here is estimated from outcomes as mean(y | treatment) minus
 mean(y | control), so the loss is computable on real A/B-test data where
-per-row lifts are unobservable.
+per-row lifts are unobservable. So the loss reads a table of row counts and
+mean outcomes per (bin, arm), `SubsetStats`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,46 +47,50 @@ class EmptyArmInBinError(ValueError):
         super().__init__(f"bin {bin_index} of {n_bins} has no {rows}; {advice}")
 
 
-# the per-bin columns of SubsetStats, in the order the bin tables list them
-BIN_FIELDS = ("size", "size_t", "size_c", "mean_pred", "mean_y_t", "mean_y_c", "lift")
-
-
 @dataclass(frozen=True)
 class SubsetStats:
-    """Counts and means per prediction bin, plus the global lift.
+    """The per-(bin, arm) table behind the loss, plus the global lift.
 
-    `lift[n]` is the estimated lift of bin n+1: mean treated outcome minus
-    mean control outcome within the bin. `max_arm_imbalance` is a
-    randomization diagnostic: the largest deviation of a bin's treated share
-    from the overall treated share.
+    `count[n, a]` and `mean_y[n, a]` are the rows and mean outcome of bin n+1
+    in arm a, column 0 control and 1 treatment as in the dataset's arm;
+    `mean_pred[n]` is the bin's mean prediction. Only these and the global
+    lift are set. `size`, `total_size` and `lift` (mean treated minus mean
+    control outcome) are derived from them, and `max_arm_imbalance`, the
+    largest gap between a bin's treated share and the overall one, when read.
+    The one emptiness check: EmptyArmInBinError for the first bin without
+    treatment rows, else without control rows, naming no arm if it has no rows.
     """
 
-    size: np.ndarray
-    size_t: np.ndarray
-    size_c: np.ndarray
+    count: np.ndarray
+    mean_y: np.ndarray
     mean_pred: np.ndarray
-    mean_y_t: np.ndarray
-    mean_y_c: np.ndarray
-    lift: np.ndarray
-    total_size: int
     global_lift: float
-    max_arm_imbalance: float
+    size: np.ndarray = field(init=False)
+    lift: np.ndarray = field(init=False)
+    total_size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.size.shape[0]
-        for name in BIN_FIELDS:
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-        if not (self.size == self.size_t + self.size_c).all():
-            raise ValueError("per-bin sizes must satisfy size = size_t + size_c")
-        if (self.size_t < 1).any() or (self.size_c < 1).any():
-            raise ValueError("every bin needs at least one row from each arm")
-        if int(self.size.sum()) != self.total_size:
-            raise ValueError("bin sizes must sum to total_size")
+        n = self.count.shape[0]
+        if (self.count.shape, self.mean_y.shape, self.mean_pred.shape) != ((n, 2), (n, 2), (n,)):
+            raise ValueError(f"count and mean_y must have shape ({n}, 2) and mean_pred ({n},)")
+        size = self.count.sum(axis=1)
+        for arm, arm_name in ((1, "treatment"), (0, "control")):
+            empty = np.flatnonzero(self.count[:, arm] < 1)
+            if empty.size:
+                k = int(empty[0])
+                raise EmptyArmInBinError(k + 1, n, arm_name if size[k] else None)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "lift", self.mean_y[:, 1] - self.mean_y[:, 0])
+        object.__setattr__(self, "total_size", int(size.sum()))
 
     @property
     def n_bins(self) -> int:
-        return self.size.shape[0]
+        return self.count.shape[0]
+
+    @property
+    def max_arm_imbalance(self) -> float:
+        treated = self.count[:, 1]
+        return float(np.abs(treated / self.size - int(treated.sum()) / self.total_size).max())
 
 
 def global_lift(dataset: ABDataset) -> float:
@@ -103,16 +108,17 @@ def subset_stats(
     n_bins: int,
     cached_global_lift: float | None = None,
 ) -> SubsetStats:
-    """Per-bin counts and means from one pass over the rows.
+    """The per-(bin, arm) table of counts and mean outcomes, from one pass over the rows.
 
     Rows are counted and summed by one `bincount` key, `bins * 2 + arm`, in
-    the integer width of the row indices, so `int8` or list bins cannot wrap.
-    The same counts hold the range check: a bin below 1 makes the key
-    negative or lands in buckets 0 and 1, and a bin above `n_bins` lengthens
-    the result. Raises EmptyArmInBinError if any bin lacks treatment or
-    control rows. The global lift is `global_lift(dataset)`, which `train`
-    pins, unless `cached_global_lift` pins another (for a minibatch, the
-    full data's, which is less noisy than the batch's).
+    the integer width of the row indices, so `int8` or list bins cannot wrap;
+    its buckets, reshaped to (n_bins, 2), are the table's cells. The same
+    counts hold the range check: a bin below 1 makes the key negative or
+    lands in buckets 0 and 1, and a bin above `n_bins` lengthens the result.
+    An empty cell raises EmptyArmInBinError from `SubsetStats`. The global
+    lift is `global_lift(dataset)`, which `train` pins, unless
+    `cached_global_lift` pins another (for a minibatch, the full data's,
+    which is less noisy than the batch's).
     """
     p = np.asarray(predictions, dtype=np.float64)
     bins = np.asarray(bins)
@@ -120,8 +126,7 @@ def subset_stats(
         raise ValueError("predictions and bins must align with the dataset rows")
     # before the key, so the lift's temporaries and the key are never alive together
     gl = global_lift(dataset) if cached_global_lift is None else float(cached_global_lift)
-    # one bucket per (bin, arm): column 0 is control, column 1 treatment; each
-    # bucket sums its rows in row order, as a per-arm masked bincount would
+    # each bucket sums its rows in row order, as a per-arm masked bincount would
     key = np.multiply(bins, 2, dtype=np.intp)
     key += dataset.arm
     n_keys = 2 * n_bins + 2
@@ -131,62 +136,42 @@ def subset_stats(
         raise ValueError("bin index out of range") from None
     if counts.size > n_keys or counts[0] or counts[1]:
         raise ValueError("bin index out of range")
-    count_c, count_t = counts[2:].reshape(n_bins, 2).T
+    count = counts[2:].reshape(n_bins, 2)
     # the writeable view of the outcome: bincount would copy the read-only column
     y = dataset._outcome_weights
-    sum_y_c, sum_y_t = np.bincount(key, weights=y, minlength=n_keys)[2:].reshape(n_bins, 2).T
+    sum_y = np.bincount(key, weights=y, minlength=n_keys)[2:].reshape(n_bins, 2)
     sum_pred = np.bincount(bins, weights=p, minlength=n_bins + 1)[1:]
-    count = count_c + count_t
-    for arm_count, arm_name in ((count_t, "treatment"), (count_c, "control")):
-        empty = np.flatnonzero(arm_count == 0)
-        if empty.size:
-            k = int(empty[0])
-            raise EmptyArmInBinError(k + 1, n_bins, arm_name if count[k] else None)
-    total = int(count.sum())
-    total_t = int(count_t.sum())
-    mean_y_t = sum_y_t / count_t
-    mean_y_c = sum_y_c / count_c
-    imbalance = float(np.abs(count_t / count - total_t / total).max())
-    return SubsetStats(
-        size=count,
-        size_t=count_t,
-        size_c=count_c,
-        mean_pred=sum_pred / count,
-        mean_y_t=mean_y_t,
-        mean_y_c=mean_y_c,
-        lift=mean_y_t - mean_y_c,
-        total_size=total,
-        global_lift=gl,
-        max_arm_imbalance=imbalance,
-    )
+    # an empty cell divides by zero here, and SubsetStats rejects it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return SubsetStats(count, sum_y / count, sum_pred / count.sum(axis=1), gl)
 
 
 @dataclass(frozen=True)
 class LossReport:
-    """Loss value with its bias / separation split and the stats behind it."""
+    """The loss's bias and separation terms and the stats behind them."""
 
-    loss: float
     bias_term: float
     separation_term: float
-    n_bins: int
     stats: SubsetStats
+
+    @property
+    def loss(self) -> float:
+        return self.bias_term - self.separation_term
+
+    @property
+    def n_bins(self) -> int:
+        return self.stats.n_bins
 
 
 def true_lift_loss(stats: SubsetStats) -> LossReport:
     """Evaluate the binned lift loss from subset statistics.
 
-    The report satisfies ``loss == bias_term - separation_term`` exactly.
+    The report's ``loss`` is ``bias_term - separation_term``, exactly.
     """
     weight = stats.size / stats.total_size
     bias = float((weight * (stats.mean_pred - stats.lift) ** 2).sum())
     separation = float((weight * (stats.lift - stats.global_lift) ** 2).sum())
-    return LossReport(
-        loss=bias - separation,
-        bias_term=bias,
-        separation_term=separation,
-        n_bins=stats.n_bins,
-        stats=stats,
-    )
+    return LossReport(bias, separation, stats)
 
 
 def pointwise_mse(discrete_predictions, true_lifts) -> float:
@@ -207,8 +192,11 @@ def pointwise_mse(discrete_predictions, true_lifts) -> float:
 
 
 def bin_table(stats: SubsetStats) -> dict[str, np.ndarray]:
-    """The per-bin table by column: `bin` (numbered from 1), then `BIN_FIELDS`."""
-    return {"bin": np.arange(1, stats.n_bins + 1)} | {k: getattr(stats, k) for k in BIN_FIELDS}
+    """The per-bin table by column, bins numbered from 1; `_t` is treatment, `_c` control."""
+    (size_c, size_t), (mean_y_c, mean_y_t) = stats.count.T, stats.mean_y.T
+    return {"bin": np.arange(1, stats.n_bins + 1), "size": stats.size, "size_t": size_t,
+            "size_c": size_c, "mean_pred": stats.mean_pred, "mean_y_t": mean_y_t,
+            "mean_y_c": mean_y_c, "lift": stats.lift}
 
 
 def write_loss_report(report: LossReport, path: str | Path) -> None:

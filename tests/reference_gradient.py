@@ -19,7 +19,9 @@ tests can compare the two on random instances:
 - `reference_subset_stats`: five masked `bincount`s per call;
 - `reference_keyed_subset_stats`: one `bins0 * 2 + arm` key after a
   min/max range check on `bins0 = bins - 1`; both take an unpinned global
-  lift as the difference of the boolean-indexed arm means;
+  lift as the difference of the boolean-indexed arm means, and both check
+  the sizes, total, lifts and arm imbalance that `SubsetStats` derives
+  from their table against their own;
 - `reference_assign_bins`: the cuts below each row counted in one
   (rows, cuts) comparison table, for every bin count;
 - `reference_assign_segments`: per-row boundary indices and masks;
@@ -206,18 +208,18 @@ def reference_subset_stats(bins, predictions, outcome, arm, n_bins, cached_globa
     mean_y_t = sum_y_t / count_t
     mean_y_c = sum_y_c / count_c
     imbalance = float(np.abs(count_t / count - total_t / total).max())
-    return SubsetStats(
-        size=count.copy(),
-        size_t=count_t.copy(),
-        size_c=count_c,
-        mean_pred=sum_pred / count,
-        mean_y_t=mean_y_t,
-        mean_y_c=mean_y_c,
-        lift=mean_y_t - mean_y_c,
-        total_size=total,
-        global_lift=gl,
-        max_arm_imbalance=imbalance,
-    )
+    return _checked_stats(count_c, count_t, mean_y_c, mean_y_t, sum_pred / count, gl,
+                          count, total, imbalance)
+
+
+def _checked_stats(count_c, count_t, mean_y_c, mean_y_t, mean_pred, gl, count, total, imbalance):
+    """The per-(bin, arm) table of per-arm arrays; its derived values must equal the caller's own."""
+    stats = SubsetStats(np.stack([count_c, count_t], axis=1), np.stack([mean_y_c, mean_y_t], axis=1),
+                        mean_pred, gl)
+    assert stats.size.tobytes() == count.tobytes() and stats.total_size == total
+    assert stats.lift.tobytes() == (mean_y_t - mean_y_c).tobytes()
+    assert stats.max_arm_imbalance == imbalance
+    return stats
 
 
 def reference_keyed_subset_stats(dataset, predictions, bins, n_bins, cached_global_lift=None):
@@ -250,18 +252,8 @@ def reference_keyed_subset_stats(dataset, predictions, bins, n_bins, cached_glob
     mean_y_t = sum_y_t / count_t
     mean_y_c = sum_y_c / count_c
     imbalance = float(np.abs(count_t / count - total_t / total).max())
-    return SubsetStats(
-        size=count,
-        size_t=count_t,
-        size_c=count_c,
-        mean_pred=sum_pred / count,
-        mean_y_t=mean_y_t,
-        mean_y_c=mean_y_c,
-        lift=mean_y_t - mean_y_c,
-        total_size=total,
-        global_lift=gl,
-        max_arm_imbalance=imbalance,
-    )
+    return _checked_stats(count_c, count_t, mean_y_c, mean_y_t, sum_pred / count, gl,
+                          count, total, imbalance)
 
 
 def reference_assign_bins(predictions, cuts: CutPoints) -> np.ndarray:
@@ -314,10 +306,11 @@ def loss_partials(stats: SubsetStats) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lift_deltas(stats: SubsetStats, y, treated, from0, to0):
-    d_from_t = (stats.mean_y_t[from0] - y) / stats.size_t[from0]
-    d_to_t = (y - stats.mean_y_t[to0]) / stats.size_t[to0]
-    d_from_c = (y - stats.mean_y_c[from0]) / stats.size_c[from0]
-    d_to_c = (stats.mean_y_c[to0] - y) / stats.size_c[to0]
+    (size_c, size_t), (mean_y_c, mean_y_t) = stats.count.T, stats.mean_y.T
+    d_from_t = (mean_y_t[from0] - y) / size_t[from0]
+    d_to_t = (y - mean_y_t[to0]) / size_t[to0]
+    d_from_c = (y - mean_y_c[from0]) / size_c[from0]
+    d_to_c = (mean_y_c[to0] - y) / size_c[to0]
     d_from = np.where(treated, d_from_t, d_from_c)
     d_to = np.where(treated, d_to_t, d_to_c)
     return d_from, d_to

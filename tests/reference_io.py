@@ -1,9 +1,10 @@
 """Row-by-row CSV writers kept as byte-level references for the column-wise writer.
 
 These are the package's writers as they were before every table went through
-`dataset.write_csv`: `save_csv` and `write_loss_report` verbatim, and the
-trace loop of `cli` wrapped into a function with its body unchanged. Tests
-compare the bytes the package writes now against these.
+`dataset.write_csv`: `save_csv` and `write_loss_report` verbatim (the
+latter reading each arm's count and mean from the stats' (bin, arm) table),
+and the trace loop of `cli` wrapped into a function with its body unchanged.
+Tests compare the bytes the package writes now against these.
 """
 
 import csv
@@ -41,11 +42,11 @@ def write_loss_report(report, path) -> None:
                 [
                     i + 1,
                     int(s.size[i]),
-                    int(s.size_t[i]),
-                    int(s.size_c[i]),
+                    int(s.count[i, 1]),
+                    int(s.count[i, 0]),
                     repr(float(s.mean_pred[i])),
-                    repr(float(s.mean_y_t[i])),
-                    repr(float(s.mean_y_c[i])),
+                    repr(float(s.mean_y[i, 1])),
+                    repr(float(s.mean_y[i, 0])),
                     repr(float(s.lift[i])),
                 ]
             )

@@ -33,6 +33,7 @@ from liftloss.cli import main
 from liftloss.gradient import bias_gradient
 
 from test_gradient import recompute_loss_slope
+from test_loss import lift_means
 
 SWEEP_SEEDS = (0, 1, 2, 3, 4)
 LINEAR2 = ModelSpec(ModelKind.LINEAR, 2)
@@ -100,7 +101,8 @@ def test_criterion_2_decomposition_identity():
         bins = assign_bins(preds, compute_cuts(preds, n_bins))
         stats = subset_stats(ds, preds, bins, n_bins)
         oracle_lift = np.bincount(bins - 1, weights=lifts, minlength=n_bins) / stats.size
-        oracle = dataclasses.replace(stats, lift=oracle_lift, global_lift=float(lifts.mean()))
+        oracle = dataclasses.replace(stats, mean_y=lift_means(oracle_lift),
+                                     global_lift=float(lifts.mean()))
         loss = true_lift_loss(oracle).loss
         mse = pointwise_mse(oracle.mean_pred[bins - 1], lifts)
         worst = max(worst, abs(mse - (loss + const)) / abs(mse))

@@ -9,7 +9,6 @@ from liftloss import (
     DataGenConfig,
     DegeneratePredictionsError,
     GradConfig,
-    InnerCuts,
     Segment,
     assign_bins,
     assign_segments,
@@ -18,7 +17,7 @@ from liftloss import (
     generate,
     inner_cuts,
 )
-from liftloss.binning import BIN_BLOCK_ROWS, COUNT_MAX_BINS, MAX_SORT, _subsample_rows
+from liftloss.binning import BIN_BLOCK_ROWS, COUNT_MAX_BINS, MAX_SORT, InnerCuts, _subsample_rows
 
 from reference_gradient import (
     reference_assign_bins,

@@ -18,7 +18,6 @@ from liftloss import (
     generate,
     global_lift,
     inner_cuts,
-    loss_partials,
     predict,
     subset_stats,
     true_lift_loss,
@@ -32,7 +31,7 @@ from liftloss.checks import (
     run_gradcheck,
 )
 from liftloss.dataset import DataGenConfig
-from liftloss.gradient import MIGRATION_STEP_SCALE, _migration_tables
+from liftloss.gradient import MIGRATION_STEP_SCALE, _migration_tables, loss_partials
 from liftloss.models import ModelKind, ModelSpec
 
 from dataset_helpers import make_dataset
@@ -46,25 +45,17 @@ from reference_gradient import (
 def recompute_loss_slope(stats, dp, y, treated, from0, to0):
     """Independent oracle: apply the prescribed one-row move to a stats copy,
     re-evaluate the full loss, and divide the change by the prediction shift.
-    Mean predictions and the global lift stay fixed."""
-    size = stats.size.copy()
-    size_t = stats.size_t.copy()
-    size_c = stats.size_c.copy()
-    lift = stats.lift.copy()
-    if treated:
-        lift[from0] += (stats.mean_y_t[from0] - y) / stats.size_t[from0]
-        lift[to0] += (y - stats.mean_y_t[to0]) / stats.size_t[to0]
-        size_t[from0] -= 1
-        size_t[to0] += 1
-    else:
-        lift[from0] += (y - stats.mean_y_c[from0]) / stats.size_c[from0]
-        lift[to0] += (stats.mean_y_c[to0] - y) / stats.size_c[to0]
-        size_c[from0] -= 1
-        size_c[to0] += 1
-    size[from0] -= 1
-    size[to0] += 1
-    assert size.sum() == stats.total_size  # one row moved, none created
-    moved = dataclasses.replace(stats, size=size, size_t=size_t, size_c=size_c, lift=lift)
+    The row's arm mean moves by (mean - y) / n in the bin it leaves and by
+    (y - mean) / n in the bin it joins, n the pre-move arm count; mean
+    predictions and the global lift stay fixed."""
+    arm = int(treated)
+    count, mean_y = stats.count.copy(), stats.mean_y.copy()
+    mean_y[from0, arm] += (stats.mean_y[from0, arm] - y) / stats.count[from0, arm]
+    mean_y[to0, arm] += (y - stats.mean_y[to0, arm]) / stats.count[to0, arm]
+    count[from0, arm] -= 1
+    count[to0, arm] += 1
+    assert count.sum() == stats.total_size  # one row moved, none created
+    moved = dataclasses.replace(stats, count=count, mean_y=mean_y)
     return (true_lift_loss(moved).loss - true_lift_loss(stats).loss) / dp
 
 
@@ -139,14 +130,13 @@ class TestLossPartials:
         d_lift, _ = loss_partials(stats)
         eps = 1e-6
         for n in range(4):
-            hi = stats.lift.copy()
-            hi[n] += eps
-            lo = stats.lift.copy()
-            lo[n] -= eps
-            fd = (
-                true_lift_loss(dataclasses.replace(stats, lift=hi)).loss
-                - true_lift_loss(dataclasses.replace(stats, lift=lo)).loss
-            ) / (2 * eps)
+            # a bin's lift moves with its treated mean
+            hi = stats.mean_y.copy()
+            hi[n, 1] += eps
+            lo = stats.mean_y.copy()
+            lo[n, 1] -= eps
+            hi, lo = dataclasses.replace(stats, mean_y=hi), dataclasses.replace(stats, mean_y=lo)
+            fd = (true_lift_loss(hi).loss - true_lift_loss(lo).loss) / (hi.lift[n] - lo.lift[n])
             assert fd == pytest.approx(d_lift[n], rel=1e-4)
 
 
@@ -156,9 +146,8 @@ class TestMigrationTerms:
         from test_loss import two_bin_stats
 
         stats = two_bin_stats(mean_pred=[0.7, 0.9], lift=[0.4, 0.6], gl=0.5, size=[10, 10])
-        stats = dataclasses.replace(
-            stats, mean_y_t=np.array([1.0, 1.0]), mean_y_c=np.array([0.5, 0.5])
-        )
+        # the same lifts, with the treated means matched
+        stats = dataclasses.replace(stats, mean_y=np.array([[0.6, 1.0], [0.4, 1.0]]))
         # brackets: (0.3)^2 - (0.1)^2 in both bins; treated row at the arm mean
         cuts = compute_cuts(np.linspace(0, 1, 20), 2)
         inner = inner_cuts(cuts)
@@ -409,7 +398,7 @@ class TestGradcheckOracles:
         ds = make_dataset(preds, ds.outcome, [0, 0, 1, 0, 1, 0])
         config = GradConfig(n_bins=2)
         eg = effective_gradient(ds, preds, config)
-        assert eg.segments[2] == Segment.TOP and ds.arm[2] == 1 and eg.stats.size_t[0] == 1
+        assert eg.segments[2] == Segment.TOP and ds.arm[2] == 1 and eg.stats.count[0, 1] == 1
         result = run_gradcheck(ds, preds, config)
         assert result.passed and result.migration_rows_checked == 2
         assert sabotaged_migration_err(ds, eg, 2) > MIGRATION_TOLERANCE

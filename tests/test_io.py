@@ -91,17 +91,12 @@ class TestLossReport:
     def test_matches_reference(self, tmp_path_factory, data):
         block = data.draw(BLOCKS)
         n = data.draw(st.integers(1, 12))
-        size_t = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n)))
-        size_c = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n)))
-        size = size_t + size_c
-        stats = SubsetStats(
-            size=size, size_t=size_t, size_c=size_c,
-            mean_pred=draw_floats(data, n), mean_y_t=draw_floats(data, n),
-            mean_y_c=draw_floats(data, n), lift=draw_floats(data, n),
-            total_size=int(size.sum()), global_lift=data.draw(FLOATS), max_arm_imbalance=0.0,
-        )
-        loss, bias, separation = (data.draw(FLOATS) for _ in range(3))
-        report = LossReport(loss, bias, separation, n, stats)
+        count = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=2 * n,
+                                            max_size=2 * n))).reshape(n, 2)
+        mean_y = np.column_stack([draw_floats(data, n), draw_floats(data, n)])
+        with np.errstate(over="ignore"):  # a lift of two huge means may be infinite
+            stats = SubsetStats(count, mean_y, draw_floats(data, n), data.draw(FLOATS))
+        report = LossReport(data.draw(FLOATS), data.draw(FLOATS), stats)
         with mock.patch.object(dataset_module, "CSV_BLOCK_ROWS", block):
             path = same_bytes(tmp_path_factory.mktemp("report"),
                               lambda p: write_loss_report(report, p),

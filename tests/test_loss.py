@@ -17,27 +17,26 @@ from liftloss import (
     true_lift_loss,
 )
 from liftloss.dataset import DataGenConfig
-from liftloss.loss import write_loss_report
+from liftloss.loss import bin_table, write_loss_report
 
 from dataset_helpers import make_dataset
 from reference_gradient import reference_keyed_subset_stats, reference_subset_stats
 
 
-def two_bin_stats(mean_pred, lift, gl, size=(10, 10)):
-    """Hand-assembled stats; arm means are placeholders consistent in shape."""
-    size = np.asarray(size, dtype=np.int64)
+def lift_means(lift):
+    """A (bin, arm) table of mean outcomes whose lifts are `lift`: control 0, treatment `lift`."""
     lift = np.asarray(lift, dtype=np.float64)
+    return np.column_stack([np.zeros_like(lift), lift])
+
+
+def two_bin_stats(mean_pred, lift, gl, size=(10, 10)):
+    """Hand-assembled stats with the given lifts, as `lift_means` lays them out."""
+    size = np.asarray(size, dtype=np.int64)
     return SubsetStats(
-        size=size,
-        size_t=size // 2,
-        size_c=size - size // 2,
+        count=np.column_stack([size - size // 2, size // 2]),
+        mean_y=lift_means(lift),
         mean_pred=np.asarray(mean_pred, dtype=np.float64),
-        mean_y_t=lift.copy(),
-        mean_y_c=np.zeros_like(lift),
-        lift=lift,
-        total_size=int(size.sum()),
         global_lift=gl,
-        max_arm_imbalance=0.0,
     )
 
 
@@ -100,8 +99,7 @@ class TestSubsetStats:
         preds = np.array([0.2, 0.4, 0.3])
         stats = subset_stats(ds, preds, np.array([1, 1, 1]), 1)
         assert stats.mean_pred[0] == pytest.approx(0.3)
-        assert stats.mean_y_t[0] == pytest.approx(2.0)
-        assert stats.mean_y_c[0] == pytest.approx(1.0)
+        assert stats.mean_y[0].tolist() == pytest.approx([1.0, 2.0])  # control, treatment
         assert stats.lift[0] == pytest.approx(1.0)
 
     def test_single_bin_collapses_to_globals(self):
@@ -124,6 +122,28 @@ class TestSubsetStats:
         with pytest.raises(EmptyArmInBinError,
                            match=r"^bin 2 of 2 has no rows; retry with fewer bins$"):
             subset_stats(ds, p, bins, 2)
+
+    @pytest.mark.parametrize("count,message", [
+        ([[1, 1], [0, 2]], "bin 2 of 2 has no control rows"),
+        ([[1, 0], [2, 2]], "bin 1 of 2 has no treatment rows"),
+        ([[0, 1], [1, 0]], "bin 2 of 2 has no treatment rows"),  # treatment is checked first
+        ([[1, 1], [0, 0]], "bin 2 of 2 has no rows"),
+    ])
+    def test_every_cell_needs_a_row(self, count, message):
+        # the one emptiness check, on the table itself, however it was built
+        with pytest.raises(EmptyArmInBinError, match=f"^{message}; retry with fewer bins$"):
+            SubsetStats(np.array(count), np.ones((2, 2)), np.zeros(2), 0.0)
+
+    def test_derived_values_cannot_be_set(self):
+        stats = two_bin_stats(mean_pred=[0.2, 0.8], lift=[0.1, 0.9], gl=0.5)
+        for name in ("size", "lift", "total_size"):
+            with pytest.raises(TypeError, match=name):
+                SubsetStats(stats.count, stats.mean_y, stats.mean_pred, 0.5, **{name: 1})
+            with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                dataclasses.replace(stats, **{name: getattr(stats, name)})
+        moved = dataclasses.replace(stats, mean_y=stats.mean_y + [[0.0, 1.0], [0.5, 0.0]])
+        assert moved.lift.tolist() == pytest.approx([1.1, 0.4])
+        assert moved.size.tolist() == [10, 10] and moved.total_size == 20
 
     def test_cached_global_lift_is_used(self):
         ds = generate(DataGenConfig(n_rows=400, seed=4))
@@ -276,12 +296,15 @@ class TestTrueLiftLoss:
         assert report.loss == report.bias_term - report.separation_term
 
     def test_report_csv_round_trip_fields(self, tmp_path):
-        stats = two_bin_stats(mean_pred=[0.2, 0.8], lift=[0.1, 0.9], gl=0.5)
+        ds = generate(DataGenConfig(n_rows=300, seed=8))
+        preds = ds.features[:, 0]
+        stats = subset_stats(ds, preds, assign_bins(preds, compute_cuts(preds, 2)), 2)
         report = true_lift_loss(stats)
         path = tmp_path / "report.csv"
         write_loss_report(report, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "bin,size,size_t,size_c,mean_pred,mean_y_t,mean_y_c,lift"
+        assert [c.dtype for c in bin_table(stats).values()] == [np.int64] * 4 + [np.float64] * 4
         assert len(lines) == 4 and lines[-1].startswith("# loss=")
         assert repr(report.loss) in lines[-1]
 
@@ -313,7 +336,8 @@ class TestDecompositionIdentity:
         stats = subset_stats(ds, preds, bins, n_bins)
         lifts = ds.true_lift
         oracle_lift = np.bincount(bins - 1, weights=lifts, minlength=n_bins) / stats.size
-        oracle = dataclasses.replace(stats, lift=oracle_lift, global_lift=float(lifts.mean()))
+        oracle = dataclasses.replace(stats, mean_y=lift_means(oracle_lift),
+                                     global_lift=float(lifts.mean()))
         loss = true_lift_loss(oracle).loss
         mse = pointwise_mse(oracle.mean_pred[bins - 1], lifts)
         const = float(np.mean((lifts - lifts.mean()) ** 2))

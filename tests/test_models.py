@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -451,6 +452,53 @@ class TestDegenerateTraining:
         assert params.tobytes() == ref_params.tobytes()
         assert trace.events == ref_trace.events
         assert [e.loss for e in trace.entries] == [e.loss for e in ref_trace.entries]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fails_only_as_its_docstring_says(self, data):
+        # each error that escapes must meet the condition the docstring gives for it
+        n = data.draw(st.integers(50, 3000), label="rows")
+        ds = generate(DataGenConfig(n, data.draw(st.floats(0.1, 0.9), label="treated share"),
+                                    seed=data.draw(st.integers(0, 2**32 - 1), label="data seed")))
+        spec = data.draw(st.sampled_from([LINEAR2] + [
+            ModelSpec(ModelKind.MLP, 2, hidden=h, activation=Activation.TANH) for h in (8, 32)
+        ]), label="model")
+        config = TrainConfig(
+            step_size=data.draw(st.floats(0.01, 1.0), label="lr"),
+            steps=data.draw(st.integers(0, 20), label="steps"),
+            grad=GradConfig(
+                n_bins=data.draw(st.integers(2, 20), label="n_bins"),
+                rebin_every=data.draw(st.integers(1, 4), label="rebin_every"),
+            ),
+            batch=data.draw(st.one_of(st.none(), st.integers(20, n)), label="batch"),
+            seed=data.draw(st.integers(0, 99), label="batch seed"),
+        )
+        init = random_params(spec, data.draw(st.integers(0, 99), label="init seed"))
+
+        def raised_at_step_0(err):
+            with pytest.raises(type(err)) as first:
+                train(ds, spec, init, dataclasses.replace(config, steps=0))
+            return str(first.value) == str(err)
+
+        try:
+            params, trace = train(ds, spec, init, config)
+        except EmptyArmInBinError as err:
+            at_two_bins = re.fullmatch(
+                r"bin [12] of 2 has no (control |treatment )?rows; at step (\d+), with the fewest "
+                r"bins allowed, use more rows or a larger batch", str(err))
+            assert raised_at_step_0(err) if at_two_bins is None else (
+                int(at_two_bins[2]) <= config.steps), err
+        except DegeneratePredictionsError as err:
+            assert raised_at_step_0(err), err
+        except TrainingDivergedError as err:
+            step = re.fullmatch(r".+ at step (\d+)", str(err))
+            assert step and len(err.trace.entries) == int(step[1]) <= config.steps, err
+        except ValueError as err:
+            step = re.fullmatch(r"step (\d+): minibatch of \d+ rows has no (control|treatment) "
+                                r"rows; use a larger batch", str(err))
+            assert step and int(step[1]) <= config.steps, err
+        else:
+            assert np.isfinite(params).all() and len(trace.entries) == config.steps + 1
 
 
 class TestTrainMatchesPublicLoop:

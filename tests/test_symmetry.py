@@ -37,13 +37,12 @@ from liftloss import (
     effective_gradient,
     generate,
     global_lift,
-    loss_partials,
     predict,
     true_lift_loss,
 )
 from liftloss.binning import MAX_SORT
 from liftloss.dataset import DataGenConfig
-from liftloss.gradient import MIGRATION_STEP_SCALE
+from liftloss.gradient import MIGRATION_STEP_SCALE, loss_partials
 from liftloss.models import ModelKind, ModelSpec, TrainConfig, train
 
 LINEAR = ModelSpec(ModelKind.LINEAR, 2)
@@ -86,8 +85,7 @@ def gradient_or_error(data, p, bins):
 
 def assert_same_structure(a, b):
     assert np.array_equal(a.bins, b.bins) and np.array_equal(a.segments, b.segments)
-    assert np.array_equal(a.stats.size_t, b.stats.size_t)
-    assert np.array_equal(a.stats.size_c, b.stats.size_c)
+    assert np.array_equal(a.stats.count, b.stats.count)
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,8 +164,8 @@ def shift_bounds(eg, m, predictions_moved=False):
     d_lift, d_size = loss_partials(s)
     weight = np.abs(d_lift) + 2 * np.abs(s.mean_pred - s.global_lift) / n
     d_weight = 2 * k * (w + 1 / n) * delta  # both parts move with the global lift
-    update = 2 * m / np.minimum(s.size_t, s.size_c)
-    d_update = 2 * delta / np.minimum(s.size_t, s.size_c)
+    update = 2 * m / s.count.min(axis=1)
+    d_update = 2 * delta / s.count.min(axis=1)
     d_size_err = 2 * (k * gap + 2 * sep) * delta / n
     per_bin = (weight * d_update + d_weight * update + d_size_err
                + 16 * U * (weight * update + np.abs(d_size)))
@@ -285,7 +283,7 @@ def test_mirror_reverses_bins_and_negates_gradient(seed, size, ties):
     assert mirrored
     if isinstance(base, type):
         return
-    assert np.array_equal(mirror.stats.size_t, base.stats.size_c[::-1])
+    assert np.array_equal(mirror.stats.count, base.stats.count[::-1, ::-1])  # arms swapped too
     # each bin's terms are the same numbers, summed in the reverse order
     before, after = true_lift_loss(base.stats), true_lift_loss(mirror.stats)
     terms = before.bias_term + before.separation_term

@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Allocations of generate, the effective gradient and train over dataset sizes and bin counts.
+"""Allocations of generate, the effective gradient, train and load_csv over dataset sizes and bin counts.
 
 tracemalloc's peak in bytes per row for `generate` (the dataset it returns
-included), for one `effective_gradient` call and for a 4-step `train` in
-each of perfbench's two training shapes (above the dataset, per row of a
-step, which the rows column shows): `train`, the linear model on the full
-batch, and `train (mlp)`, the hidden-32 tanh MLP on 100,000-row minibatches
-with cuts reused every 4 steps. It also prints the minor page faults per
-call once warm, and the process's peak RSS (`ru_maxrss`). The `train (csv)`
-and `train (mlp, csv)` rows then run the same calls on the dataset saved and
-read back through `load_csv`, the data `liftloss train --data` trains on,
-and print the peak RSS again with `load_csv`'s. A size too small for a bin
-count (a bin without an arm, or too few distinct predictions) prints a row
+included), for one `effective_gradient` call and for the op perfbench times
+on each of its workloads: an `OP_STEPS`-step `train` with the workload's
+model, initial parameters, step size, batch and cut reuse, at each given bin
+count. The settings and the data come from `perfbench.workloads`. A `train`
+peak is above the dataset, per row of a step, which the rows column shows:
+`train` is the linear model on the full batch, `train (mlp)` the MLP on
+minibatches. It also prints the minor page faults per call once warm, and the
+process's peak RSS (`ru_maxrss`). Then `load_csv` reads each size back from a
+CSV that `save_csv` wrote, and the peak RSS prints again. A size too small for
+a bin count (a bin without an arm, or too few distinct predictions) prints a row
 marking the pair skipped, naming the error. perfbench times these calls
 (`perfbench/run.py`). Set `OPENBLAS_NUM_THREADS=1` to pin BLAS as perfbench
 does:
@@ -21,56 +21,52 @@ does:
 
 import argparse
 import resource
+import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from liftloss import (
-    Activation,
     DataGenConfig,
     DegeneratePredictionsError,
     EmptyArmInBinError,
     GradConfig,
     ModelKind,
-    ModelSpec,
-    TrainConfig,
     effective_gradient,
     generate,
     global_lift,
     load_csv,
     predict,
-    random_params,
     save_csv,
     train,
 )
 
-OP_STEPS = 4  # perfbench's OP_STEPS
-LINEAR_SPEC = ModelSpec(ModelKind.LINEAR, 2)
-LINEAR_INIT = (1.0, 0.1, 1.0)  # perfbench's LINEAR_INIT
-# minibatch_mlp_1m's model, batch and cut reuse
-MLP_SPEC = ModelSpec(ModelKind.MLP, 2, 32, Activation.TANH)
-MLP_BATCH = 100_000
-MLP_REBIN_EVERY = 4
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # perfbench, from any directory
+from perfbench.workloads import OP_STEPS, WORKLOADS  # noqa: E402
+
+
+def gen_config(n: int, seed: int) -> DataGenConfig:
+    """perfbench's data at `n` rows; its workloads generate alike but for the row count."""
+    return replace(WORKLOADS["fullbatch_linear_1m"].gen_config(seed), n_rows=n)
 
 
 def gradient_call(dataset, n_bins: int, seed: int):
     rng = np.random.default_rng(seed)
-    preds = predict(LINEAR_SPEC, rng.normal(0, 0.5, 3), dataset)
+    preds = predict(WORKLOADS["fullbatch_linear_1m"].spec, rng.normal(0, 0.5, 3), dataset)
     config = GradConfig(n_bins=n_bins)
     cached = global_lift(dataset)
     return lambda: effective_gradient(dataset, preds, config, cached_global_lift=cached)
 
 
-def train_calls(dataset, n_bins: int, seed: int):
-    """A 4-step `train` in perfbench's linear and MLP shapes, each as (rows per step, call)."""
-    linear = TrainConfig(step_size=0.1, steps=OP_STEPS, grad=GradConfig(n_bins), seed=seed)
-    mlp = TrainConfig(step_size=0.1, steps=OP_STEPS, batch=MLP_BATCH, seed=seed,
-                      grad=GradConfig(n_bins, rebin_every=MLP_REBIN_EVERY))
-    mlp_init = random_params(MLP_SPEC, seed)
-    return [(len(dataset), lambda: train(dataset, LINEAR_SPEC, LINEAR_INIT, linear)),
-            (min(MLP_BATCH, len(dataset)), lambda: train(dataset, MLP_SPEC, mlp_init, mlp))]
+def train_call(w, dataset, n_bins: int, seed: int):
+    """perfbench's timed op of workload `w` at `n_bins` bins, as (rows per step, call)."""
+    w = replace(w, rows=len(dataset), bins=n_bins)
+    config = replace(w.train_config(seed), steps=OP_STEPS)
+    init = w.init_params(seed)
+    return min(w.rows_per_eval, w.rows), lambda: train(dataset, w.spec, init, config)
 
 
 def traced_peak(call) -> int:
@@ -88,14 +84,6 @@ def minor_faults(call) -> int:
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     call()
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-
-
-def csv_round_trip(dataset):
-    """`dataset` saved and read back through `load_csv`, as `liftloss train --data` reads it."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "data.csv"
-        save_csv(dataset, path)
-        return load_csv(path)
 
 
 def memory_row(name: str, n_bins, rows: int, call, reps: int) -> None:
@@ -132,22 +120,21 @@ def main() -> None:
     print(f"{'op':>18} {'bins':>5} {'rows':>10} {'best':>8} {'median':>8} {'worst':>8} "
           f"{'faults/op':>10}  (B/row of {reps}; faults median, warm)")
     for n in sizes:
-        config = DataGenConfig(n_rows=n, seed=seed)
+        config = gen_config(n, seed)
         dataset = generate(config)
         memory_row("generate", "", n, lambda: generate(config), reps)
         for n_bins in bin_counts:
             memory_row("effective_gradient", n_bins, n, gradient_call(dataset, n_bins, seed), reps)
-            for name, (rows, call) in zip(("train", "train (mlp)"),
-                                          train_calls(dataset, n_bins, seed)):
-                memory_row(name, n_bins, rows, call, reps)
+            for w in WORKLOADS.values():
+                name = "train (mlp)" if w.model is ModelKind.MLP else "train"
+                memory_row(name, n_bins, *train_call(w, dataset, n_bins, seed), reps)
     print_maxrss("")
-    # last, since load_csv's row lists set the process's peak RSS
+    # last, since reading the largest size back sets the process's peak RSS
     for n in sizes:
-        loaded = csv_round_trip(generate(DataGenConfig(n_rows=n, seed=seed)))
-        for n_bins in bin_counts:
-            for name, (rows, call) in zip(("train (csv)", "train (mlp, csv)"),
-                                          train_calls(loaded, n_bins, seed)):
-                memory_row(name, n_bins, rows, call, reps)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            save_csv(generate(gen_config(n, seed)), path)
+            memory_row("load_csv", "", n, lambda: load_csv(path), reps)
     print_maxrss(" after load_csv")
 
 

@@ -40,7 +40,7 @@ from .binning import (
     inner_cuts,
 )
 from .dataset import ABDataset
-from .loss import SubsetStats, subset_stats
+from .loss import EmptyArmInBinError, SubsetStats, subset_stats
 
 __all__ = [
     "MIGRATION_STEP_SCALE",
@@ -53,6 +53,8 @@ __all__ = [
 
 # the probe shift over the segment width; about half the segment's rows would cross
 MIGRATION_STEP_SCALE = 0.5
+# the remedy for a bin without an arm at 2 bins, the fewest `GradConfig` allows
+FEWEST_BINS_ADVICE = "with the fewest bins allowed, use more rows"
 
 # PointGradient: the per-row gradient is a plain float64 array aligned with
 # the dataset rows; see EffectiveGradient.point_grad.
@@ -158,14 +160,23 @@ def _binned_stats(
     """The cuts, bins, per-bin statistics and segment boundaries of `effective_gradient`.
 
     All the binned loss needs, with the same errors in the same order; `train`
-    calls it alone at its last step, whose gradient nothing reads.
+    calls it alone at its last step, whose gradient nothing reads. A bin
+    without an arm on cuts of its own at 2 bins advises `FEWEST_BINS_ADVICE`.
     """
     if p.shape != (len(dataset),):
         raise ValueError("predictions must align with the dataset rows")
-    if cuts is None:
+    fresh = cuts is None
+    if fresh:
         cuts = compute_cuts(p, config.n_bins)
     bins = assign_bins(p, cuts)
-    stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
+    try:
+        stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
+    except EmptyArmInBinError as err:
+        if not fresh or cuts.n_bins > 2:
+            raise  # fewer bins, or cuts of these predictions, may fill the cell
+        raise EmptyArmInBinError(
+            err.bin_index, err.n_bins, err.arm_name, FEWEST_BINS_ADVICE
+        ) from None
     return cuts, bins, stats, inner_cuts(cuts)
 
 
@@ -181,7 +192,9 @@ def effective_gradient(
     Pass `cuts` to reuse an earlier step's boundaries and segment widths
     instead of recomputing quantiles (the trainer does this on its
     `rebin_every` cadence). Raises EmptyArmInBinError when a bin lacks an
-    arm and DegeneratePredictionsError when the predictions cannot fill the bins.
+    arm, DegeneratePredictionsError when the predictions cannot fill the
+    bins, and FloatingPointError, without a RuntimeWarning, when a statistic
+    or the gradient is not finite.
     The tables are gathered `BIN_BLOCK_ROWS` rows at a time, so the call
     peaks at about 19 B/row beyond its inputs at 1M rows and 23 at 200k
     (tracemalloc, 10 bins): bins, segments, the gradient and its
@@ -190,23 +203,26 @@ def effective_gradient(
     p = np.asarray(predictions, dtype=np.float64)
     cuts, bins, stats, inner = _binned_stats(dataset, p, config, cached_global_lift, cuts)
     segments = assign_segments(p, inner, bins)
-    a, b = _migration_tables(stats, cuts, inner)
-    a += bias_gradient(stats, np.arange(1, cuts.n_bins + 1))[:, None, None]
     grad = np.empty(p.shape)
-    idx_buf = np.empty(min(p.size, BIN_BLOCK_ROWS), dtype=np.intp)
-    migration_buf = np.empty(idx_buf.shape)
-    for start in range(0, p.size, BIN_BLOCK_ROWS):
-        k = min(BIN_BLOCK_ROWS, p.size - start)
-        rows = slice(start, start + k)
-        # idx = (bin - 1) * 6 + segment * 2 + arm; the small terms stay int8
-        idx = np.multiply(bins[rows], 6, out=idx_buf[:k])
-        idx += segments[rows] * 2 + dataset.arm[rows] - 6
-        # every index is in range by construction; "raise" would gather into a
-        # copy of `out` first, "clip" writes it directly
-        a.take(idx, out=grad[rows], mode="clip")
-        migration = b.take(idx, out=migration_buf[:k], mode="clip")
-        migration *= dataset.outcome[rows]
-        grad[rows] += migration
+    # finite statistics may still give coefficients or products beyond float64;
+    # the check below raises for them
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = _migration_tables(stats, cuts, inner)
+        a += bias_gradient(stats, np.arange(1, cuts.n_bins + 1))[:, None, None]
+        idx_buf = np.empty(min(p.size, BIN_BLOCK_ROWS), dtype=np.intp)
+        migration_buf = np.empty(idx_buf.shape)
+        for start in range(0, p.size, BIN_BLOCK_ROWS):
+            k = min(BIN_BLOCK_ROWS, p.size - start)
+            rows = slice(start, start + k)
+            # idx = (bin - 1) * 6 + segment * 2 + arm; the small terms stay int8
+            idx = np.multiply(bins[rows], 6, out=idx_buf[:k])
+            idx += segments[rows] * 2 + dataset.arm[rows] - 6
+            # every index is in range by construction; "raise" would gather into
+            # a copy of `out` first, "clip" writes it directly
+            a.take(idx, out=grad[rows], mode="clip")
+            migration = b.take(idx, out=migration_buf[:k], mode="clip")
+            migration *= dataset.outcome[rows]
+            grad[rows] += migration
     if not np.isfinite(grad).all():
         raise FloatingPointError("effective gradient produced non-finite values")
     return EffectiveGradient(grad, stats, cuts, inner, bins, segments)

@@ -94,11 +94,16 @@ class SubsetStats:
 
 
 def global_lift(dataset: ABDataset) -> float:
-    """Mean treated minus mean control outcome over all rows: the one global-lift estimate."""
+    """Mean treated minus mean control outcome over all rows: the one global-lift estimate.
+
+    Outcome sums beyond float64 give inf or nan without a warning;
+    `subset_stats` rejects such a lift.
+    """
     treated = dataset.is_treatment
     y = dataset.outcome
     # `compress` picks the rows of `y[mask]` in the same order, several times faster
-    return float(np.compress(treated, y).mean() - np.compress(~treated, y).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.compress(treated, y).mean() - np.compress(~treated, y).mean())
 
 
 def subset_stats(
@@ -115,10 +120,12 @@ def subset_stats(
     its buckets, reshaped to (n_bins, 2), are the table's cells. The same
     counts hold the range check: a bin below 1 makes the key negative or
     lands in buckets 0 and 1, and a bin above `n_bins` lengthens the result.
-    An empty cell raises EmptyArmInBinError from `SubsetStats`. The global
-    lift is `global_lift(dataset)`, which `train` pins, unless
-    `cached_global_lift` pins another (for a minibatch, the full data's,
-    which is less noisy than the batch's).
+    An empty cell raises EmptyArmInBinError from `SubsetStats`, and then a
+    non-finite mean prediction, lift or global lift (sums beyond float64)
+    FloatingPointError, without a RuntimeWarning. The global lift is
+    `global_lift(dataset)`, which `train` pins, unless `cached_global_lift`
+    pins another (for a minibatch, the full data's, which is less noisy than
+    the batch's).
     """
     p = np.asarray(predictions, dtype=np.float64)
     bins = np.asarray(bins)
@@ -142,8 +149,13 @@ def subset_stats(
     sum_y = np.bincount(key, weights=y, minlength=n_keys)[2:].reshape(n_bins, 2)
     sum_pred = np.bincount(bins, weights=p, minlength=n_bins + 1)[1:]
     # an empty cell divides by zero here, and SubsetStats rejects it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return SubsetStats(count, sum_y / count, sum_pred / count.sum(axis=1), gl)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        stats = SubsetStats(count, sum_y / count, sum_pred / count.sum(axis=1), gl)
+    # a finite lift has finite arm means
+    if not (np.isfinite(stats.lift).all() and np.isfinite(stats.mean_pred).all()
+            and np.isfinite(gl)):
+        raise FloatingPointError("bin statistics are not finite")
+    return stats
 
 
 @dataclass(frozen=True)
@@ -166,11 +178,15 @@ class LossReport:
 def true_lift_loss(stats: SubsetStats) -> LossReport:
     """Evaluate the binned lift loss from subset statistics.
 
-    The report's ``loss`` is ``bias_term - separation_term``, exactly.
+    The report's ``loss`` is ``bias_term - separation_term``, exactly. A term
+    beyond float64 raises FloatingPointError, without a RuntimeWarning.
     """
     weight = stats.size / stats.total_size
-    bias = float((weight * (stats.mean_pred - stats.lift) ** 2).sum())
-    separation = float((weight * (stats.lift - stats.global_lift) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        bias = float((weight * (stats.mean_pred - stats.lift) ** 2).sum())
+        separation = float((weight * (stats.lift - stats.global_lift) ** 2).sum())
+    if not (np.isfinite(bias) and np.isfinite(separation)):
+        raise FloatingPointError("loss is not finite")
     return LossReport(bias, separation, stats)
 
 

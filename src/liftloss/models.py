@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .binning import DegeneratePredictionsError
 from .dataset import ABDataset, check_seed
-from .gradient import GradConfig, _binned_stats, effective_gradient
+from .gradient import FEWEST_BINS_ADVICE, GradConfig, _binned_stats, effective_gradient
 from .loss import EmptyArmInBinError, LossReport, global_lift, true_lift_loss
 
 __all__ = [
@@ -296,6 +295,7 @@ def train(
                         data_t, preds, grad_cfg, cached_global_lift=cached_lift, cuts=reuse
                     )
                     cuts, stats = eg.cuts, eg.stats
+                report = true_lift_loss(stats)
                 break
             except FloatingPointError as err:
                 raise TrainingDivergedError(f"{err} at step {t}", trace) from err
@@ -312,8 +312,7 @@ def train(
                 if grad_cfg.n_bins <= 2:  # GradConfig allows no fewer bins
                     raise EmptyArmInBinError(
                         err.bin_index, err.n_bins, err.arm_name,
-                        f"at step {t}, with the fewest bins allowed, "
-                        "use more rows or a larger batch",
+                        f"at step {t}, {FEWEST_BINS_ADVICE} or a larger batch",
                     ) from err
                 if t == 0:
                     raise  # infeasible at the initial predictions: caller should lower n_bins
@@ -322,8 +321,7 @@ def train(
                     f"step {t}: {err}; reducing bins {grad_cfg.n_bins} -> {new_bins}"
                 )
                 grad_cfg = replace(grad_cfg, n_bins=new_bins)
-        report = true_lift_loss(stats)
-        if not (math.isfinite(report.loss) and np.isfinite(params).all()):
+        if not np.isfinite(params).all():
             raise TrainingDivergedError(
                 f"non-finite loss or parameters at step {t}", trace
             )

@@ -416,7 +416,38 @@ class TestEval:
         assert not out.exists()
 
 
+# six rows whose outcome sums pass float64's range: the global lift and bin 1's
+# treated mean are inf; a 1-feature linear model `[1, 0]` cuts them at 2 bins
+OVERFLOWING_ROWS = "f0,y,arm\n" + "".join(f"{row}\n" for row in (
+    "0.1,1e308,1", "0.2,1e308,1", "0.3,-1e308,0", "0.6,1e308,0", "0.7,-1e308,1", "0.8,-1e308,0"))
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("eval", ["--params", "p.json", "-o", "report.csv"], "bin statistics are not finite"),
+    ("train", ["--init", "1,0", "-o", "run"], "bin statistics are not finite at step 0"),
+    ("gradcheck", [], "bin statistics are not finite"),
+])
+def test_overflowing_statistics_exit_2_without_a_warning(tmp_path, monkeypatch, capsys,
+                                                         command, args, message):
+    monkeypatch.chdir(tmp_path)
+    Path("data.csv").write_text(OVERFLOWING_ROWS)
+    Path("p.json").write_text('{"kind": "linear", "d": 1, "values": [1.0, 0.0]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--data", "data.csv", "--bins", "2", *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("report.csv").exists()  # eval writes no report of nan
+
+
 class TestGradcheck:
+    def test_two_bins_without_an_arm_advise_more_rows(self, capsys):
+        # GradConfig rejects fewer than 2 bins, so that is no remedy
+        assert main(["gradcheck", "--rows", "2", "--bins", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bin 1 of 2 has no treatment rows; with the fewest bins allowed, "
+            "use more rows\n")
+        assert main(["gradcheck", "--rows", "2", "--bins", "1"]) == 1
+
     def test_default_passes(self, capsys):
         assert main(["gradcheck", "--rows", "200", "--seed", "3"]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,30 @@ class TestTrueLiftLoss:
         )
         report = true_lift_loss(stats)
         assert report.loss == report.bias_term - report.separation_term
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_any_outcome_scale_gives_a_finite_report_or_one_error(self, data):
+        # sums of outcomes up to 1e308 may pass float64's range: subset_stats or
+        # true_lift_loss then raises FloatingPointError, and numpy never warns
+        n = data.draw(st.integers(6, 40), label="rows")
+        n_bins = data.draw(st.integers(1, 3), label="n_bins")
+        scale = 10.0 ** data.draw(st.integers(0, 308), label="outcome exponent")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        arm = np.resize(np.array([0, 1], dtype=np.int8), n)
+        preds = np.arange(n, dtype=np.float64)
+        ds = make_dataset(preds, rng.uniform(-1, 1, n) * scale, arm)
+        bins = np.resize(np.repeat(np.arange(1, n_bins + 1), 2), n)
+        cached = data.draw(st.one_of(st.none(), st.just(global_lift(ds))), label="cached lift")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = true_lift_loss(subset_stats(ds, preds, bins, n_bins, cached))
+            except FloatingPointError as err:
+                assert str(err) in ("bin statistics are not finite", "loss is not finite")
+                return
+        values = [report.bias_term, report.separation_term, report.stats.global_lift]
+        assert np.isfinite(values).all() and np.isfinite(report.stats.lift).all()
 
     def test_report_csv_round_trip_fields(self, tmp_path):
         ds = generate(DataGenConfig(n_rows=300, seed=8))

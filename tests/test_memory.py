@@ -72,6 +72,20 @@ def test_full_batch_train_holds_one_steps_arrays():
     assert traced_peak(lambda: train(ds, LINEAR, INIT, config)) / N_ROWS < 37.0
 
 
+def test_full_batch_train_on_a_loaded_csv_peaks_as_on_its_data(tmp_path):
+    # 31.3 B/row on both: load_csv's columns hold what generate's do
+    ds = generate(DataGenConfig(n_rows=N_ROWS, seed=3))
+    path = tmp_path / "d.csv"
+    save_csv(ds, path)
+    loaded = load_csv(path)
+    config = TrainConfig(step_size=0.1, steps=3, grad=GradConfig(n_bins=10))
+    peaks = []
+    for data in (ds, loaded):
+        train(data, LINEAR, INIT, config)  # fills the cached quantile subsample draw first
+        peaks.append(traced_peak(lambda: train(data, LINEAR, INIT, config)) / N_ROWS)
+    assert abs(peaks[1] - peaks[0]) < 0.5, peaks
+
+
 def test_effective_gradient_gathers_in_row_blocks():
     # 23.3 B/row; 34.0 with the index and migration arrays spanning all rows
     ds, preds = step_inputs()

@@ -53,7 +53,8 @@ def resolve(dotted: str):
 
 def test_cited_names_resolve():
     dotted = {s for s in INLINE if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", s)}
-    assert {"gradient.MIGRATION_STEP_SCALE", "GradConfig.rebin_every"} <= dotted
+    cited = {"gradient.MIGRATION_STEP_SCALE", "GradConfig.rebin_every", "dataset.ABDataset"}
+    assert cited <= dotted
     assert resolve("run.params.json") is None  # a file name, not a liftloss name
     with pytest.raises(AttributeError):
         resolve("GradConfig.migration_step_scale")  # a deleted setting

@@ -34,10 +34,10 @@ def test_benchmark_gradient_rows(tmp_path):
     out = run_script("benchmark_gradient.py", "--sizes", "1000,2000", "--reps", "1", cwd=tmp_path)
     header, *rows = out.splitlines()
     assert header.split()[0] == "op"
-    # per size: generate, effective_gradient, train, train (mlp); then train (csv) and
-    # train (mlp, csv) per size, and 2 peak RSS lines
-    assert len(rows) == 14 and any(" 2000 " in row for row in rows)
-    assert list(tmp_path.iterdir()) == []  # the CSV round trip goes to a temporary directory
+    # per size: generate, effective_gradient, train, train (mlp); then load_csv per
+    # size, and 2 peak RSS lines
+    assert len(rows) == 12 and any(" 2000 " in row for row in rows)
+    assert list(tmp_path.iterdir()) == []  # load_csv's file goes to a temporary directory
 
 
 def test_benchmark_gradient_skips_a_bin_count_too_large_for_a_size(tmp_path):

@@ -132,6 +132,7 @@ def _subsample_rows(n: int) -> np.ndarray:
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")  # CutPoints rejects inf or nan cuts and spread
 def compute_cuts(predictions, n_bins: int) -> CutPoints:
     """Choose cut values so the bins are roughly equal in size and none is empty.
 
@@ -221,6 +222,7 @@ def assign_bins(predictions, cuts: CutPoints) -> np.ndarray:
     return bins
 
 
+@np.errstate(over="ignore", invalid="ignore")  # InnerCuts rejects inf or nan boundaries
 def inner_cuts(cuts: CutPoints) -> InnerCuts:
     """Place segment boundaries one third of the way into each neighboring bin.
 

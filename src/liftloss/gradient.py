@@ -161,19 +161,18 @@ def _binned_stats(
 
     All the binned loss needs, with the same errors in the same order; `train`
     calls it alone at its last step, whose gradient nothing reads. A bin
-    without an arm on cuts of its own at 2 bins advises `FEWEST_BINS_ADVICE`.
+    without an arm at 2 bins advises `FEWEST_BINS_ADVICE`.
     """
     if p.shape != (len(dataset),):
         raise ValueError("predictions must align with the dataset rows")
-    fresh = cuts is None
-    if fresh:
+    if cuts is None:
         cuts = compute_cuts(p, config.n_bins)
     bins = assign_bins(p, cuts)
     try:
         stats = subset_stats(dataset, p, bins, cuts.n_bins, cached_global_lift)
     except EmptyArmInBinError as err:
-        if not fresh or cuts.n_bins > 2:
-            raise  # fewer bins, or cuts of these predictions, may fill the cell
+        if cuts.n_bins > 2:
+            raise  # fewer bins may fill the cell
         raise EmptyArmInBinError(
             err.bin_index, err.n_bins, err.arm_name, FEWEST_BINS_ADVICE
         ) from None

@@ -43,6 +43,7 @@ class EmptyArmInBinError(ValueError):
         self.bin_index = bin_index
         self.n_bins = n_bins
         self.arm_name = arm_name
+        self.advice = advice
         rows = "rows" if arm_name is None else f"{arm_name} rows"
         super().__init__(f"bin {bin_index} of {n_bins} has no {rows}; {advice}")
 

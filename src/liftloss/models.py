@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import DegeneratePredictionsError
+from .binning import BinningError, DegeneratePredictionsError
 from .dataset import ABDataset, check_seed
-from .gradient import FEWEST_BINS_ADVICE, GradConfig, _binned_stats, effective_gradient
+from .gradient import GradConfig, _binned_stats, effective_gradient
 from .loss import EmptyArmInBinError, LossReport, global_lift, true_lift_loss
 
 __all__ = [
@@ -223,7 +223,7 @@ class TrainTrace:
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss, parameters or predictions degenerated mid-run; carries the trace so far."""
+    """A training step failed to bin or went non-finite; carries the trace so far."""
 
     def __init__(self, message: str, trace: TrainTrace):
         super().__init__(message)
@@ -245,13 +245,14 @@ def train(
     halved and training continues; at step 0 this is raised instead, with a
     hint to use fewer bins. At 2 bins, the fewest `GradConfig` allows, it is
     raised at any step, naming the step and advising more rows or a larger
-    batch. Predictions that collapse mid-run, to fewer distinct values than
-    bins or to cuts too close for float64 to place segments, raise
-    TrainingDivergedError naming the step (DegeneratePredictionsError at
-    step 0). Non-finite initial parameters raise ValueError, and so does a
-    minibatch that draws rows of one arm only, naming the step and the batch
-    size. Each step builds the MLP hidden layer once, for the forward pass,
-    and hands it to the backward pass, which sums it in row blocks.
+    batch. Every binning failure (non-finite or collapsed predictions) and
+    every non-finite statistic, loss, gradient or parameter raises
+    TrainingDivergedError naming the step, with no RuntimeWarning; only a
+    DegeneratePredictionsError at step 0 is raised as is. Non-finite initial
+    parameters raise ValueError, and so does a minibatch that draws rows of
+    one arm only, naming the step and the batch size. Each step builds the
+    MLP hidden layer once, for the forward pass, and hands it to the
+    backward pass, which sums it in row blocks.
     The last step scores the loss only, without building (or checking) a
     gradient that nothing would read.
     Each step's arrays (the effective gradient's, an MLP's hidden layer)
@@ -282,9 +283,8 @@ def train(
                     f"step {t}: minibatch of {config.batch} rows has {err}; use a larger batch"
                 ) from err
         x = _features(data_t, spec)
-        preds, z = _forward(spec, params, x)
-        if not np.isfinite(preds).all():
-            raise TrainingDivergedError(f"non-finite predictions at step {t}", trace)
+        with np.errstate(over="ignore", invalid="ignore"):  # the binning rejects non-finite preds
+            preds, z = _forward(spec, params, x)
         reuse = cuts if (t % grad_cfg.rebin_every != 0 and cuts is not None) else None
         while True:
             try:
@@ -297,10 +297,8 @@ def train(
                     cuts, stats = eg.cuts, eg.stats
                 report = true_lift_loss(stats)
                 break
-            except FloatingPointError as err:
-                raise TrainingDivergedError(f"{err} at step {t}", trace) from err
-            except DegeneratePredictionsError as err:
-                if t == 0:
+            except (BinningError, FloatingPointError) as err:
+                if t == 0 and isinstance(err, DegeneratePredictionsError):
                     raise  # the caller's own predictions cannot fill the bins
                 raise TrainingDivergedError(f"{err} at step {t}", trace) from err
             except EmptyArmInBinError as err:
@@ -312,7 +310,7 @@ def train(
                 if grad_cfg.n_bins <= 2:  # GradConfig allows no fewer bins
                     raise EmptyArmInBinError(
                         err.bin_index, err.n_bins, err.arm_name,
-                        f"at step {t}, {FEWEST_BINS_ADVICE} or a larger batch",
+                        f"at step {t}, {err.advice} or a larger batch",
                     ) from err
                 if t == 0:
                     raise  # infeasible at the initial predictions: caller should lower n_bins
@@ -322,9 +320,7 @@ def train(
                 )
                 grad_cfg = replace(grad_cfg, n_bins=new_bins)
         if not np.isfinite(params).all():
-            raise TrainingDivergedError(
-                f"non-finite loss or parameters at step {t}", trace
-            )
+            raise TrainingDivergedError(f"non-finite parameters at step {t}", trace)
         trace.entries.append(
             TraceEntry(t, report.loss, report.bias_term, report.separation_term, params.copy())
         )
@@ -332,7 +328,8 @@ def train(
             trace.snapshots[t] = report
         if t == config.steps:
             break
-        params -= config.step_size * _backward(spec, params, x, eg.point_grad, z)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked at the next step
+            params -= config.step_size * _backward(spec, params, x, eg.point_grad, z)
         del z, eg  # free this step's hidden buffer and gradient arrays before the next step
     return params, trace
 

@@ -183,14 +183,54 @@ class TestTrain:
 
     def test_run_diverged_at_step_0_writes_a_header_only_trace(self, tmp_path, data_csv, capsys):
         prefix = tmp_path / "z"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["train", "--data", str(data_csv), "--init", "1e308,1e308,1e308",
-                         "-o", str(prefix)])
+        code = main(["train", "--data", str(data_csv), "--init", "1e308,1e308,1e308",
+                     "-o", str(prefix)])
         assert code == 2
-        assert capsys.readouterr().err == "error: non-finite predictions at step 0\n"
+        assert capsys.readouterr().err == "error: predictions contain non-finite values at step 0\n"
         assert Path(f"{prefix}.trace.csv").read_text() == "step,loss,bias,separation,p0,p1,p2\n"
         assert not Path(f"{prefix}.params.json").exists()
         assert json.loads(Path(f"{prefix}.manifest.json").read_text())["exit_status"] == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_update_diverges_at_the_next_step(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert main(["gen", "--rows", "500", "--seed", "6", "-o", str(data)]) == 0
+        capsys.readouterr()
+        prefix = tmp_path / "b"
+        code = main(["train", "--data", str(data), "--model", "mlp", "--hidden", "1",
+                     "--init", "50,0,-25,1,0", "--lr", "1e300", "--steps", "5", "--bins", "10",
+                     "-o", str(prefix)])
+        assert code == 2
+        error = "predictions contain non-finite values at step 1"
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        trace = np.loadtxt(f"{prefix}.trace.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert trace[:, 0].tolist() == [0]
+        manifest = json.loads(Path(f"{prefix}.manifest.json").read_text())
+        assert (manifest["error"], manifest["exit_status"]) == (error, 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_prediction_span_beyond_float64_fails_train_and_eval(self, tmp_path, capsys):
+        # tanh outputs scaled by 1.7e308 span more than float64 can hold: the spread overflows
+        from liftloss import Activation, ModelKind, ModelSpec, save_params
+
+        data = tmp_path / "d.csv"
+        assert main(["gen", "--rows", "500", "--seed", "6", "-o", str(data)]) == 0
+        capsys.readouterr()
+        init = [50.0, 0.0, -25.0, 1.7e308, 0.0]
+        prefix = tmp_path / "c"
+        assert main(["train", "--data", str(data), "--model", "mlp", "--hidden", "1",
+                     "--init", ",".join(map(str, init)), "--steps", "3", "--bins", "5",
+                     "-o", str(prefix)]) == 2
+        error = "spread must be finite and positive, got inf"
+        assert capsys.readouterr().err == f"error: {error} at step 0\n"
+        assert Path(f"{prefix}.trace.csv").read_text() == (
+            "step,loss,bias,separation,p0,p1,p2,p3,p4\n")
+        assert json.loads(Path(f"{prefix}.manifest.json").read_text())["exit_status"] == 2
+        pfile = tmp_path / "c.params.json"
+        save_params(pfile, ModelSpec(ModelKind.MLP, 2, 1, Activation.TANH), np.array(init))
+        assert main(["eval", "--data", str(data), "--params", str(pfile), "--bins", "5",
+                     "-o", str(tmp_path / "e.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     @pytest.mark.parametrize("args,setting", [
         (["--lr", "inf"], "step_size"),

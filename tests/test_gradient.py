@@ -564,8 +564,8 @@ class TestDegeneratePredictions:
             want_cuts = compute_cuts(preds, n_bins) if cuts is None else cuts
             ref, ref_segments = reference_effective_gradient(ds, preds, want_cuts, sample, gl, 0.5)
         except (DegeneratePredictionsError, EmptyArmInBinError) as err:
-            if isinstance(err, EmptyArmInBinError) and cuts is None and n_bins == 2:
-                # on its own cuts at 2 bins, fewer bins is no remedy
+            if isinstance(err, EmptyArmInBinError) and n_bins == 2:
+                # at 2 bins, fewer bins is no remedy
                 err = EmptyArmInBinError(err.bin_index, 2, err.arm_name, FEWEST_BINS_ADVICE)
             with pytest.raises(type(err)) as got:
                 effective_gradient(ds, preds, config, gl, cuts)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from liftloss import (
@@ -307,9 +307,8 @@ class TestTrain:
     def test_divergence_aborts_with_trace(self):
         ds = generate(DataGenConfig(n_rows=500, seed=6))
         config = TrainConfig(step_size=1e12, steps=60, grad=GradConfig(n_bins=3))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDivergedError) as err:
-                train(ds, LINEAR2, np.array([1.0, 0.1, 1.0]), config)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(ds, LINEAR2, np.array([1.0, 0.1, 1.0]), config)
         assert len(err.value.trace.entries) >= 1
 
     @pytest.mark.parametrize("step", [0, 2])
@@ -453,18 +452,24 @@ class TestDegenerateTraining:
         assert trace.events == ref_trace.events
         assert [e.loss for e in trace.entries] == [e.loss for e in ref_trace.entries]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_fails_only_as_its_docstring_says(self, data):
-        # each error that escapes must meet the condition the docstring gives for it
+        # each error that escapes must meet the condition the docstring gives for it; step
+        # sizes and initial scales up to float64's limit make runs overflow, which must
+        # raise, never warn (the suite turns warnings into errors)
         n = data.draw(st.integers(50, 3000), label="rows")
-        ds = generate(DataGenConfig(n, data.draw(st.floats(0.1, 0.9), label="treated share"),
-                                    seed=data.draw(st.integers(0, 2**32 - 1), label="data seed")))
+        gen = DataGenConfig(n, data.draw(st.floats(0.1, 0.9), label="treated share"),
+                            seed=data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+        try:
+            ds = generate(gen)
+        except ValueError:  # a small draw can put every row in one arm; `generate` rejects it
+            reject()
         spec = data.draw(st.sampled_from([LINEAR2] + [
-            ModelSpec(ModelKind.MLP, 2, hidden=h, activation=Activation.TANH) for h in (8, 32)
+            ModelSpec(ModelKind.MLP, 2, hidden=h, activation=Activation.TANH) for h in (1, 8, 32)
         ]), label="model")
         config = TrainConfig(
-            step_size=data.draw(st.floats(0.01, 1.0), label="lr"),
+            step_size=10.0 ** data.draw(st.floats(-2, 300), label="log10 lr"),
             steps=data.draw(st.integers(0, 20), label="steps"),
             grad=GradConfig(
                 n_bins=data.draw(st.integers(2, 20), label="n_bins"),
@@ -474,6 +479,7 @@ class TestDegenerateTraining:
             seed=data.draw(st.integers(0, 99), label="batch seed"),
         )
         init = random_params(spec, data.draw(st.integers(0, 99), label="init seed"))
+        init *= 10.0 ** data.draw(st.floats(0, 307), label="log10 init scale")
 
         def raised_at_step_0(err):
             with pytest.raises(type(err)) as first:

@@ -7,8 +7,11 @@ gradient into a parameter gradient, which is all the trainer needs.
 
 from __future__ import annotations
 
+import contextvars
 import enum
+import functools
 import json
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -37,7 +40,8 @@ __all__ = [
 ]
 
 
-# rows per block of the MLP backward pass: a (block, 32) slice of the hidden layer is 1 MB
+# rows per block of both MLP passes: a (block, 32) slice of the hidden layer is 1 MB.
+# Their threads split the rows on these blocks' boundaries.
 BACKWARD_BLOCK_ROWS = 1 << 12
 
 
@@ -98,22 +102,81 @@ def _features(data, spec: ModelSpec) -> np.ndarray:
     return x
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; the MLP passes run one thread on each."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@functools.cache
+def _pool(threads: int):
+    """Worker threads of the MLP passes, built at the first pass that splits its blocks."""
+    from concurrent.futures import ThreadPoolExecutor  # here, so `import liftloss` does not
+
+    return ThreadPoolExecutor(threads, thread_name_prefix="liftloss-mlp")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """The MLP passes' row blocks: `BACKWARD_BLOCK_ROWS` rows each, the last one shorter."""
+    starts = range(0, max(n, 1), BACKWARD_BLOCK_ROWS)
+    return [slice(a, a + BACKWARD_BLOCK_ROWS) for a in starts]
+
+
+def _over_threads(blocks: list[slice], run) -> list:
+    """`run(part)` for each thread's contiguous part of `blocks`, in block order.
+
+    The caller runs the first part, and one pool thread each of the others,
+    in a copy of the caller's context, so under its `np.errstate`.
+    """
+    cpus = _usable_cpus()
+    threads = min(cpus, len(blocks))
+    parts = [blocks[i * len(blocks) // threads : (i + 1) * len(blocks) // threads]
+             for i in range(threads)]
+    futures = [_pool(cpus - 1).submit(contextvars.copy_context().run, run, part)
+               for part in parts[1:]]
+    try:
+        first = run(parts[0])
+    finally:
+        for f in futures:  # they write into the caller's arrays: wait for each, even on error
+            f.exception()
+    return [first] + [f.result() for f in futures]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the binning rejects non-finite predictions
 def _forward(spec: ModelSpec, p: np.ndarray, x: np.ndarray):
     """Predictions and the output layer's input `z`: `x`, or an MLP's hidden layer.
 
     Both kinds end in `z @ w + b`, with `w, b` the last `z.shape[1] + 1`
-    parameters. An MLP builds `z` in place in one fresh (n, hidden) buffer.
+    parameters. An MLP builds `z` in place in one fresh (n, hidden) buffer,
+    a row block at a time, on one thread per usable CPU.
     """
-    z = x
-    if spec.kind is ModelKind.MLP:
-        n_w1 = spec.hidden * spec.d
-        z = x @ p[:n_w1].reshape(spec.hidden, spec.d).T
-        z += p[n_w1 : n_w1 + spec.hidden]
-        if spec.activation is Activation.TANH:
-            np.tanh(z, out=z)
-        else:
-            np.maximum(z, 0.0, out=z)
-    return z @ p[-z.shape[1] - 1 : -1] + p[-1], z
+    if spec.kind is ModelKind.LINEAR:
+        return x @ p[:-1] + p[-1], x
+    n_w1 = spec.hidden * spec.d
+    w1_t = p[:n_w1].reshape(spec.hidden, spec.d).T
+    b1, w2 = p[n_w1 : n_w1 + spec.hidden], p[-spec.hidden - 1 : -1]
+    z, preds = np.empty((len(x), spec.hidden)), np.empty(len(x))
+
+    def run(blocks):
+        for rows in blocks:
+            z_b = np.matmul(x[rows], w1_t, out=z[rows])
+            z_b += b1
+            if spec.activation is Activation.TANH:
+                np.tanh(z_b, out=z_b)
+            else:
+                np.maximum(z_b, 0.0, out=z_b)
+            np.matmul(z_b, w2, out=preds[rows])
+            preds[rows] += p[-1]
+
+    blocks = _row_blocks(len(x))
+    if len(blocks) > 1 and len(x) % BACKWARD_BLOCK_ROWS == 1:
+        # a 1-row product takes BLAS's vector path, which rounds unlike the rows of a larger one
+        blocks[-2:] = [slice(blocks[-2].start, len(x))]
+    _over_threads(blocks, run)
+    return preds, z
 
 
 def _backward(spec: ModelSpec, p: np.ndarray, x: np.ndarray, g: np.ndarray, z) -> np.ndarray:
@@ -121,28 +184,37 @@ def _backward(spec: ModelSpec, p: np.ndarray, x: np.ndarray, g: np.ndarray, z) -
 
     Each MLP block of `BACKWARD_BLOCK_ROWS` rows is read from cache, not
     memory, by the three passes over it: the output layer's product, the
-    activation derivative, and the first layer's product.
+    activation derivative, and the first layer's product. The threads return
+    each block's two products, and they are summed here in block order, so
+    the gradient does not depend on the thread count.
     """
     if spec.kind is ModelKind.LINEAR:
         return np.concatenate([x.T @ g, [g.sum()]])
-    n, d = x.shape
+    d = x.shape[1]
+
+    def run(blocks):
+        sums = []
+        for rows in blocks:
+            z_b, g_b = z[rows], g[rows]
+            xg = np.empty((g_b.size, d + 1))  # [x * g, g], as one buffer
+            dw2_b = z_b.T @ g_b
+            # overwrite the activations with their derivative: 1 - z^2, or [z > 0]
+            if spec.activation is Activation.TANH:
+                np.square(z_b, out=z_b)
+                np.subtract(1.0, z_b, out=z_b)
+            else:
+                np.greater(z_b, 0.0, out=z_b)
+            np.multiply(x[rows], g_b[:, None], out=xg[:, :-1])
+            xg[:, -1] = g_b
+            sums.append((dw2_b, z_b.T @ xg))
+        return sums
+
     dw2 = np.zeros(spec.hidden)
     m = np.zeros((spec.hidden, d + 1))
-    xg_buf = np.empty((min(n, BACKWARD_BLOCK_ROWS), d + 1))  # [x * g, g], as one buffer
-    for start in range(0, n, BACKWARD_BLOCK_ROWS):
-        rows = slice(start, start + BACKWARD_BLOCK_ROWS)
-        z_b, g_b = z[rows], g[rows]
-        xg = xg_buf[: g_b.size]
-        dw2 += z_b.T @ g_b
-        # overwrite the activations with their derivative: 1 - z^2, or [z > 0]
-        if spec.activation is Activation.TANH:
-            np.square(z_b, out=z_b)
-            np.subtract(1.0, z_b, out=z_b)
-        else:
-            np.greater(z_b, 0.0, out=z_b)
-        np.multiply(x[rows], g_b[:, None], out=xg[:, :-1])
-        xg[:, -1] = g_b
-        m += z_b.T @ xg
+    for sums in _over_threads(_row_blocks(len(x)), run):
+        for dw2_b, m_b in sums:
+            dw2 += dw2_b
+            m += m_b
     m *= p[-spec.hidden - 1 : -1, None]
     return np.concatenate([m[:, :-1].ravel(), m[:, -1], dw2, [g.sum()]])
 
@@ -151,7 +223,8 @@ def predict(spec: ModelSpec, params, data) -> np.ndarray:
     """Model predictions for a dataset or a raw (n, d) feature array.
 
     Linear parameter layout is [coef_0, ..., coef_{d-1}, offset]; the MLP
-    layout is [W1 row-major, b1, w2, b2].
+    layout is [W1 row-major, b1, w2, b2]. Predictions that overflow come
+    back as inf or nan, without a warning.
     """
     return _forward(spec, _check_params(spec, params), _features(data, spec))[0]
 
@@ -165,7 +238,9 @@ def backprop(spec: ModelSpec, params, data, point_grad) -> np.ndarray:
     within 1e-12 of max|grad| of the unfactored `(g*w2*act').T @ [x, 1]`.
     Its row sums run over `BACKWARD_BLOCK_ROWS` rows at a time, whose slice
     of the hidden layer stays in cache, and need no row-sized buffer beyond
-    the hidden layer. Called alone it rebuilds the hidden layer; `train`
+    the hidden layer. The blocks are split among one thread per usable CPU,
+    and their sums are added in block order, so the gradient is bit-identical
+    whatever the count. Called alone it rebuilds the hidden layer; `train`
     reuses its forward pass's.
     """
     p = _check_params(spec, params)
@@ -252,14 +327,16 @@ def train(
     parameters raise ValueError, and so does a minibatch that draws rows of
     one arm only, naming the step and the batch size. Each step builds the
     MLP hidden layer once, for the forward pass, and hands it to the
-    backward pass, which sums it in row blocks.
+    backward pass, which sums it in row blocks. Both passes run their row
+    blocks on one thread per usable CPU, and the results are bit-identical
+    whatever the count.
     The last step scores the loss only, without building (or checking) a
     gradient that nothing would read.
     Each step's arrays (the effective gradient's, an MLP's hidden layer)
     are released before the next step builds its own, so a full-batch step
     peaks at about 27 B/row above the dataset at 1M rows and 31 at 200k
     (tracemalloc, 10 bins, d=2); a hidden-32 MLP's peaks at 283 at 1M rows
-    and 287 at 200k, 256 of them the hidden layer.
+    and 287 at 200k, 256 of them the hidden layer, on one thread or two.
     Deterministic given the seed, which only drives minibatch sampling.
     """
     params = _check_params(spec, init_params).copy()
@@ -283,8 +360,7 @@ def train(
                     f"step {t}: minibatch of {config.batch} rows has {err}; use a larger batch"
                 ) from err
         x = _features(data_t, spec)
-        with np.errstate(over="ignore", invalid="ignore"):  # the binning rejects non-finite preds
-            preds, z = _forward(spec, params, x)
+        preds, z = _forward(spec, params, x)
         reuse = cuts if (t % grad_cfg.rebin_every != 0 and cuts is not None) else None
         while True:
             try:

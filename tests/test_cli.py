@@ -315,6 +315,19 @@ class TestEval:
             losses[name] = float(loss_line.split()[1].split("=")[1])
         assert losses["true"] < losses["null"] < losses["reversed"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_predictions_fail_without_a_warning(self, tmp_path, capsys):
+        from liftloss import ModelKind, ModelSpec, save_params
+
+        data = tmp_path / "d.csv"
+        assert main(["gen", "--rows", "500", "--seed", "6", "-o", str(data)]) == 0
+        pfile = tmp_path / "big.json"
+        save_params(pfile, ModelSpec(ModelKind.LINEAR, 2), np.array([1e308, 1e308, 1e308]))
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data), "--params", str(pfile), "--bins", "5",
+                     "-o", str(tmp_path / "e.csv")]) == 2
+        assert capsys.readouterr() == ("", "error: predictions contain non-finite values\n")
+
     def test_constant_model_falls_back_to_fewer_bins(self, tmp_path, data_csv, capsys):
         # degenerate predictions cannot fill 5 bins; eval reduces the count
         from liftloss import ModelKind, ModelSpec, save_params

@@ -1,5 +1,10 @@
 import dataclasses
+import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +218,117 @@ class TestMatchesUnfactoredReference:
                     ref = reference_backprop(spec, params, x, g)
                     got = backprop(spec, params, x, g)
                     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (d, hidden)
+
+
+class TestThreadCount:
+    """The MLP passes split their row blocks among one thread per usable CPU;
+    every result must be bit-identical whatever the count."""
+
+    COUNTS = (1, 2, 3)
+
+    @staticmethod
+    def per_count(monkeypatch, call):
+        results = []
+        for count in TestThreadCount.COUNTS:
+            monkeypatch.setattr(models, "_usable_cpus", lambda: count)
+            results.append(call())
+        return results
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1, 3 * B + 2])
+    def test_predict_and_backprop(self, monkeypatch, n, activation):
+        rng = np.random.default_rng(n)
+        spec = ModelSpec(ModelKind.MLP, 2, hidden=32, activation=activation)
+        params = rng.normal(0.0, 0.7, n_params(spec))
+        g = rng.normal(size=n)
+        for x in (rng.normal(size=(n, 2)), np.asfortranarray(rng.normal(size=(n, 2)))):
+            results = self.per_count(monkeypatch, lambda: (
+                predict(spec, params, x).tobytes(), backprop(spec, params, x, g).tobytes()))
+            assert results[1:] == results[:1] * 2, (n, x.flags.f_contiguous)
+
+    @pytest.mark.parametrize("n", [B + 1, 2 * B + 1, 3 * B + 2])
+    def test_backprop_adds_the_sums_of_whole_blocks_in_row_order(self, monkeypatch, n):
+        # as a serial loop over B-row blocks would, a 1-row tail included: the
+        # forward pass merges that tail into the block before it, the backward does not
+        rng = np.random.default_rng(n)
+        spec = ModelSpec(ModelKind.MLP, 2, hidden=32, activation=Activation.TANH)
+        params, x, g = rng.normal(0.0, 0.7, n_params(spec)), rng.normal(size=(n, 2)), rng.normal(
+            size=n)
+        z = models._forward(spec, params, x)[1]
+        dw2, m = np.zeros(spec.hidden), np.zeros((spec.hidden, 3))
+        for a in range(0, n, B):
+            z_b, g_b = z[a : a + B], g[a : a + B]
+            dw2 += z_b.T @ g_b
+            m += (1.0 - z_b**2).T @ np.column_stack([x[a : a + B] * g_b[:, None], g_b])
+        m *= unpack_mlp(spec, params)[2][:, None]
+        expected = np.concatenate([m[:, :-1].ravel(), m[:, -1], dw2, [g.sum()]]).tobytes()
+        got = self.per_count(monkeypatch, lambda: backprop(spec, params, x, g).tobytes())
+        assert got == [expected] * len(self.COUNTS)
+
+    def test_minibatch_train(self, monkeypatch):
+        # 3B + 2 rows a batch: four blocks, so three threads each get a part
+        ds = generate(DataGenConfig(n_rows=20_000, seed=4))
+        spec = ModelSpec(ModelKind.MLP, 2, hidden=32, activation=Activation.TANH)
+        config = TrainConfig(step_size=0.1, steps=6, grad=GradConfig(n_bins=10, rebin_every=2),
+                             batch=3 * B + 2, seed=5)
+
+        def run():
+            params, trace = train(ds, spec, random_params(spec, seed=4), config)
+            return params.tobytes(), trace.losses().tobytes(), trace.events
+
+        results = self.per_count(monkeypatch, run)
+        assert results[1:] == results[:1] * 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_threads_run_under_the_callers_error_state(self, monkeypatch):
+        # the update overflows and step 1's forward pass builds non-finite
+        # hidden units on both threads, under `train`'s and `_forward`'s errstate
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        ds = generate(DataGenConfig(n_rows=3 * B, seed=6))
+        spec = ModelSpec(ModelKind.MLP, 2, hidden=1, activation=Activation.TANH)
+        config = TrainConfig(step_size=1e300, steps=5, grad=GradConfig(n_bins=10))
+        with pytest.raises(TrainingDivergedError,
+                           match="^predictions contain non-finite values at step 1$"):
+            train(ds, spec, np.array([50.0, 0.0, -25.0, 1.0, 0.0]), config)
+
+    def test_no_thread_starts_before_a_pass_that_splits(self):
+        # in a fresh process: importing starts no thread, and neither does a pass of one block
+        code = """if True:
+            import sys, threading
+            import numpy as np
+            from liftloss import Activation, ModelKind, ModelSpec, models, predict, random_params
+            assert "concurrent.futures" not in sys.modules and threading.active_count() == 1
+            spec = ModelSpec(ModelKind.MLP, 2, hidden=3, activation=Activation.TANH)
+            params, b = random_params(spec), models.BACKWARD_BLOCK_ROWS
+            models._usable_cpus = lambda: 2
+            predict(spec, params, np.zeros((b + 1, 2)))
+            assert threading.active_count() == 1
+            predict(spec, params, np.zeros((b + 2, 2)))
+            assert threading.active_count() == 2
+        """
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+            "PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_builds_threads_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        spec = small_mlp()
+        x = np.random.default_rng(0).normal(size=(2 * B, 2))
+        params = random_params(spec, seed=0)
+        expected = predict(spec, params, x)  # starts the parent's pool thread
+        pid = os.fork()
+        if pid == 0:  # the parent's thread does not exist here
+            signal.alarm(60)  # a pass waiting on it would hang; end the child instead
+            code = 1
+            try:
+                code = 0 if np.array_equal(predict(spec, params, x), expected) else 3
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestTrain:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import over_rows
+
 __all__ = [
     "BinningError",
     "DegeneratePredictionsError",
@@ -201,24 +203,33 @@ def assign_bins(predictions, cuts: CutPoints) -> np.ndarray:
     values exactly equal to a cut go to the lower bin. Up to
     `COUNT_MAX_BINS` bins the cuts below each row are counted one cut at a
     time in an int8 buffer, a block of `BIN_BLOCK_ROWS` rows at a time, so
-    each block is read from memory once for all the cuts; above that one
-    binary search per row (`searchsorted(side="left") + 1`) is faster. Both
-    paths give the same bins, ties included.
+    each block is read from memory once for its finiteness check and all
+    the cuts; above that one binary search per row
+    (`searchsorted(side="left") + 1`) is faster. Both paths give the same
+    bins, ties included. The rows split into one contiguous range per usable
+    CPU once each range gets `MIN_SPLIT_ROWS` (131,072) rows; a row's bin
+    does not depend on the split.
     """
-    p = _check_predictions(predictions)
-    if cuts.n_bins > COUNT_MAX_BINS:
-        return np.searchsorted(cuts.cuts, p, side="left") + 1
+    p = _check_predictions(predictions, finite=False)
     bins = np.empty(p.shape, dtype=np.intp)
-    count_buf = np.empty(min(p.size, BIN_BLOCK_ROWS), dtype=np.int8)
-    above_buf = np.empty(count_buf.shape, dtype=bool)
-    for start in range(0, p.size, BIN_BLOCK_ROWS):
-        block = p[start : start + BIN_BLOCK_ROWS]
-        count = count_buf[: block.size]
-        above = above_buf[: block.size]
-        count.fill(1)
-        for c in cuts.cuts:
-            count += np.greater(block, c, out=above).view(np.int8)
-        bins[start : start + block.size] = count
+
+    def run(rows):
+        part, out = p[rows], bins[rows]
+        count_buf = np.empty(min(part.size, BIN_BLOCK_ROWS), dtype=np.int8)
+        above_buf = np.empty(count_buf.shape, dtype=bool)
+        for start in range(0, part.size, BIN_BLOCK_ROWS):
+            block = _check_predictions(part[start : start + BIN_BLOCK_ROWS])
+            if cuts.n_bins > COUNT_MAX_BINS:
+                count = np.searchsorted(cuts.cuts, block, side="left") + 1
+            else:
+                count = count_buf[: block.size]
+                above = above_buf[: block.size]
+                count.fill(1)
+                for c in cuts.cuts:
+                    count += np.greater(block, c, out=above).view(np.int8)
+            out[start : start + block.size] = count
+
+    over_rows(p.size, run)
     return bins
 
 
@@ -264,19 +275,44 @@ def assign_segments(predictions, inner: InnerCuts, bins: np.ndarray) -> np.ndarr
     bin's upper cut (candidates to migrate up), bottom within one segment of
     the lower cut (candidates to migrate down). The first bin has no bottom
     segment and the last no top segment; their outer regions stay middle, so
-    with one bin and empty `inner` every row is middle. A bin outside
-    1..n_bins raises BinningError.
+    with one bin and empty `inner` every row is middle. A non-finite
+    prediction raises BinningError, and then a bin outside 1..n_bins. The
+    checks and labels run `BIN_BLOCK_ROWS` rows at a time, on one contiguous
+    range of rows per usable CPU once each range gets `MIN_SPLIT_ROWS`
+    (131,072) rows.
     """
-    p = _check_predictions(predictions)
+    p = _check_predictions(predictions, finite=False)
     if np.shape(bins) != p.shape:
+        _check_predictions(p)  # a non-finite prediction is reported first
         raise BinningError(f"bins shape {np.shape(bins)} does not match predictions {p.shape}")
     n_bins = inner.minus.size + 1
-    if bins.min() < 1 or bins.max() > n_bins:
-        raise BinningError(f"bin index out of range 1..{n_bins}")
     # per-bin thresholds indexed by the 1-based bin itself; the edge bins'
     # outward sides can never be crossed, and index 0 is no bin
-    top = p > np.concatenate(([np.nan], inner.minus, [np.inf])).take(bins)
-    bottom = p < np.concatenate(([np.nan, -np.inf], inner.plus)).take(bins)
-    seg = top.view(np.int8) + np.int8(Segment.MIDDLE)  # MIDDLE + 1 == TOP
-    seg -= np.greater(bottom, top, out=bottom)  # bottom & ~top; MIDDLE - 1 == BOTTOM
+    upper = np.concatenate(([np.nan], inner.minus, [np.inf]))
+    lower = np.concatenate(([np.nan, -np.inf], inner.plus))
+    seg = np.empty(p.shape, dtype=np.int8)
+
+    def run(rows):
+        """Label the rows a block at a time; whether they are finite and their bins in range."""
+        in_range = True
+        for start in range(rows.start, rows.stop, BIN_BLOCK_ROWS):
+            block = slice(start, min(start + BIN_BLOCK_ROWS, rows.stop))
+            part, b = p[block], bins[block]
+            if not np.isfinite(part).all():
+                return False, in_range
+            # past a bin out of range, only the finiteness is checked
+            in_range = in_range and b.min() >= 1 and b.max() <= n_bins
+            if in_range:
+                top = part > upper.take(b)
+                bottom = part < lower.take(b)
+                # MIDDLE + 1 == TOP
+                out = np.add(top.view(np.int8), np.int8(Segment.MIDDLE), out=seg[block])
+                out -= np.greater(bottom, top, out=bottom)  # bottom & ~top; MIDDLE - 1 == BOTTOM
+        return True, in_range
+
+    finite, in_range = np.array(over_rows(p.size, run)).all(axis=0)
+    if not finite:
+        raise BinningError("predictions contain non-finite values")
+    if not in_range:
+        raise BinningError(f"bin index out of range 1..{n_bins}")
     return seg

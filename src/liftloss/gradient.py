@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import over_rows
 from .binning import (
     BIN_BLOCK_ROWS,
     MAX_SORT,
@@ -194,10 +195,16 @@ def effective_gradient(
     arm, DegeneratePredictionsError when the predictions cannot fill the
     bins, and FloatingPointError, without a RuntimeWarning, when a statistic
     or the gradient is not finite.
-    The tables are gathered `BIN_BLOCK_ROWS` rows at a time, so the call
-    peaks at about 19 B/row beyond its inputs at 1M rows and 23 at 200k
-    (tracemalloc, 10 bins): bins, segments, the gradient and its
-    finiteness mask, plus one block's indices and migration part.
+    The tables are gathered `BIN_BLOCK_ROWS` rows at a time, and each block
+    of the gradient is checked for finiteness while it is in cache; the
+    call peaks at about 18 B/row beyond its inputs at 1M rows on one thread
+    and 19 on two, and 23 at 200k (tracemalloc, 10 bins): bins, segments
+    and the gradient, plus each thread's 1 MB of block indices and
+    migration parts. Bins, segments, the `subset_stats` key and the gather
+    each run on one contiguous range of rows per usable CPU once each range
+    gets `MIN_SPLIT_ROWS` (131,072) rows, so a 100k-row minibatch stays on
+    the caller's thread. The per-bin sums run whole, in row order, since
+    per-range partial sums would round differently.
     """
     p = np.asarray(predictions, dtype=np.float64)
     cuts, bins, stats, inner = _binned_stats(dataset, p, config, cached_global_lift, cuts)
@@ -208,20 +215,28 @@ def effective_gradient(
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = _migration_tables(stats, cuts, inner)
         a += bias_gradient(stats, np.arange(1, cuts.n_bins + 1))[:, None, None]
-        idx_buf = np.empty(min(p.size, BIN_BLOCK_ROWS), dtype=np.intp)
-        migration_buf = np.empty(idx_buf.shape)
-        for start in range(0, p.size, BIN_BLOCK_ROWS):
-            k = min(BIN_BLOCK_ROWS, p.size - start)
-            rows = slice(start, start + k)
-            # idx = (bin - 1) * 6 + segment * 2 + arm; the small terms stay int8
-            idx = np.multiply(bins[rows], 6, out=idx_buf[:k])
-            idx += segments[rows] * 2 + dataset.arm[rows] - 6
-            # every index is in range by construction; "raise" would gather into
-            # a copy of `out` first, "clip" writes it directly
-            a.take(idx, out=grad[rows], mode="clip")
-            migration = b.take(idx, out=migration_buf[:k], mode="clip")
-            migration *= dataset.outcome[rows]
-            grad[rows] += migration
-    if not np.isfinite(grad).all():
+
+        def run(part):
+            """Gather the gradient of the rows in `part`; whether all of it is finite."""
+            idx_buf = np.empty(min(part.stop - part.start, BIN_BLOCK_ROWS), dtype=np.intp)
+            migration_buf = np.empty(idx_buf.shape)
+            for start in range(part.start, part.stop, BIN_BLOCK_ROWS):
+                k = min(BIN_BLOCK_ROWS, part.stop - start)
+                rows = slice(start, start + k)
+                # idx = (bin - 1) * 6 + segment * 2 + arm; the small terms stay int8
+                idx = np.multiply(bins[rows], 6, out=idx_buf[:k])
+                idx += segments[rows] * 2 + dataset.arm[rows] - 6
+                # every index is in range by construction; "raise" would gather into
+                # a copy of `out` first, "clip" writes it directly
+                g = a.take(idx, out=grad[rows], mode="clip")
+                migration = b.take(idx, out=migration_buf[:k], mode="clip")
+                migration *= dataset.outcome[rows]
+                g += migration
+                if not np.isfinite(g).all():
+                    return False
+            return True
+
+        finite = all(over_rows(p.size, run))
+    if not finite:
         raise FloatingPointError("effective gradient produced non-finite values")
     return EffectiveGradient(grad, stats, cuts, inner, bins, segments)

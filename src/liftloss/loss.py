@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._threads import over_rows
 from .dataset import ABDataset, write_csv
 
 __all__ = [
@@ -118,7 +119,11 @@ def subset_stats(
 
     Rows are counted and summed by one `bincount` key, `bins * 2 + arm`, in
     the integer width of the row indices, so `int8` or list bins cannot wrap;
-    its buckets, reshaped to (n_bins, 2), are the table's cells. The same
+    its buckets, reshaped to (n_bins, 2), are the table's cells. The key is
+    built on one contiguous range of rows per usable CPU once each range gets
+    `MIN_SPLIT_ROWS` (131,072) rows. The `bincount`s run whole on the
+    caller's thread: each adds a bucket's rows in row order, and adding
+    per-range partial sums instead would round differently. The same
     counts hold the range check: a bin below 1 makes the key negative or
     lands in buckets 0 and 1, and a bin above `n_bins` lengthens the result.
     An empty cell raises EmptyArmInBinError from `SubsetStats`, and then a
@@ -134,9 +139,14 @@ def subset_stats(
         raise ValueError("predictions and bins must align with the dataset rows")
     # before the key, so the lift's temporaries and the key are never alive together
     gl = global_lift(dataset) if cached_global_lift is None else float(cached_global_lift)
+    key = np.empty(p.shape, dtype=np.intp)
+
+    def run(rows):
+        k = np.multiply(bins[rows], 2, out=key[rows], dtype=np.intp)
+        k += dataset.arm[rows]
+
+    over_rows(p.size, run)
     # each bucket sums its rows in row order, as a per-arm masked bincount would
-    key = np.multiply(bins, 2, dtype=np.intp)
-    key += dataset.arm
     n_keys = 2 * n_bins + 2
     try:
         counts = np.bincount(key, minlength=n_keys)

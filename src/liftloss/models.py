@@ -7,16 +7,14 @@ gradient into a parameter gradient, which is all the trainer needs.
 
 from __future__ import annotations
 
-import contextvars
 import enum
-import functools
 import json
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from ._threads import over_rows, over_threads
 from .binning import BinningError, DegeneratePredictionsError
 from .dataset import ABDataset, check_seed
 from .gradient import GradConfig, _binned_stats, effective_gradient
@@ -43,6 +41,9 @@ __all__ = [
 # rows per block of both MLP passes: a (block, 32) slice of the hidden layer is 1 MB.
 # Their threads split the rows on these blocks' boundaries.
 BACKWARD_BLOCK_ROWS = 1 << 12
+# rows per product of a split linear forward pass: two threads running products of
+# 4096 rows wait on each other in BLAS, at 4.5 against 2.6 ms for 1M rows on one
+LINEAR_BLOCK_ROWS = 1 << 16
 
 
 class ModelKind(enum.Enum):
@@ -102,47 +103,20 @@ def _features(data, spec: ModelSpec) -> np.ndarray:
     return x
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; the MLP passes run one thread on each."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+def _row_blocks(n: int, size: int = BACKWARD_BLOCK_ROWS) -> list[slice]:
+    """Row blocks of `size` rows each, the last one shorter: those of the MLP passes by default."""
+    return [slice(a, a + size) for a in range(0, max(n, 1), size)]
 
 
-@functools.cache
-def _pool(threads: int):
-    """Worker threads of the MLP passes, built at the first pass that splits its blocks."""
-    from concurrent.futures import ThreadPoolExecutor  # here, so `import liftloss` does not
+def _forward_blocks(n: int, size: int = BACKWARD_BLOCK_ROWS) -> list[slice]:
+    """Blocks of `size` rows, the last one shorter, or longer where it would hold 1 row.
 
-    return ThreadPoolExecutor(threads, thread_name_prefix="liftloss-mlp")
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _row_blocks(n: int) -> list[slice]:
-    """The MLP passes' row blocks: `BACKWARD_BLOCK_ROWS` rows each, the last one shorter."""
-    starts = range(0, max(n, 1), BACKWARD_BLOCK_ROWS)
-    return [slice(a, a + BACKWARD_BLOCK_ROWS) for a in starts]
-
-
-def _over_threads(blocks: list[slice], run) -> list:
-    """`run(part)` for each thread's contiguous part of `blocks`, in block order.
-
-    The caller runs the first part, and one pool thread each of the others,
-    in a copy of the caller's context, so under its `np.errstate`.
+    A 1-row product takes BLAS's vector path, which rounds unlike the rows of a larger one.
     """
-    cpus = _usable_cpus()
-    threads = min(cpus, len(blocks))
-    parts = [blocks[i * len(blocks) // threads : (i + 1) * len(blocks) // threads]
-             for i in range(threads)]
-    futures = [_pool(cpus - 1).submit(contextvars.copy_context().run, run, part)
-               for part in parts[1:]]
-    try:
-        first = run(parts[0])
-    finally:
-        for f in futures:  # they write into the caller's arrays: wait for each, even on error
-            f.exception()
-    return [first] + [f.result() for f in futures]
+    blocks = _row_blocks(n, size)
+    if len(blocks) > 1 and n % size == 1:
+        blocks[-2:] = [slice(blocks[-2].start, n)]
+    return blocks
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the binning rejects non-finite predictions
@@ -151,10 +125,26 @@ def _forward(spec: ModelSpec, p: np.ndarray, x: np.ndarray):
 
     Both kinds end in `z @ w + b`, with `w, b` the last `z.shape[1] + 1`
     parameters. An MLP builds `z` in place in one fresh (n, hidden) buffer,
-    a row block at a time, on one thread per usable CPU.
+    a row block at a time, on one thread per usable CPU. A linear model
+    splits its rows into one range per usable CPU once each gets
+    `MIN_SPLIT_ROWS` (131,072) rows, and multiplies `LINEAR_BLOCK_ROWS`
+    rows at a time on one grid whatever the count, so no product's rows
+    depend on the count, not even where a threaded BLAS divides a product
+    further. With BLAS on one thread this matches one whole-array product:
+    it rounds a row alike wherever the row sits on a 4-row grid, though not
+    off it.
     """
     if spec.kind is ModelKind.LINEAR:
-        return x @ p[:-1] + p[-1], x
+        preds = np.empty(len(x))
+
+        def run_linear(rows):
+            x_r, preds_r = x[rows], preds[rows]
+            for b in _forward_blocks(len(x_r), LINEAR_BLOCK_ROWS):
+                out = np.matmul(x_r[b], p[:-1], out=preds_r[b])
+                out += p[-1]
+
+        over_rows(len(x), run_linear, LINEAR_BLOCK_ROWS)
+        return preds, x
     n_w1 = spec.hidden * spec.d
     w1_t = p[:n_w1].reshape(spec.hidden, spec.d).T
     b1, w2 = p[n_w1 : n_w1 + spec.hidden], p[-spec.hidden - 1 : -1]
@@ -171,11 +161,7 @@ def _forward(spec: ModelSpec, p: np.ndarray, x: np.ndarray):
             np.matmul(z_b, w2, out=preds[rows])
             preds[rows] += p[-1]
 
-    blocks = _row_blocks(len(x))
-    if len(blocks) > 1 and len(x) % BACKWARD_BLOCK_ROWS == 1:
-        # a 1-row product takes BLAS's vector path, which rounds unlike the rows of a larger one
-        blocks[-2:] = [slice(blocks[-2].start, len(x))]
-    _over_threads(blocks, run)
+    over_threads(_forward_blocks(len(x)), run)
     return preds, z
 
 
@@ -211,7 +197,7 @@ def _backward(spec: ModelSpec, p: np.ndarray, x: np.ndarray, g: np.ndarray, z) -
 
     dw2 = np.zeros(spec.hidden)
     m = np.zeros((spec.hidden, d + 1))
-    for sums in _over_threads(_row_blocks(len(x)), run):
+    for sums in over_threads(_row_blocks(len(x)), run):
         for dw2_b, m_b in sums:
             dw2 += dw2_b
             m += m_b
@@ -328,15 +314,17 @@ def train(
     one arm only, naming the step and the batch size. Each step builds the
     MLP hidden layer once, for the forward pass, and hands it to the
     backward pass, which sums it in row blocks. Both passes run their row
-    blocks on one thread per usable CPU, and the results are bit-identical
-    whatever the count.
+    blocks on one thread per usable CPU, as do the step's per-row passes
+    once each thread gets `MIN_SPLIT_ROWS` rows, and the results are
+    bit-identical whatever the count.
     The last step scores the loss only, without building (or checking) a
     gradient that nothing would read.
     Each step's arrays (the effective gradient's, an MLP's hidden layer)
     are released before the next step builds its own, so a full-batch step
-    peaks at about 27 B/row above the dataset at 1M rows and 31 at 200k
-    (tracemalloc, 10 bins, d=2); a hidden-32 MLP's peaks at 283 at 1M rows
-    and 287 at 200k, 256 of them the hidden layer, on one thread or two.
+    peaks at about 26 B/row above the dataset at 1M rows on one thread, 27
+    on two, and 31 at 200k (tracemalloc, 10 bins, d=2); a hidden-32 MLP's
+    peaks at 283 at 1M rows and 287 at 200k, 256 of them the hidden layer,
+    on one thread or two.
     Deterministic given the seed, which only drives minibatch sampling.
     """
     params = _check_params(spec, init_params).copy()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from liftloss import _threads
+
 from dataset_helpers import make_dataset
+from thread_helpers import THREAD_COUNTS
 
 
 @pytest.fixture
@@ -15,3 +18,17 @@ def six_row_instance():
     arm = np.array([0, 1, 1, 0, 1, 0], dtype=np.int8)
     y = np.array([0.5, 1.0, 2.0, 1.0, 3.0, 1.5])
     return make_dataset(preds, y, arm), preds
+
+
+@pytest.fixture
+def per_thread_count(monkeypatch):
+    """`run(call)`: `call()`'s results with each of `THREAD_COUNTS` usable CPUs, in order."""
+
+    def run(call):
+        results = []
+        for count in THREAD_COUNTS:
+            monkeypatch.setattr(_threads, "usable_cpus", lambda: count)
+            results.append(call())
+        return results
+
+    return run

@@ -17,6 +17,7 @@ from liftloss import (
     generate,
     inner_cuts,
 )
+from liftloss import _threads
 from liftloss.binning import BIN_BLOCK_ROWS, COUNT_MAX_BINS, MAX_SORT, InnerCuts, _subsample_rows
 
 from reference_gradient import (
@@ -27,6 +28,7 @@ from reference_gradient import (
     reference_fancy_assign_segments,
     reference_single_cut_inner_cuts,
 )
+from thread_helpers import SPLIT_ROWS, THREAD_COUNTS, row_ranges
 
 
 class TestComputeCuts:
@@ -616,3 +618,73 @@ class TestAssignSegments:
         bins[7] = bad
         with pytest.raises(BinningError, match=r"bin index out of range 1\.\.4"):
             assign_segments(p, inner_cuts(cuts), bins)
+
+
+class TestThreadCount:
+    """Bins and segments are bit-identical whatever the number of threads, and
+    each check raises as on one thread, whichever thread's rows it fails on."""
+
+    NON_FINITE = "^predictions contain non-finite values$"
+    OUT_OF_RANGE = r"^bin index out of range 1\.\.10$"
+
+    @staticmethod
+    def inputs(n):
+        preds = np.random.default_rng(n).normal(size=n)
+        cuts = compute_cuts(preds, 10)
+        return preds, cuts, assign_bins(preds, cuts), inner_cuts(cuts)
+
+    @pytest.mark.parametrize("n_bins", [10, COUNT_MAX_BINS + 1])
+    @pytest.mark.parametrize("n", SPLIT_ROWS)
+    def test_bins_and_segments(self, per_thread_count, n, n_bins):
+        preds = np.random.default_rng(n).normal(size=n)
+        cuts = compute_cuts(preds, n_bins)
+        preds[: n_bins - 1] = cuts.cuts  # ties go to the lower bin on every thread
+
+        def run():
+            bins = assign_bins(preds, cuts)
+            return bins.tobytes(), assign_segments(preds, inner_cuts(cuts), bins).tobytes()
+
+        results = per_thread_count(run)
+        assert results[1:] == results[:1] * 2
+
+    @pytest.mark.parametrize("n", [SPLIT_ROWS[1], SPLIT_ROWS[-1]])
+    def test_a_non_finite_prediction_in_the_last_range(self, monkeypatch, n):
+        preds, cuts, bins, inner = self.inputs(n)
+        for count in THREAD_COUNTS:
+            monkeypatch.setattr(_threads, "usable_cpus", lambda: count)
+            last = row_ranges(n)[-1]
+            assert (last.start > 0) == (count > 1)
+            for row, value in ((last.start, np.nan), (n - 1, np.inf), (n - 1, -np.inf)):
+                bad = preds.copy()
+                bad[row] = value
+                with pytest.raises(BinningError, match=self.NON_FINITE):
+                    assign_bins(bad, cuts)
+                with pytest.raises(BinningError, match=self.NON_FINITE):
+                    assign_segments(bad, inner, bins)
+
+    @pytest.mark.parametrize("bad_bin", [0, 11])
+    def test_a_bin_out_of_range_in_the_second_range(self, monkeypatch, bad_bin):
+        n = SPLIT_ROWS[-1]
+        preds, cuts, bins, inner = self.inputs(n)
+        for count in THREAD_COUNTS[1:]:
+            monkeypatch.setattr(_threads, "usable_cpus", lambda: count)
+            first, second = row_ranges(n)[:2]
+            bad_bins = bins.copy()
+            bad_bins[second.start + 1] = bad_bin
+            with pytest.raises(BinningError, match=self.OUT_OF_RANGE):
+                assign_segments(preds, inner, bad_bins)
+            # a non-finite prediction is reported first, in the first range, the
+            # last one, or later in the same range and thread as the bin
+            for row in (0, first.stop - 1, n - 1):
+                bad = preds.copy()
+                bad[row] = np.nan
+                with pytest.raises(BinningError, match=self.NON_FINITE):
+                    assign_segments(bad, inner, bad_bins)
+
+    def test_a_non_finite_prediction_in_a_block_after_a_bad_bin(self, monkeypatch):
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: 1)
+        n = 3 * BIN_BLOCK_ROWS
+        preds, cuts, bins, inner = self.inputs(n)
+        bins[0], preds[-1] = 11, np.nan
+        with pytest.raises(BinningError, match=self.NON_FINITE):
+            assign_segments(preds, inner, bins)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from liftloss import (
     subset_stats,
     true_lift_loss,
 )
+from liftloss import _threads
 from liftloss.binning import BIN_BLOCK_ROWS, MAX_SORT
 from liftloss.checks import (
     BIAS_TOLERANCE,
@@ -45,6 +47,7 @@ from reference_gradient import (
     reference_effective_gradient,
     reference_whole_gather_gradient,
 )
+from thread_helpers import SPLIT_ROWS, THREAD_COUNTS, row_ranges
 
 
 def recompute_loss_slope(stats, dp, y, treated, from0, to0):
@@ -532,6 +535,71 @@ class TestBlockedGather:
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         assert (got.segments != Segment.MIDDLE).any()
+
+
+class TestThreadCount:
+    """Bins, segments, the key and the gather run on one range of rows per
+    thread; every output is bit-identical whatever the count."""
+
+    @pytest.mark.parametrize("n_bins", [10, 65])
+    @pytest.mark.parametrize("n", SPLIT_ROWS)
+    def test_outputs(self, per_thread_count, n, n_bins):
+        rng = np.random.default_rng(n + n_bins)
+        preds = rng.normal(size=n)
+        arm = (rng.random(n) < 0.6).astype(np.int8)
+        ds = make_dataset(preds, rng.normal(0.5 * arm + 0.3 * preds, 1.0), arm)
+        cuts = compute_cuts(preds, n_bins)
+        preds = place_ties(preds, cuts, rng)
+
+        def run():
+            eg = effective_gradient(ds, preds, GradConfig(n_bins=n_bins), cuts=cuts)
+            return [a.tobytes() for a in (eg.point_grad, eg.bins, eg.segments, eg.stats.count,
+                                          eg.stats.mean_y, eg.stats.mean_pred)]
+
+        results = per_thread_count(run)
+        assert results[1:] == results[:1] * 2
+
+    def test_more_threads_than_cpus_switching_often(self, monkeypatch):
+        # four threads on any machine, handing the interpreter over every microsecond:
+        # a row written twice or left unwritten would change the bytes
+        n = 4 * _threads.MIN_SPLIT_ROWS + 3
+        rng = np.random.default_rng(1)
+        preds = rng.normal(size=n)
+        arm = (rng.random(n) < 0.6).astype(np.int8)
+        ds = make_dataset(preds, rng.normal(size=n), arm)
+        config = GradConfig(n_bins=10)
+
+        def run():
+            eg = effective_gradient(ds, preds, config)
+            return eg.point_grad.tobytes(), eg.segments.tobytes()
+
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: 1)
+        expected = run()
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert all(run() == expected for _ in range(5))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_non_finite_gradient_in_a_workers_range(self, monkeypatch):
+        # predictions rise with the row, so bins 9 and 10 lie in the last range;
+        # one huge outcome in bin 10 leaves its lift finite but its squared
+        # gaps, and so the migration rows of bins 9 and 10, beyond float64
+        n = SPLIT_ROWS[-1]
+        preds = np.linspace(0.0, 1.0, n)
+        arm = np.arange(n) % 2
+        y = np.random.default_rng(0).normal(size=n)
+        y[-1] = 1e300
+        ds = make_dataset(preds, y, arm)
+        for count in THREAD_COUNTS:
+            monkeypatch.setattr(_threads, "usable_cpus", lambda: count)
+            assert row_ranges(n)[-1].start <= 0.8 * n * (count > 1)
+            with pytest.raises(FloatingPointError,
+                               match="^effective gradient produced non-finite values$"):
+                effective_gradient(ds, preds, GradConfig(n_bins=10), cached_global_lift=0.0)
 
 
 class TestDegeneratePredictions:

@@ -17,11 +17,13 @@ from liftloss import (
     subset_stats,
     true_lift_loss,
 )
+from liftloss import _threads
 from liftloss.dataset import DataGenConfig
 from liftloss.loss import bin_table, write_loss_report
 
 from dataset_helpers import make_dataset
 from reference_gradient import reference_keyed_subset_stats, reference_subset_stats
+from thread_helpers import SPLIT_ROWS, THREAD_COUNTS, row_ranges
 
 
 def lift_means(lift):
@@ -381,3 +383,35 @@ class TestDecompositionIdentity:
         null_model = (np.full(len(ds), gl).mean() - gl) ** 2  # single-bin loss
         reversed_model = loss_of(-0.5 * r3, 5)
         assert true_model < null_model < reversed_model
+
+
+class TestThreadCount:
+    """The `bincount` key is built on one range of rows per thread; the table is
+    bit-identical whatever the count, and a bad bin in any range raises."""
+
+    @pytest.mark.parametrize("n", SPLIT_ROWS)
+    def test_table(self, per_thread_count, n):
+        ds = generate(DataGenConfig(n_rows=n, seed=n % 1000))
+        preds = ds.true_lift + np.random.default_rng(n).normal(0.0, 0.1, n)
+        bins = assign_bins(preds, compute_cuts(preds, 10))
+
+        def table(b):
+            stats = subset_stats(ds, preds, b, 10)
+            return stats.count.tobytes(), stats.mean_y.tobytes(), stats.mean_pred.tobytes()
+
+        for b in (bins, bins.astype(np.int8)):
+            results = per_thread_count(lambda: table(b))
+            assert results[1:] == results[:1] * 2
+
+    @pytest.mark.parametrize("bad_bin", [0, 11])
+    def test_a_bin_out_of_range_in_the_second_range(self, monkeypatch, bad_bin):
+        n = SPLIT_ROWS[-1]
+        ds = generate(DataGenConfig(n_rows=n, seed=5))
+        preds = ds.true_lift
+        bins = assign_bins(preds, compute_cuts(preds, 10))
+        for count in THREAD_COUNTS[1:]:
+            monkeypatch.setattr(_threads, "usable_cpus", lambda: count)
+            bad_bins = bins.copy()
+            bad_bins[row_ranges(n)[1].start] = bad_bin
+            with pytest.raises(ValueError, match="^bin index out of range$"):
+                subset_stats(ds, preds, bad_bins, 10)

@@ -36,6 +36,7 @@ from liftloss import (
     subset_stats,
     train,
 )
+from liftloss import _threads
 
 N_ROWS = 200_000
 LINEAR = ModelSpec(ModelKind.LINEAR, 2)
@@ -64,7 +65,7 @@ def step_inputs():
 
 
 def test_full_batch_train_holds_one_steps_arrays():
-    # 31.3 B/row above the dataset; 42.1 with whole-vector gathers and a copied
+    # 31.0 B/row above the dataset; 42.1 with whole-vector gathers and a copied
     # outcome, 59.1 while step t-1's gradient outlived step t's
     ds = generate(DataGenConfig(n_rows=N_ROWS, seed=3))
     config = TrainConfig(step_size=0.1, steps=3, grad=GradConfig(n_bins=10))
@@ -73,7 +74,7 @@ def test_full_batch_train_holds_one_steps_arrays():
 
 
 def test_full_batch_train_on_a_loaded_csv_peaks_as_on_its_data(tmp_path):
-    # 31.3 B/row on both: load_csv's columns hold what generate's do
+    # 31.0 B/row on both: load_csv's columns hold what generate's do
     ds = generate(DataGenConfig(n_rows=N_ROWS, seed=3))
     path = tmp_path / "d.csv"
     save_csv(ds, path)
@@ -87,12 +88,25 @@ def test_full_batch_train_on_a_loaded_csv_peaks_as_on_its_data(tmp_path):
 
 
 def test_effective_gradient_gathers_in_row_blocks():
-    # 23.3 B/row; 34.0 with the index and migration arrays spanning all rows
+    # 22.9 B/row; 34.0 with the index and migration arrays spanning all rows
     ds, preds = step_inputs()
     config = GradConfig(n_bins=10)
     gl = global_lift(ds)
     effective_gradient(ds, preds, config, gl)  # fills the cached quantile subsample draw
     assert traced_peak(lambda: effective_gradient(ds, preds, config, gl)) / N_ROWS < 29.0
+
+
+def test_effective_gradient_gathers_in_row_blocks_on_two_threads(monkeypatch):
+    # 22.9 B/row at 400k rows, split between two threads, each with its own
+    # 1 MB of block buffers; 35.0 with each thread's buffers spanning its rows
+    monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
+    n = 400_000
+    ds = generate(DataGenConfig(n_rows=n, seed=3))
+    preds = predict(LINEAR, INIT, ds)
+    config = GradConfig(n_bins=10)
+    gl = global_lift(ds)
+    effective_gradient(ds, preds, config, gl)  # fills the cached quantile subsample draw
+    assert traced_peak(lambda: effective_gradient(ds, preds, config, gl)) / n < 29.0
 
 
 def test_subset_stats_does_not_copy_the_outcome():

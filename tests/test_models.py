@@ -38,7 +38,7 @@ from liftloss import (
     train,
     true_lift_loss,
 )
-from liftloss import models
+from liftloss import _threads, models
 from liftloss.dataset import DataGenConfig
 
 from reference_models import (
@@ -47,6 +47,7 @@ from reference_models import (
     reference_predict,
     unpack_mlp,
 )
+from thread_helpers import SPLIT_ROWS
 
 
 LINEAR2 = ModelSpec(ModelKind.LINEAR, 2)
@@ -221,33 +222,59 @@ class TestMatchesUnfactoredReference:
 
 
 class TestThreadCount:
-    """The MLP passes split their row blocks among one thread per usable CPU;
-    every result must be bit-identical whatever the count."""
+    """The MLP passes split their row blocks among one thread per usable CPU,
+    and a linear model's predictions their rows once each thread gets
+    `MIN_SPLIT_ROWS`; every result must be bit-identical whatever the count."""
 
-    COUNTS = (1, 2, 3)
+    @pytest.mark.parametrize("align", [1, B])
+    def test_row_ranges_split_at_the_minimum(self, monkeypatch, align):
+        m = _threads.MIN_SPLIT_ROWS
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_threads, "usable_cpus", lambda: cpus)
+            for n in (0, 1, m, 2 * m - 1, 2 * m, 3 * m - 1, 3 * m + 1, 10 * m + 3):
+                ranges = _threads.over_rows(n, lambda rows: rows, align)
+                assert len(ranges) == max(1, min(cpus, n // m)), (cpus, n)
+                assert ranges[0].start == 0 and ranges[-1].stop == n
+                assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+                assert all(r.start % align == 0 for r in ranges)
+                if len(ranges) > 1:
+                    assert min(r.stop - r.start for r in ranges) > m - align
 
-    @staticmethod
-    def per_count(monkeypatch, call):
-        results = []
-        for count in TestThreadCount.COUNTS:
-            monkeypatch.setattr(models, "_usable_cpus", lambda: count)
-            results.append(call())
-        return results
+    @pytest.mark.parametrize("n", SPLIT_ROWS)
+    def test_linear_predict(self, per_thread_count, n):
+        rng = np.random.default_rng(n)
+        for d in (1, 2, 5):
+            spec, params = ModelSpec(ModelKind.LINEAR, d), rng.normal(size=d + 1)
+            # an F-ordered product is one that a threaded BLAS rounds by where it divides the rows
+            for x in (rng.normal(size=(n, d)), np.asfortranarray(rng.normal(size=(n, d)))):
+                results = per_thread_count(lambda: predict(spec, params, x).tobytes())
+                assert results[1:] == results[:1] * 2, (d, x.flags.f_contiguous)
+
+    def test_full_batch_linear_train(self, per_thread_count):
+        ds = generate(DataGenConfig(n_rows=SPLIT_ROWS[-1], seed=8))
+        config = TrainConfig(step_size=0.1, steps=4, grad=GradConfig(n_bins=10))
+
+        def run():
+            params, trace = train(ds, LINEAR2, np.array([1.0, 0.1, 1.0]), config)
+            return params.tobytes(), trace.losses().tobytes()
+
+        results = per_thread_count(run)
+        assert results[1:] == results[:1] * 2
 
     @pytest.mark.parametrize("activation", list(Activation))
     @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1, 3 * B + 2])
-    def test_predict_and_backprop(self, monkeypatch, n, activation):
+    def test_predict_and_backprop(self, per_thread_count, n, activation):
         rng = np.random.default_rng(n)
         spec = ModelSpec(ModelKind.MLP, 2, hidden=32, activation=activation)
         params = rng.normal(0.0, 0.7, n_params(spec))
         g = rng.normal(size=n)
         for x in (rng.normal(size=(n, 2)), np.asfortranarray(rng.normal(size=(n, 2)))):
-            results = self.per_count(monkeypatch, lambda: (
+            results = per_thread_count(lambda: (
                 predict(spec, params, x).tobytes(), backprop(spec, params, x, g).tobytes()))
             assert results[1:] == results[:1] * 2, (n, x.flags.f_contiguous)
 
     @pytest.mark.parametrize("n", [B + 1, 2 * B + 1, 3 * B + 2])
-    def test_backprop_adds_the_sums_of_whole_blocks_in_row_order(self, monkeypatch, n):
+    def test_backprop_adds_the_sums_of_whole_blocks_in_row_order(self, per_thread_count, n):
         # as a serial loop over B-row blocks would, a 1-row tail included: the
         # forward pass merges that tail into the block before it, the backward does not
         rng = np.random.default_rng(n)
@@ -262,10 +289,10 @@ class TestThreadCount:
             m += (1.0 - z_b**2).T @ np.column_stack([x[a : a + B] * g_b[:, None], g_b])
         m *= unpack_mlp(spec, params)[2][:, None]
         expected = np.concatenate([m[:, :-1].ravel(), m[:, -1], dw2, [g.sum()]]).tobytes()
-        got = self.per_count(monkeypatch, lambda: backprop(spec, params, x, g).tobytes())
-        assert got == [expected] * len(self.COUNTS)
+        got = per_thread_count(lambda: backprop(spec, params, x, g).tobytes())
+        assert got == [expected] * 3
 
-    def test_minibatch_train(self, monkeypatch):
+    def test_minibatch_train(self, per_thread_count):
         # 3B + 2 rows a batch: four blocks, so three threads each get a part
         ds = generate(DataGenConfig(n_rows=20_000, seed=4))
         spec = ModelSpec(ModelKind.MLP, 2, hidden=32, activation=Activation.TANH)
@@ -276,14 +303,14 @@ class TestThreadCount:
             params, trace = train(ds, spec, random_params(spec, seed=4), config)
             return params.tobytes(), trace.losses().tobytes(), trace.events
 
-        results = self.per_count(monkeypatch, run)
+        results = per_thread_count(run)
         assert results[1:] == results[:1] * 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_threads_run_under_the_callers_error_state(self, monkeypatch):
         # the update overflows and step 1's forward pass builds non-finite
         # hidden units on both threads, under `train`'s and `_forward`'s errstate
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
         ds = generate(DataGenConfig(n_rows=3 * B, seed=6))
         spec = ModelSpec(ModelKind.MLP, 2, hidden=1, activation=Activation.TANH)
         config = TrainConfig(step_size=1e300, steps=5, grad=GradConfig(n_bins=10))
@@ -297,10 +324,11 @@ class TestThreadCount:
             import sys, threading
             import numpy as np
             from liftloss import Activation, ModelKind, ModelSpec, models, predict, random_params
+            from liftloss import _threads
             assert "concurrent.futures" not in sys.modules and threading.active_count() == 1
             spec = ModelSpec(ModelKind.MLP, 2, hidden=3, activation=Activation.TANH)
             params, b = random_params(spec), models.BACKWARD_BLOCK_ROWS
-            models._usable_cpus = lambda: 2
+            _threads.usable_cpus = lambda: 2
             predict(spec, params, np.zeros((b + 1, 2)))
             assert threading.active_count() == 1
             predict(spec, params, np.zeros((b + 2, 2)))
@@ -314,7 +342,7 @@ class TestThreadCount:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_a_forked_child_builds_threads_of_its_own(self, monkeypatch):
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
         spec = small_mlp()
         x = np.random.default_rng(0).normal(size=(2 * B, 2))
         params = random_params(spec, seed=0)
